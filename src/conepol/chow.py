@@ -3,9 +3,9 @@
 The ring on generators x_F (one per middle element) is cut by two families
 of relations: products of incomparable generators vanish, and for any two
 elements i, j of L \\ K the sums of generators containing i and containing
-j agree.  Each graded piece is handled as plain exact linear algebra over
-the monomials supported on chains; monomials touching an incomparable pair
-are pruned up front since they are already zero.
+j agree.  Each graded piece is handled as exact sparse integer elimination
+over the monomials supported on chains; monomials touching an incomparable
+pair are pruned up front since they are already zero.
 
 The top graded piece must be one dimensional, with all maximal-chain
 monomials in the same nonzero class; the induced functional normalizes
@@ -15,9 +15,9 @@ them to 1 and generates the volume polynomial.
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, gcd
 
-from . import poset, subsets
+from . import subsets
 from .errors import (
     FlagInconsistency,
     NotAnInterval,
@@ -32,48 +32,54 @@ MAX_OPEN_FLATS = 16
 MAX_DEGREE = 4
 
 
-def _rref(rows):
-    """In-place reduced row echelon form; returns (rank, pivot_columns)."""
-    if not rows:
-        return 0, []
-    ncols = len(rows[0])
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot_row = r
+def _echelon(rows):
+    """Exact row echelon form of sparse integer rows, keyed by pivot column.
+
+    Rows are {column: int} dicts.  Each stored row is primitive and keyed by
+    its smallest column, and no two stored rows share a key, so the number
+    of keys is the rank.  Elimination is fraction-free: a row meeting stored
+    row r at column c becomes r[c] * row - row[c] * r, divided by the gcd of
+    its entries.
+    """
+    echelon = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            pivot_row = echelon.get(col)
+            if pivot_row is None:
+                echelon[col] = row
                 break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][col]
-        rows[rank] = [v / piv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank, pivots
+            a, b = pivot_row[col], row[col]
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in pivot_row.items():
+                x = row.get(c, 0) - b * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {c: v // g for c, v in row.items()}
+    return echelon
 
 
-def _kernel_basis(rows, ncols):
-    """Basis of {x : rows . x = 0} from the reduced echelon form."""
-    work = [list(r) for r in rows]
-    rank, pivots = _rref(work)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def _kernel_basis(echelon, ncols):
+    """Basis of {x : rows . x = 0}, one vector per non-pivot column, which
+    is set to 1 while the other non-pivot columns are 0."""
+    pivots = sorted(echelon, reverse=True)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(vec)
+    for free in range(ncols):
+        if free in echelon:
+            continue
+        x = {free: Fraction(1)}
+        for col in pivots:
+            row = echelon[col]
+            s = sum(v * x[c] for c, v in row.items() if c in x)
+            if s:
+                x[col] = -s / row[col]
+        basis.append([x.get(c, Fraction(0)) for c in range(ncols)])
     return basis
 
 
@@ -102,13 +108,9 @@ class ChowRing:
             for j in range(len(flats))
         }
         self.monomials = [self._chain_monomials(k) for k in range(d + 1)]
-        self.graded_dims = []
-        self._relation_rank = []
-        for k in range(d + 1):
-            rank = self._relation_space_rank(k)
-            self._relation_rank.append(rank)
-            self.graded_dims.append(len(self.monomials[k]) - rank)
-        self._top_functional = self._build_top_functional()
+        echelons = [_echelon(self._relation_rows(k)) for k in range(d + 1)]
+        self.graded_dims = [len(m) - len(e) for m, e in zip(self.monomials, echelons)]
+        self._top_functional = self._build_top_functional(echelons[d])
 
     # -- monomials -------------------------------------------------------------
 
@@ -149,48 +151,38 @@ class ChowRing:
         return [(a, b) for idx, a in enumerate(els) for b in els[idx + 1:]]
 
     def _relation_rows(self, k):
-        """Images in degree k of monomial times linear relation, projected to
-        chain monomials (others are already zero)."""
+        """Images in degree k of monomial times linear relation, as sparse
+        {column: coefficient} rows over the chain monomials (the others are
+        already zero).  Coefficients lie in {-1, 1}."""
         if k == 0:
             return []
         index = {m: pos for pos, m in enumerate(self.monomials[k])}
+        pairs = self._linear_form_pairs()
         rows = []
         for m in self.monomials[k - 1]:
-            for (i, j) in self._linear_form_pairs():
-                row = [Fraction(0)] * len(index)
-                touched = False
-                for pos, F in enumerate(self.flats):
-                    bit = None
-                    if (F >> i) & 1:
-                        bit = 1
-                    if (F >> j) & 1:
-                        bit = -1 if bit is None else bit - 1
-                    if not bit:
-                        continue
+            support = [i for i, e in enumerate(m) if e]
+            bumps = []
+            for pos, F in enumerate(self.flats):
+                if all(self._comparable[(pos, s)] for s in support):
                     bumped = list(m)
                     bumped[pos] += 1
-                    bumped = tuple(bumped)
-                    if self._is_chain_exponents(bumped):
-                        row[index[bumped]] += bit
-                        touched = True
-                if touched and any(v != 0 for v in row):
+                    bumps.append((F, index[tuple(bumped)]))
+            for i, j in pairs:
+                row = {}
+                for F, col in bumps:
+                    bit = ((F >> i) & 1) - ((F >> j) & 1)
+                    if bit:
+                        row[col] = bit
+                if row:
                     rows.append(row)
         return rows
 
-    def _relation_space_rank(self, k):
-        rows = self._relation_rows(k)
-        rank, _ = _rref(rows)
-        return rank
-
     # -- the degree functional ------------------------------------------------------
 
-    def _build_top_functional(self):
-        d = self.degree
-        top = self.monomials[d]
-        if d == 0:
-            return {top[0]: Fraction(1)}
-        rows = self._relation_rows(d)
-        kernel = _kernel_basis(rows, len(top))
+    def _build_top_functional(self, echelon):
+        """The top-degree kernel vector, scaled so flag monomials map to 1."""
+        top = self.monomials[self.degree]
+        kernel = _kernel_basis(echelon, len(top))
         if len(kernel) != 1:
             raise TopDegreeNotOneDimensional(
                 f"top graded piece has dimension {len(kernel)}"
@@ -263,17 +255,17 @@ def volume_polynomial(ring):
 def verify_vol_eq_pol(P, K, L):
     """Exact symbolic equality of the volume polynomial and the recursively
     built interval polynomial."""
-    return vol_pol_mismatch_witness(P, K, L) is None
+    return vol_pol_mismatch_witness(ChowRing(P, K, L)) is None
 
 
-def vol_pol_mismatch_witness(P, K, L):
-    """First differing term between the two polynomials, or None when equal.
+def vol_pol_mismatch_witness(ring):
+    """First term where the ring's volume polynomial differs from the
+    recursively built interval polynomial, or None when they are equal.
 
     A non-None answer is a bug signal; it is surfaced in verification
     reports rather than raised.
     """
-    ring = ChowRing(P, K, L)
-    diff = ring.volume_polynomial() - interval_polynomial(P, K, L)
+    diff = ring.volume_polynomial() - interval_polynomial(ring.poset, ring.K, ring.L)
     if diff.is_zero():
         return None
     exps, coeff = diff.sorted_terms()[0]

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import chow, cone, intervalpoly, lorentz, matroid, poset, subsets
-from .errors import ConepolError, InvalidParams, SizeLimitExceeded
+from .errors import ConepolError, InvalidParams, MalformedInput, SizeLimitExceeded
 from .multipoly import to_text
 from .unipoly import is_log_concave
 
@@ -45,6 +45,15 @@ def _add_common_args(p):
                    help="comma-separated element lists; 'empty' for the bottom")
 
 
+class UsageError(Exception):
+    """A request that would check nothing; reported as a usage error."""
+
+
+def _load_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def load_matroid(args):
     if args.fano:
         return matroid.fano()
@@ -52,30 +61,61 @@ def load_matroid(args):
         r, n = args.uniform
         return matroid.uniform_matroid(r, n)
     if args.graphic is not None:
-        with open(args.graphic) as fh:
-            payload = json.load(fh)
-        edges = payload["edges"] if isinstance(payload, dict) else payload
-        return matroid.graphic_matroid([tuple(e) for e in edges])
-    with open(args.matroid) as fh:
-        payload = json.load(fh)
-    return matroid_from_json(payload)
+        return matroid.graphic_matroid(edges_from_json(_load_json(args.graphic)))
+    return matroid_from_json(_load_json(args.matroid))
+
+
+def _require(ok, message):
+    if not ok:
+        raise MalformedInput(message)
+
+
+def _json_int(payload, key):
+    value = payload.get(key)
+    _require(subsets.is_json_int(value), f"matroid {key!r} must be an integer")
+    return value
+
+
+def edges_from_json(payload):
+    """Edge pairs from an {"edges": [...]} object or a bare list of pairs."""
+    edges = payload.get("edges") if isinstance(payload, dict) else payload
+    _require(
+        isinstance(edges, list)
+        and all(isinstance(e, list) and len(e) == 2 for e in edges),
+        "edges must be a list of vertex pairs",
+    )
+    kinds = {type(v) for e in edges for v in e}
+    _require(
+        kinds <= {int} or kinds <= {str},
+        "edge vertices must be all integers or all strings",
+    )
+    return [tuple(e) for e in edges]
 
 
 def matroid_from_json(payload):
+    _require(isinstance(payload, dict), "a matroid must be a JSON object")
     kind = payload.get("type")
     if kind == "uniform":
-        return matroid.uniform_matroid(int(payload["r"]), int(payload["n"]))
+        return matroid.uniform_matroid(_json_int(payload, "r"), _json_int(payload, "n"))
     if kind == "graphic":
-        return matroid.graphic_matroid([tuple(e) for e in payload["edges"]])
+        return matroid.graphic_matroid(edges_from_json(payload))
     if kind == "fano":
         return matroid.fano()
     if kind is not None:
         raise InvalidParams(f"unknown matroid type {kind!r}")
-    n = int(payload["n"])
-    labels = tuple(payload["labels"]) if "labels" in payload else None
-    ground = matroid.GroundSet(n, labels)
-    bases = [subsets.from_elements(b) for b in payload["bases"]]
-    return matroid.Matroid(ground, set(bases))
+    n = _json_int(payload, "n")
+    labels = payload.get("labels")
+    _require(
+        labels is None
+        or isinstance(labels, list) and all(isinstance(x, str) for x in labels),
+        "matroid labels must be a list of strings",
+    )
+    ground = matroid.GroundSet(n, None if labels is None else tuple(labels))
+    bases = payload.get("bases")
+    _require(isinstance(bases, list), "matroid bases must be a list")
+    return matroid.Matroid(
+        ground, {subsets.from_json_elements(b, "a basis") for b in bases}
+    )
 
 
 def resolve_interval(args, lattice):
@@ -150,8 +190,7 @@ def cmd_pol(args):
         elif args.eval == "beta":
             point = cone.beta_vector(coords)
         else:
-            with open(args.eval) as fh:
-                point = cone.IntervalVector.from_json_obj(json.load(fh), coords)
+            point = cone.IntervalVector.from_json_obj(_load_json(args.eval), coords)
         value = f.evaluate(point)
         obj["value"] = str(value)
         lines.append(f"value: {value}")
@@ -160,9 +199,12 @@ def cmd_pol(args):
 
 
 def _load_direction_tuples(path, coords):
-    with open(path) as fh:
-        payload = json.load(fh)
-    tuples = payload["tuples"] if isinstance(payload, dict) else payload
+    payload = _load_json(path)
+    tuples = payload.get("tuples") if isinstance(payload, dict) else payload
+    _require(
+        isinstance(tuples, list) and all(isinstance(t, list) for t in tuples),
+        "direction tuples must be a list of lists of interval vectors",
+    )
     return [
         tuple(cone.IntervalVector.from_json_obj(v, coords) for v in tup)
         for tup in tuples
@@ -170,6 +212,8 @@ def _load_direction_tuples(path, coords):
 
 
 def cmd_certify(args):
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     M = load_matroid(args)
     lattice = matroid.flats_lattice(M)
     K, L = resolve_interval(args, lattice)
@@ -177,6 +221,8 @@ def cmd_certify(args):
     if args.directions is not None:
         coords = cone.IntervalCoords(K, L)
         directions = _load_direction_tuples(args.directions, coords)
+        if not directions:
+            raise UsageError("--directions file holds no direction tuples")
     cert = lorentz.certify_cone_lorentzian(
         lattice, K, L, samples=args.samples, seed=args.seed, directions=directions
     )
@@ -204,6 +250,8 @@ def cmd_chow_verify(args):
             for K, L in lattice.comparable_pairs()
             if lattice.interval_degree(K, L) <= args.max_degree
         ]
+        if not pairs:
+            raise UsageError(f"no interval has degree at most {args.max_degree}")
     else:
         pairs = [resolve_interval(args, lattice)]
     results = []
@@ -211,7 +259,7 @@ def cmd_chow_verify(args):
     all_ok = True
     for K, L in pairs:
         ring = chow.ChowRing(lattice, K, L)
-        witness = chow.vol_pol_mismatch_witness(lattice, K, L)
+        witness = chow.vol_pol_mismatch_witness(ring)
         ok = witness is None
         all_ok = all_ok and ok
         entry = {
@@ -299,6 +347,9 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"conepol {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SizeLimitExceeded as exc:
         print(f"SizeLimitExceeded: {exc}", file=sys.stderr)
         return EXIT_SIZE

@@ -15,6 +15,7 @@ from .errors import (
     ElementOutsideInterval,
     FeasibilityFailure,
     InvalidParams,
+    MalformedInput,
     MissingCoordinate,
     NotInCone,
     TrivialInterval,
@@ -146,20 +147,35 @@ class IntervalVector:
 
     @classmethod
     def from_json_obj(cls, obj, coords=None):
-        K = subsets.from_elements(obj["K"])
-        L = subsets.from_elements(obj["L"])
+        if not isinstance(obj, dict):
+            raise MalformedInput("an interval vector must be a JSON object")
+        K = subsets.from_json_elements(obj.get("K"), "vector K")
+        L = subsets.from_json_elements(obj.get("L"), "vector L")
+        values = obj.get("values", {})
+        if not isinstance(values, dict):
+            raise MalformedInput("vector values must be a JSON object")
         if coords is None:
             coords = IntervalCoords(K, L)
         elif coords.K != K or coords.L != L:
             raise InvalidParams("vector interval does not match the requested one")
         mapping = {
-            subsets.parse_elements(key): Fraction(val)
-            for key, val in obj.get("values", {}).items()
+            subsets.parse_elements(key): _json_rational(val)
+            for key, val in values.items()
         }
         return cls.from_mapping(coords, mapping)
 
     def __repr__(self):
         return f"IntervalVector({self.coords!r}, {list(self.values)})"
+
+
+def _json_rational(val):
+    """A rational written as a "p/q" string or an integer."""
+    if isinstance(val, str) or subsets.is_json_int(val):
+        try:
+            return Fraction(val)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise MalformedInput(f"vector value {val!r} is not a rational")
 
 
 class ModularBasis:

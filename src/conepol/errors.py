@@ -20,6 +20,10 @@ class InvalidParams(ConepolError):
     pass
 
 
+class MalformedInput(ConepolError):
+    """A JSON input whose shape does not match its documented format."""
+
+
 class EmptyBases(ConepolError):
     pass
 

@@ -19,6 +19,7 @@ from .errors import (
     DirectionNotInCone,
     DimensionMismatch,
     InternalCheckError,
+    InvalidParams,
     NonpositiveValue,
     UnsupportedSupport,
 )
@@ -248,6 +249,8 @@ def certify_cone_lorentzian(P, K, L, samples=20, seed=0, directions=None):
     else:
         tuples = [tuple(t) for t in directions]
         recorded_seed = None
+    if not tuples:
+        raise InvalidParams("no direction tuples to certify")
     for idx, tup in enumerate(tuples):
         if len(tup) != d:
             raise DimensionMismatch(

@@ -5,7 +5,7 @@ int arithmetic, which keeps every operation O(1) at desk scale.  Ground
 sets are capped at 64 elements.
 """
 
-from .errors import InvalidParams
+from .errors import InvalidParams, MalformedInput
 
 MAX_GROUND = 64
 
@@ -18,6 +18,17 @@ def from_elements(elements):
             raise InvalidParams(f"element {e} outside 0..{MAX_GROUND - 1}")
         s |= 1 << e
     return s
+
+
+def from_json_elements(obj, what):
+    """Bitset of a JSON list of integer elements; `what` names it in errors."""
+    if not isinstance(obj, list) or not all(is_json_int(e) for e in obj):
+        raise MalformedInput(f"{what} must be a list of integers")
+    return from_elements(obj)
+
+
+def is_json_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def elements(s):

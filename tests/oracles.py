@@ -1,6 +1,6 @@
 """Brute-force reference implementations used to pin expected values.
 
-Everything here works on frozensets and dense integer coefficient lists,
+Everything here works on frozensets and dense coefficient lists,
 deliberately sharing no code or data layout with the package under test.
 """
 
@@ -155,3 +155,50 @@ def float_inertia(rows, tol=1e-9):
 
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def rref(rows):
+    """Dense Fraction reduced row echelon form, in place; returns
+    (rank, pivot_columns)."""
+    if not rows:
+        return 0, []
+    ncols = len(rows[0])
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        piv = rows[rank][col]
+        rows[rank] = [v / piv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank, pivots
+
+
+def kernel_basis(rows, ncols):
+    """Basis of {x : rows . x = 0} from the reduced echelon form, one vector
+    per free column."""
+    work = [[Fraction(v) for v in r] for r in rows]
+    rank, pivots = rref(work)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][fc]
+        basis.append(vec)
+    return basis

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conepol.cli import main
 
 
@@ -151,3 +153,79 @@ def test_matroid_file_with_explicit_bases(capsys, tmp_path):
     code, out, _ = run(capsys, ["charpoly", "--matroid", str(path)])
     assert code == 0
     assert "chibar(t) = t - 2" in out
+
+
+def test_chow_verify_empty_selection_exit_1(capsys):
+    code, out, err = run(
+        capsys, ["chow-verify", "--fano", "--all-intervals", "--max-degree", "-1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "no interval" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_certify_nonpositive_samples_exit_1(capsys, samples):
+    code, out, err = run(capsys, ["certify", "--uniform", "3", "3", "--samples", samples])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_certify_empty_direction_file_exit_1(capsys, tmp_path):
+    path = tmp_path / "dirs.json"
+    path.write_text(json.dumps({"tuples": []}))
+    code, out, err = run(
+        capsys, ["certify", "--uniform", "3", "3", "--directions", str(path)]
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+VECTOR = {"K": [], "L": [0, 1, 2], "values": {"0": "1"}}
+
+MALFORMED = [
+    ("charpoly", "--matroid", [1, 2]),
+    ("charpoly", "--matroid", "fano"),
+    ("charpoly", "--matroid", {"n": 3}),
+    ("charpoly", "--matroid", {"n": "3", "bases": [[0, 1]]}),
+    ("charpoly", "--matroid", {"n": 3, "bases": [[0, [1]]]}),
+    ("charpoly", "--matroid", {"n": 3, "bases": [[0, None]]}),
+    ("charpoly", "--matroid", {"n": 3, "bases": [[0, True]]}),
+    ("charpoly", "--matroid", {"n": 3, "bases": {"0": 1}}),
+    ("charpoly", "--matroid", {"n": 2, "bases": [[0, 1]], "labels": "ab"}),
+    ("charpoly", "--matroid", {"type": "uniform", "r": [2], "n": 3}),
+    ("charpoly", "--matroid", {"type": "graphic", "edges": [[0, 1, 2]]}),
+    ("charpoly", "--graphic", [1, 2]),
+    ("charpoly", "--graphic", {"edges": 5}),
+    ("charpoly", "--graphic", {"nodes": [[0, 1]]}),
+    ("charpoly", "--graphic", [[0, 1], [1, None]]),
+    ("charpoly", "--graphic", [[0, 1], [1, "a"]]),
+    ("certify", "--directions", {"tuples": 3}),
+    ("certify", "--directions", {"tuples": [VECTOR]}),
+    ("certify", "--directions", [[[0, 1, 2]]]),
+    ("certify", "--directions", [[{"K": [], "L": "012"}]]),
+    ("certify", "--directions", [[{"K": [], "L": [0, 1, 2], "values": [1]}]]),
+    ("certify", "--directions", [[{"K": [], "L": [0, 1, 2], "values": {"0": None}}]]),
+    ("certify", "--directions", [[{"K": [], "L": [0, 1, 2], "values": {"0": "1/0"}}]]),
+    ("pol", "--eval", [1]),
+    ("pol", "--eval", {"K": [], "L": [0, 1, 2], "values": {"0": 0.5}}),
+]
+
+
+@pytest.mark.parametrize("command,flag,payload", MALFORMED)
+def test_malformed_json_input_exit_2(capsys, tmp_path, command, flag, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if flag in ("--matroid", "--graphic"):
+        argv = [command, flag, str(path)]
+    else:
+        argv = [command, "--uniform", "3", "3", flag, str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("MalformedInput: ")

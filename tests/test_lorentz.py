@@ -24,6 +24,7 @@ from conepol import (
 )
 from conepol.errors import (
     DirectionNotInCone,
+    InvalidParams,
     NonpositiveValue,
     NotSymmetric,
     UnsupportedSupport,
@@ -274,3 +275,10 @@ def test_rank_two_inertia_matches_sum_of_squares(lattices):
         L = lattices[name]
         f = interval_polynomial(L, L.bottom, L.top)
         assert inertia(hessian_of_quadratic(f)).n_plus == 1
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -2}, {"directions": []}])
+def test_certify_rejects_zero_tuples(lattices, kwargs):
+    L = lattices["u33"]
+    with pytest.raises(InvalidParams):
+        certify_cone_lorentzian(L, L.bottom, L.top, **kwargs)
