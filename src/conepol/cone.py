@@ -8,8 +8,9 @@ nested intervals.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from . import exactlp, subsets
+from . import subsets
 from .errors import (
     BadNesting,
     ElementOutsideInterval,
@@ -220,30 +221,54 @@ def modular_basis(coords):
     return ModularBasis(coords, vectors)
 
 
-def _incomparable_pairs(coords):
-    subs = coords.subsets
-    for i, S in enumerate(subs):
-        for T in subs[i + 1:]:
-            if not subsets.comparable(S, T):
-                yield S, T
+def diamonds(coords):
+    """The pairs (S+i, S+j) for every K <= S and i < j in L \\ S.
+
+    Endpoints are pinned at 0, and the margin of every incomparable pair
+    telescopes into a sum of diamond margins, so the diamonds alone decide
+    strict, weak and exact submodularity.
+    """
+    K, L = coords.K, coords.L
+    for S in (K, *coords.subsets):
+        rest = subsets.elements(L & ~S)
+        for a, i in enumerate(rest):
+            for j in rest[a + 1:]:
+                yield S | 1 << i, S | 1 << j
 
 
 def submodularity_margin(v, S, T):
     return v[S] + v[T] - v[S & T] - v[S | T]
 
 
+def _diamond_margins(v):
+    return (submodularity_margin(v, S, T) for S, T in diamonds(v.coords))
+
+
 def is_strictly_submodular(v):
-    """Strict submodular inequality on every incomparable pair."""
-    return all(submodularity_margin(v, S, T) > 0 for S, T in _incomparable_pairs(v.coords))
+    """Strict submodular inequality on every diamond."""
+    return all(m > 0 for m in _diamond_margins(v))
 
 
 def is_modular(v):
-    """Submodular inequality holds with equality on every pair."""
-    return all(submodularity_margin(v, S, T) == 0 for S, T in _incomparable_pairs(v.coords))
+    """Submodular inequality holds with equality on every diamond."""
+    return all(m == 0 for m in _diamond_margins(v))
+
+
+def is_weakly_submodular(v):
+    return all(m >= 0 for m in _diamond_margins(v))
+
+
+def submodularity_witness(v):
+    """The first diamond (S, T, margin) whose margin is not positive, or None."""
+    for S, T in diamonds(v.coords):
+        margin = submodularity_margin(v, S, T)
+        if margin <= 0:
+            return S, T, margin
+    return None
 
 
 def canonical_interior_point(coords):
-    """v_S = |S \\ K| * |L \\ S|; strictly submodular with all-positive entries."""
+    """v_S = |S \\ K| * |L \\ S|; every diamond margin is exactly 2."""
     K, L = coords.K, coords.L
     return IntervalVector(
         coords,
@@ -251,8 +276,29 @@ def canonical_interior_point(coords):
     )
 
 
-def is_weakly_submodular(v):
-    return all(submodularity_margin(v, S, T) >= 0 for S, T in _incomparable_pairs(v.coords))
+def _shapley_value(v):
+    """Shapley value of the game T -> v(K + T) on the players L \\ K.
+
+    phi_i = sum over T not containing i of |T|! (n-|T|-1)! / n! times the
+    marginal value v(K + T + i) - v(K + T).
+    """
+    K, L = v.coords.K, v.coords.L
+    players = L & ~K
+    n = players.bit_count()
+    weights = [
+        Fraction(factorial(t) * factorial(n - t - 1), factorial(n)) for t in range(n)
+    ]
+    phi = {}
+    for i in subsets.elements(players):
+        bit = 1 << i
+        phi[i] = sum(
+            (
+                weights[T.bit_count()] * (v[K | T | bit] - v[K | T])
+                for T in subsets.submasks(players & ~bit)
+            ),
+            Fraction(0),
+        )
+    return phi
 
 
 def effective_decompose(v):
@@ -261,47 +307,26 @@ def effective_decompose(v):
     Returns (w, epsilon) where w is modular with v + w > 0 in every
     coordinate, and epsilon is the largest 1/2^k for which v minus epsilon
     times the canonical interior point stays weakly submodular.  The shift
-    is found by maximizing the minimum slack of v + w over the modular
-    degrees of freedom, as an exact rational linear program.
+    is minus the Shapley value of v: the Shapley value of a submodular game
+    lies in its anticore (Shapley, "Cores of convex games", 1971), and
+    strict submodularity makes every strict intermediate's slack positive.
+    The canonical point has every diamond margin equal to 2, so epsilon is
+    the largest 1/2^k with 2 epsilon at most the least diamond margin of v.
     """
     if not is_strictly_submodular(v):
         raise NotInCone("vector is not strictly submodular")
     coords = v.coords
-    diff_elements = subsets.elements(coords.L & ~coords.K)
     if coords.m == 0:
         return IntervalVector.zero(coords), Fraction(1)
 
-    interior = canonical_interior_point(coords)
+    least = min(_diamond_margins(v))
     eps = Fraction(1)
-    while not is_weakly_submodular(v - interior.scale(eps)):
+    while 2 * eps > least:
         eps /= 2
 
-    # w_S = sum of w_e over e in S \ K with sum_e w_e = 0; eliminate the
-    # last element and maximize min_S (v_S + w_S).
-    last = diff_elements[-1]
-    coeff_rows = []
-    rhs = []
-    for S in coords.subsets:
-        in_last = (S >> last) & 1
-        row = [
-            Fraction(((S >> e) & 1) - in_last) for e in diff_elements[:-1]
-        ]
-        coeff_rows.append(row)
-        rhs.append(v[S])
-    try:
-        slack, wfree = exactlp.max_min_slack(coeff_rows, rhs)
-    except exactlp.LPInfeasible as exc:  # pragma: no cover - LP always feasible
-        raise FeasibilityFailure(str(exc)) from exc
-    if slack <= 0:
-        raise FeasibilityFailure(
-            "no modular shift yields positive coordinates; slack " + str(slack)
-        )
-    weights = {e: wfree[j] for j, e in enumerate(diff_elements[:-1])}
-    weights[last] = -sum(wfree, Fraction(0))
-    w = modular_vector(coords, weights)
-    shifted = v + w
-    if any(val <= 0 for val in shifted.values):
-        raise FeasibilityFailure("LP reported positive slack but a coordinate is not")
+    w = modular_vector(coords, {i: -phi for i, phi in _shapley_value(v).items()})
+    if any(val <= 0 for val in (v + w).values):
+        raise FeasibilityFailure("the Shapley shift left a coordinate nonpositive")
     return w, eps
 
 

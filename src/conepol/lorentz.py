@@ -145,9 +145,9 @@ def is_irreducible_nonneg_offdiag(A):
 def _perturbed_direction(base, coords, rng):
     """Canonical interior point plus a small rational perturbation.
 
-    The canonical point has submodularity margin at least 2 on every
-    incomparable pair, so perturbations bounded by 1/4 per coordinate stay
-    strictly submodular.
+    The canonical point has margin exactly 2 on every diamond, and each
+    diamond margin touches four coordinates, so a perturbation of at most
+    1/4 per coordinate moves it by at most 1 and stays strictly submodular.
     """
     delta = cone.IntervalVector(
         coords, [Fraction(rng.randint(-16, 16), 64) for _ in range(coords.m)]
@@ -159,9 +159,15 @@ def _perturbed_direction(base, coords, rng):
 
 
 def sample_direction_tuples(coords, d, count, seed):
-    """Seeded direction tuples: one all-canonical tuple, then perturbations."""
+    """Seeded direction tuples: one all-canonical tuple, then perturbations.
+
+    Every direction is checked against the cone once, here: the canonical
+    point once and each perturbation as it is drawn.
+    """
     rng = random.Random(seed)
     base = cone.canonical_interior_point(coords)
+    if not cone.is_strictly_submodular(base):
+        raise InternalCheckError("canonical interior point is not in the cone")
     out = []
     for idx in range(count):
         if idx == 0:
@@ -238,8 +244,9 @@ def certify_cone_lorentzian(P, K, L, samples=20, seed=0, directions=None):
     """Sampled certification of the interval polynomial on its cone.
 
     Directions may be supplied explicitly as tuples of interval vectors;
-    every direction is membership-checked against the strictly submodular
-    cone.  The certificate records each contraction value and inertia.
+    every supplied direction is membership-checked against the strictly
+    submodular cone (sampled ones are checked where they are drawn).  The
+    certificate records each contraction value and inertia.
     """
     d = P.interval_degree(K, L)
     coords = cone.IntervalCoords(K, L)
@@ -249,22 +256,25 @@ def certify_cone_lorentzian(P, K, L, samples=20, seed=0, directions=None):
     else:
         tuples = [tuple(t) for t in directions]
         recorded_seed = None
+        for idx, tup in enumerate(tuples):
+            if len(tup) != d:
+                raise DimensionMismatch(
+                    f"tuple {idx} has {len(tup)} directions, interval degree is {d}"
+                )
+            for v in tup:
+                if v.coords != coords:
+                    raise DirectionNotInCone(
+                        f"tuple {idx}: direction lives on a different interval"
+                    )
+                if not cone.is_strictly_submodular(v):
+                    S, T, margin = cone.submodularity_witness(v)
+                    raise DirectionNotInCone(
+                        f"tuple {idx}: direction is not strictly submodular: "
+                        f"margin {margin} at {{{subsets.format_elements(S)}}} "
+                        f"and {{{subsets.format_elements(T)}}}"
+                    )
     if not tuples:
         raise InvalidParams("no direction tuples to certify")
-    for idx, tup in enumerate(tuples):
-        if len(tup) != d:
-            raise DimensionMismatch(
-                f"tuple {idx} has {len(tup)} directions, interval degree is {d}"
-            )
-        for v in tup:
-            if v.coords != coords:
-                raise DirectionNotInCone(
-                    f"tuple {idx}: direction lives on a different interval"
-                )
-            if not cone.is_strictly_submodular(v):
-                raise DirectionNotInCone(
-                    f"tuple {idx}: direction is not strictly submodular"
-                )
     f = interval_polynomial(P, K, L)
     results = []
     for tup in tuples:

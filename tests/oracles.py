@@ -202,3 +202,21 @@ def kernel_basis(rows, ncols):
             vec[pc] = -work[r][fc]
         basis.append(vec)
     return basis
+
+
+def pairwise_submodularity_margins(K, L, values):
+    """v(A) + v(B) - v(A & B) - v(A | B) over every incomparable pair of
+    sets strictly between K and L, by exhaustive pair sweep.  `values` maps
+    those sets, as frozensets, to rationals; K and L count as 0."""
+    K, L = frozenset(K), frozenset(L)
+
+    def v(S):
+        return 0 if S in (K, L) else values[S]
+
+    middles = [K | frozenset(s) for s in powerset(L - K)][1:-1]
+    return [
+        v(A) + v(B) - v(A & B) - v(A | B)
+        for a, A in enumerate(middles)
+        for B in middles[a + 1:]
+        if not (A <= B or B <= A)
+    ]

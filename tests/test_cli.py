@@ -102,6 +102,7 @@ def test_certify_direction_file_not_in_cone(capsys, tmp_path):
     )
     assert code == 2
     assert "DirectionNotInCone" in err
+    assert "tuple 0: direction is not strictly submodular: margin -8 at {0} and {1}" in err
 
 
 def test_chow_verify_full_and_all(capsys):

@@ -17,7 +17,12 @@ from conepol import (
     modular_basis,
     project,
 )
-from conepol.cone import modular_vector
+from conepol.cone import (
+    diamonds,
+    is_weakly_submodular,
+    modular_vector,
+    submodularity_margin,
+)
 from conepol.errors import (
     BadNesting,
     ElementOutsideInterval,
@@ -25,7 +30,9 @@ from conepol.errors import (
     NotInCone,
     TrivialInterval,
 )
-from conepol.subsets import from_elements
+from conepol.subsets import elements, from_elements
+
+import oracles
 
 
 def coords_on(k_els, l_els):
@@ -150,8 +157,6 @@ def test_alpha_beta_projection_rules():
 
 
 def test_alpha_beta_lie_in_cone_closure():
-    from conepol.cone import is_weakly_submodular
-
     c = coords_on([], [0, 1, 2, 3])
     assert is_weakly_submodular(alpha_vector(c))
     assert is_weakly_submodular(beta_vector(c))
@@ -216,7 +221,7 @@ def test_effective_decompose_random_stress():
     # random cone points built as interior + perturbation + modular drift;
     # the decomposition must always restore positivity with a modular shift
     rng = random.Random(99)
-    for span in (3, 4):
+    for span in (2, 3, 4, 5, 6):
         c = coords_on([], list(range(span)))
         base = canonical_interior_point(c)
         basis = modular_basis(c).vectors
@@ -231,3 +236,59 @@ def test_effective_decompose_random_stress():
             assert is_modular(w)
             assert all(val > 0 for val in (y + w).values)
             assert eps > 0 and eps.numerator == 1
+            # eps is the largest power of 1/2 (at most 1) that keeps
+            # y - eps * base weakly submodular
+            assert eps == 1 or not is_weakly_submodular(y - base.scale(2 * eps))
+
+
+def test_diamond_predicates_match_pairwise_oracle():
+    # random vectors, cone points perturbed across the boundary and drifted
+    # by modular vectors, and the alpha/beta/modular boundary points, on
+    # intervals with K empty and nonempty
+    rng = random.Random(1500)
+    seen = {"strict": 0, "weak only": 0, "modular": 0, "outside": 0}
+    for span in (2, 3, 4, 5):
+        for k_els in ([], [span]):
+            c = coords_on(k_els, k_els + list(range(span)))
+            base = canonical_interior_point(c)
+            basis = modular_basis(c).vectors
+            vectors = [base, alpha_vector(c), beta_vector(c), *basis]
+            vectors += [random_vector(c, rng) for _ in range(20)]
+            for _ in range(30):
+                y = base + IntervalVector(
+                    c, [Fraction(rng.randint(-2, 2), 4) for _ in range(c.m)]
+                )
+                for vec in basis:
+                    y = y + vec.scale(rng.randint(-20, 20))
+                vectors.append(y)
+            for v in vectors:
+                margins = oracles.pairwise_submodularity_margins(
+                    k_els,
+                    elements(c.L),
+                    {frozenset(elements(S)): x for S, x in v.as_dict().items()},
+                )
+                strict = all(m > 0 for m in margins)
+                weak = all(m >= 0 for m in margins)
+                modular = all(m == 0 for m in margins)
+                assert is_strictly_submodular(v) == strict
+                assert is_weakly_submodular(v) == weak
+                assert is_modular(v) == modular
+                if modular:
+                    seen["modular"] += 1
+                elif strict:
+                    seen["strict"] += 1
+                elif weak:
+                    seen["weak only"] += 1
+                else:
+                    seen["outside"] += 1
+    assert min(seen.values()) >= 8, seen
+
+
+def test_canonical_point_has_every_diamond_margin_two():
+    for span in range(2, 8):
+        for k_els in ([], [span]):
+            c = coords_on(k_els, k_els + list(range(span)))
+            v = canonical_interior_point(c)
+            margins = [submodularity_margin(v, S, T) for S, T in diamonds(c)]
+            assert len(margins) == 2 ** (span - 2) * span * (span - 1) // 2
+            assert set(margins) == {2}

@@ -136,10 +136,13 @@ def test_certify_rejects_directions_outside_cone(lattices):
     L = lattices["u33"]
     coords = IntervalCoords(L.bottom, L.top)
     bad = canonical_interior_point(coords).scale(-1)  # strictly supermodular
-    with pytest.raises(DirectionNotInCone):
+    with pytest.raises(DirectionNotInCone) as info:
         certify_cone_lorentzian(
             L, L.bottom, L.top, directions=[(bad, bad)]
         )
+    assert str(info.value) == (
+        "tuple 0: direction is not strictly submodular: margin -2 at {0} and {1}"
+    )
 
 
 def test_certificate_json_shape(lattices):

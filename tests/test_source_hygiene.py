@@ -1,0 +1,44 @@
+"""The package stays exact and dependency-free: no floats, stdlib imports only."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "conepol"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_source_files_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_float_constants_or_float_name(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Constant):
+            assert not isinstance(node.value, (float, complex)), (
+                f"{path.name}:{node.lineno}: float constant {node.value!r}"
+            )
+        if isinstance(node, ast.Name):
+            assert node.id != "float", f"{path.name}:{node.lineno}: uses float"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_intra_package(path):
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        for top in tops:
+            assert top in sys.stdlib_module_names or top == "conepol", (
+                f"{path.name}:{node.lineno}: imports {top}"
+            )
