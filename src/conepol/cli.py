@@ -235,8 +235,13 @@ def cmd_certify(args):
         f"verdict: {str(cert.verdict).lower()}",
     ]
     if not cert.verdict:
-        bad = next(i for i, s in enumerate(cert.samples) if not s.passed)
-        lines.append(f"first failing tuple: {bad}")
+        bad, sample = next(
+            (i, s) for i, s in enumerate(cert.samples) if not s.passed
+        )
+        witness = f"contraction {sample.contraction}"
+        if sample.hessian_inertia is not None:
+            witness += ", inertia " + " ".join(map(str, sample.hessian_inertia))
+        lines.append(f"first failing tuple: {bad} ({witness})")
     _emit(args, lines, obj)
     return EXIT_OK if cert.verdict else EXIT_FAILED
 

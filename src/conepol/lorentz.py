@@ -3,11 +3,12 @@
 A degree-d homogeneous polynomial is cone-Lorentzian when every d-fold
 directional derivative along cone directions is positive, and the Hessian
 of every (d-2)-fold derivative has exactly one positive eigenvalue.  Both
-conditions are decided here in exact rational arithmetic: the eigenvalue
-sign counts come from the division-free characteristic polynomial of the
-matrix plus Descartes' rule (exact on real-rooted polynomials).
+conditions are decided here in exact arithmetic: the eigenvalue sign
+counts come from congruence elimination on the matrix scaled to integers
+(Sylvester's law of inertia).
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .intervalpoly import (
 )
 from .multipoly import (
     SymMatrix,
+    _coordinate,
     dir_derivative,
     gradient_at,
     hessian_at,
@@ -58,62 +60,55 @@ class InertiaTriple(tuple):
         return self[2]
 
 
-def charpoly_descending(A):
-    """Coefficients of det(tI - A) by the Berkowitz method, leading first.
-
-    Division free, so it stays exact over any commutative ring; here the
-    entries are rationals anyway.
-    """
-    if isinstance(A, SymMatrix):
-        A = A.to_lists()
-    n = len(A)
-    coeffs = [Fraction(1)]
-    for i in range(n):
-        items = [Fraction(1), -Fraction(A[i][i])]
-        if i:
-            row = [Fraction(A[i][j]) for j in range(i)]
-            vec = [Fraction(A[j][i]) for j in range(i)]
-            for k in range(i):
-                items.append(-sum(r * v for r, v in zip(row, vec)))
-                if k < i - 1:
-                    vec = [
-                        sum(Fraction(A[r][c]) * vec[c] for c in range(i))
-                        for r in range(i)
-                    ]
-        new = []
-        for s in range(i + 2):
-            acc = Fraction(0)
-            for j, item in enumerate(items):
-                if j > s:
-                    break
-                if s - j < len(coeffs):
-                    acc += item * coeffs[s - j]
-            new.append(acc)
-        coeffs = new
-    return coeffs
-
-
 def inertia(A):
     """Exact eigenvalue sign counts of a symmetric rational matrix.
 
-    The zero count is the multiplicity of the zero root of the
-    characteristic polynomial; the positive count is the number of sign
-    variations among the remaining coefficients, which Descartes' rule
-    makes exact because symmetric matrices are real rooted.
+    Congruence elimination over the integers: by Sylvester's law of inertia
+    a congruence keeps the sign counts.  The matrix is scaled to integers by
+    the lcm of its denominators.  Each step takes a nonzero diagonal pivot
+    a; when the diagonal is all zero, adding row and column j to row and
+    column i for some nonzero entry (i, j) makes the diagonal entry
+    2 * M[i][j].  The sign of a is counted and the rest C is replaced by
+    sign(a) * (a*C - b*b^T), which is |a| times the Schur complement and so
+    has the same inertia, with its content gcd divided out.  The order of
+    what is left once no nonzero entry remains is the zero count.
     """
     if not isinstance(A, SymMatrix):
         A = SymMatrix(A)
-    n = A.n
-    if n == 0:
-        return InertiaTriple(0, 0, 0)
-    coeffs = charpoly_descending(A)
-    n_zero = 0
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-        n_zero += 1
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    n_plus = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    return InertiaTriple(n_plus, n_zero, n - n_plus - n_zero)
+    scale = math.lcm(*(v.denominator for row in A.rows for v in row))
+    M = [[v.numerator * (scale // v.denominator) for v in row] for row in A.rows]
+    n_plus = n_minus = 0
+    while M:
+        m = len(M)
+        k = next((i for i in range(m) if M[i][i]), None)
+        if k is None:
+            pair = next(
+                ((i, j) for i in range(m) for j in range(i + 1, m) if M[i][j]),
+                None,
+            )
+            if pair is None:
+                break
+            k, j = pair
+            for r in range(m):
+                M[k][r] += M[j][r]
+            for r in range(m):
+                M[r][k] += M[r][j]
+        a = M[k][k]
+        sign = 1 if a > 0 else -1
+        if sign > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        b = [row[k] for r, row in enumerate(M) if r != k]
+        rest = [row[:k] + row[k + 1:] for r, row in enumerate(M) if r != k]
+        M = [
+            [sign * (a * c - bi * bj) for c, bj in zip(row, b)]
+            for row, bi in zip(rest, b)
+        ]
+        content = math.gcd(*(c for row in M for c in row))
+        if content > 1:
+            M = [[c // content for c in row] for row in M]
+    return InertiaTriple(n_plus, len(M), n_minus)
 
 
 def is_irreducible_nonneg_offdiag(A):
@@ -224,20 +219,25 @@ class LorentzianCertificate:
 
 def _tuple_result(f, directions):
     """Positivity of the full contraction, and when deg >= 2 the inertia of
-    the Hessian after contracting along all but the first two directions."""
+    the Hessian H after contracting along all but the first two directions;
+    the full contraction is then read off that Hessian as v1^T H v2."""
     d = f.degree
     if len(directions) != d:
         raise DimensionMismatch(f"need {d} directions, got {len(directions)}")
-    value = full_contraction(f, directions)
-    result_inertia = None
-    ok = value > 0
-    if d >= 2:
-        g = f
-        for v in directions[2:]:
-            g = dir_derivative(g, v)
-        result_inertia = inertia(hessian_of_quadratic(g))
-        ok = ok and result_inertia.n_plus == 1
-    return value, result_inertia, ok
+    if d < 2:
+        value = full_contraction(f, directions)
+        return value, None, value > 0
+    g = f
+    for v in directions[2:]:
+        g = dir_derivative(g, v)
+    H = hessian_of_quadratic(g)
+    v1, v2 = ([_coordinate(v, var) for var in g.vars] for v in directions[:2])
+    value = sum(
+        (x * sum(h * y for h, y in zip(row, v2) if h) for x, row in zip(v1, H.rows)),
+        Fraction(0),
+    )
+    result_inertia = inertia(H)
+    return value, result_inertia, value > 0 and result_inertia.n_plus == 1
 
 
 def certify_cone_lorentzian(P, K, L, samples=20, seed=0, directions=None):

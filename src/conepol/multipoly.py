@@ -171,12 +171,14 @@ def dir_derivative(f, v):
 
     v may be an interval vector or any mapping that covers f's variables.
     """
-    out = MultiPoly.zero(f.vars, degree=max(f.degree - 1, 0))
-    for var in f.vars:
-        weight = _coordinate(v, var)
-        if weight != 0:
-            out = out + partial(f, var) * weight
-    return out
+    weights = [_coordinate(v, var) for var in f.vars]
+    out = {}
+    for exps, coeff in f.terms.items():
+        for i, e in enumerate(exps):
+            if e and weights[i]:
+                key = exps[:i] + (e - 1,) + exps[i + 1:]
+                out[key] = out.get(key, 0) + coeff * e * weights[i]
+    return MultiPoly(f.vars, out, degree=max(f.degree - 1, 0))
 
 
 def hessian_of_quadratic(f):

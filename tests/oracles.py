@@ -220,3 +220,53 @@ def pairwise_submodularity_margins(K, L, values):
         for B in middles[a + 1:]
         if not (A <= B or B <= A)
     ]
+
+
+def charpoly_descending(rows):
+    """Coefficients of det(tI - A) by the Berkowitz method, leading first.
+
+    Division free, so it stays exact over any commutative ring; here the
+    entries are rationals anyway.
+    """
+    A = [[Fraction(v) for v in row] for row in rows]
+    n = len(A)
+    coeffs = [Fraction(1)]
+    for i in range(n):
+        items = [Fraction(1), -A[i][i]]
+        if i:
+            row = A[i][:i]
+            vec = [A[j][i] for j in range(i)]
+            for k in range(i):
+                items.append(-sum(r * v for r, v in zip(row, vec)))
+                if k < i - 1:
+                    vec = [
+                        sum(A[r][c] * vec[c] for c in range(i)) for r in range(i)
+                    ]
+        new = []
+        for s in range(i + 2):
+            acc = Fraction(0)
+            for j, item in enumerate(items):
+                if j > s:
+                    break
+                if s - j < len(coeffs):
+                    acc += item * coeffs[s - j]
+            new.append(acc)
+        coeffs = new
+    return coeffs
+
+
+def descartes_inertia(rows):
+    """Exact (n_plus, n_zero, n_minus) of a symmetric rational matrix from
+    its characteristic polynomial: the zero count is the multiplicity of the
+    zero root, and the positive count is the number of sign variations among
+    the remaining coefficients, which Descartes' rule makes exact because
+    symmetric matrices are real rooted."""
+    n = len(rows)
+    coeffs = charpoly_descending(rows)
+    n_zero = 0
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+        n_zero += 1
+    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
+    n_plus = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    return (n_plus, n_zero, n - n_plus - n_zero)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conepol.cli import main
+from conepol.cli import EXIT_FAILED, main
 
 
 def run(capsys, argv):
@@ -85,6 +85,33 @@ def test_certify_rank_two_subinterval(capsys):
     payload = json.loads(out)
     assert payload["degree"] == 1
     assert all(s["inertia"] is None for s in payload["samples"])
+
+
+def test_certify_failure_names_contraction_and_inertia(capsys, monkeypatch):
+    from conepol import lorentz
+
+    real = lorentz.inertia
+    calls = []
+
+    def two_positives_after_first(H):
+        calls.append(H)
+        if len(calls) == 1:
+            return real(H)
+        return lorentz.InertiaTriple(2, 0, H.n - 2)
+
+    monkeypatch.setattr(lorentz, "inertia", two_positives_after_first)
+    argv = ["certify", "--uniform", "3", "3", "--samples", "3", "--seed", "4"]
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_FAILED
+    calls.clear()
+    _, json_out, _ = run(capsys, argv + ["--format", "json"])
+    samples = json.loads(json_out)["samples"]
+    assert [s["passed"] for s in samples] == [True, False, False]
+    assert samples[1]["inertia"] == [2, 0, 4]
+    assert out.splitlines()[-1] == (
+        f"first failing tuple: 1 (contraction {samples[1]['contraction']}, "
+        "inertia 2 0 4)"
+    )
 
 
 def test_certify_direction_file_not_in_cone(capsys, tmp_path):

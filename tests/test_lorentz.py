@@ -10,6 +10,8 @@ from conepol import (
     alpha_vector,
     canonical_interior_point,
     certify_cone_lorentzian,
+    dir_derivative,
+    flats_lattice,
     hessian_one_positive_equivalence,
     hessian_of_quadratic,
     hypotheses_report,
@@ -21,6 +23,7 @@ from conepol import (
     restrict_to_directions,
     sample_direction_tuples,
     subposet_from_sets,
+    uniform_matroid,
 )
 from conepol.errors import (
     DirectionNotInCone,
@@ -30,7 +33,8 @@ from conepol.errors import (
     UnsupportedSupport,
 )
 from conepol.intervalpoly import cache_for, full_contraction
-from conepol.lorentz import charpoly_descending
+from conepol.lorentz import _tuple_result
+from conepol.multipoly import gradient_at
 from conepol.subsets import from_elements
 
 import oracles
@@ -38,7 +42,7 @@ import oracles
 
 def test_charpoly_descending_2x2():
     # det(tI - A) for [[1, 2], [2, 1]] is t^2 - 2t - 3
-    assert charpoly_descending([[1, 2], [2, 1]]) == [1, -2, -3]
+    assert oracles.charpoly_descending([[1, 2], [2, 1]]) == [1, -2, -3]
 
 
 def test_inertia_trivial_cases():
@@ -83,6 +87,108 @@ def test_inertia_agrees_with_float_oracle():
         compared += 1
         assert tuple(inertia(rows)) == reference
     assert compared >= 80
+
+
+def _random_symmetric(rng, n, density=1.0, zero_diagonal=False):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if (i == j and zero_diagonal) or rng.random() > density:
+                continue
+            val = Fraction(rng.randint(-20, 20), rng.randint(1, 10))
+            rows[i][j] = rows[j][i] = val
+    return rows
+
+
+def _low_rank(rng, n, rank, sign=0):
+    """B^T D B with B of shape rank x n; D random, or +-1 when sign is set."""
+    B = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+         for _ in range(rank)]
+    D = [sign or rng.choice((-2, -1, 1, Fraction(1, 3))) for _ in range(rank)]
+    return [
+        [sum(B[k][i] * D[k] * B[k][j] for k in range(rank)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_inertia_matches_descartes_oracle():
+    rng = random.Random(2024)
+    cases = []
+    for n in range(1, 13):
+        for density in (1.0, 0.3):
+            cases.append(_random_symmetric(rng, n, density))
+        cases.append(_random_symmetric(rng, n, 0.6, zero_diagonal=True))
+        cases.append(_low_rank(rng, n, rng.randint(1, max(1, n - 1))))
+        cases.append(_low_rank(rng, n, n, sign=-1))  # negative definite
+        cases.append([[0] * n for _ in range(n)])
+    # block with a zero diagonal whose off-diagonal pivot leaves a zero block
+    cases.append([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    cases.append([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, -3], [0, 0, -3, 0]])
+    singular = negative_definite = 0
+    for rows in cases:
+        expected = oracles.descartes_inertia(rows)
+        assert tuple(inertia(rows)) == expected, rows
+        singular += expected[1] > 0
+        negative_definite += expected[0] == expected[1] == 0
+    assert singular >= 30 and negative_definite >= 12
+
+
+@pytest.fixture(scope="module")
+def uniform_rank_four():
+    return {
+        "u44": flats_lattice(uniform_matroid(4, 4)),
+        "u45": flats_lattice(uniform_matroid(4, 5)),
+    }
+
+
+def test_inertia_matches_descartes_oracle_on_sampled_hessians(
+    lattices, uniform_rank_four
+):
+    seen = set()
+    named = {**lattices, **uniform_rank_four}
+    for name in ("u33", "fano", "k4", "u45"):
+        L = named[name]
+        f = interval_polynomial(L, L.bottom, L.top)
+        coords = IntervalCoords(L.bottom, L.top)
+        d = f.degree
+        for tup in sample_direction_tuples(coords, d, 2, seed=5):
+            g = f
+            for v in tup[2:]:
+                g = dir_derivative(g, v)
+            H = hessian_of_quadratic(g)
+            assert tuple(inertia(H)) == oracles.descartes_inertia(H.rows), name
+            seen.add((name, H.n))
+        if d == 2:
+            # d*f*H - (d-1)*grad*grad^T at a cone point: negative
+            # semidefinite and singular, so only an exact oracle can judge it
+            point = tup[0]
+            value = f.evaluate(point)
+            grad = gradient_at(f, point)
+            rows = [
+                [2 * value * H[i, j] - gi * gj for j, gj in enumerate(grad)]
+                for i, gi in enumerate(grad)
+            ]
+            expected = oracles.descartes_inertia(rows)
+            assert expected[0] == 0 and expected[1] > 0, name
+            assert tuple(inertia(rows)) == expected, name
+    assert ("u45", 25) in seen
+
+
+def test_tuple_result_contraction_matches_full_contraction(
+    lattices, uniform_rank_four
+):
+    named = {"fano": lattices["fano"], "k4": lattices["k4"], **uniform_rank_four}
+    for name, L in named.items():
+        f = interval_polynomial(L, L.bottom, L.top)
+        coords = IntervalCoords(L.bottom, L.top)
+        assert f.degree == (2 if name in ("fano", "k4") else 3)
+        tuples = sample_direction_tuples(coords, f.degree, 3, seed=8)
+        for tup in tuples:
+            value, triple, ok = _tuple_result(f, tup)
+            assert value == full_contraction(f, tup), name
+            assert ok and triple.n_plus == 1
+        plain = tuple({var: v[var] for var in f.vars} for v in tuples[-1])
+        assert _tuple_result(f, plain) == _tuple_result(f, tuples[-1])
 
 
 def test_irreducibility_predicate():

@@ -1,4 +1,5 @@
-"""The package stays exact and dependency-free: no floats, stdlib imports only."""
+"""The package stays exact and dependency-free: no floats, stdlib imports
+only, and one exact inertia routine."""
 
 import ast
 import pathlib
@@ -41,4 +42,15 @@ def test_imports_are_stdlib_or_intra_package(path):
         for top in tops:
             assert top in sys.stdlib_module_names or top == "conepol", (
                 f"{path.name}:{node.lineno}: imports {top}"
+            )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_exact_inertia_routine(path):
+    """The Berkowitz characteristic polynomial is a test oracle only;
+    `lorentz.inertia` is the package's one exact inertia routine."""
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            assert node.name != "charpoly_descending", (
+                f"{path.name}:{node.lineno}: defines charpoly_descending"
             )
