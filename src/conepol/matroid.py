@@ -2,7 +2,11 @@
 
 Rank, closure and flats are all derived from the basis family by direct
 search, which is exact and fast enough for desk-scale ground sets.  The
-basis-exchange axiom is validated exhaustively at construction time.
+closure of S is one pass over the bases: an element outside S stays out
+of it iff some basis meeting S in rank(S) elements contains it.  The
+basis-exchange axiom is validated exhaustively at construction time,
+pair by pair over precomputed swap masks (for each basis B and x in B,
+the y with B - x + y a basis).
 """
 
 from dataclasses import dataclass
@@ -62,14 +66,24 @@ class Matroid:
         if len(sizes) != 1:
             raise UnequalBasisSizes(f"basis cardinalities differ: {sorted(sizes)}")
         bases = self.bases
+        # swaps[B][x]: every y outside B with B - x + y a basis
+        swaps = {}
+        for B in bases:
+            row = {}
+            outside = subsets.elements(full & ~B)
+            for x in subsets.elements(B):
+                stripped = B & ~(1 << x)
+                mask = 0
+                for y in outside:
+                    if stripped | (1 << y) in bases:
+                        mask |= 1 << y
+                row[x] = mask
+            swaps[B] = row
         for B1 in bases:
+            row = swaps[B1]
             for B2 in bases:
-                for x in subsets.elements(B1 & ~B2):
-                    stripped = B1 & ~(1 << x)
-                    if not any(
-                        (stripped | (1 << y)) in bases
-                        for y in subsets.elements(B2 & ~B1)
-                    ):
+                for x, mask in row.items():
+                    if not (B2 >> x) & 1 and not mask & B2:
                         raise ExchangeAxiomViolation(
                             "no exchange for element {} between bases "
                             "{{{}}} and {{{}}}".format(
@@ -83,12 +97,14 @@ class Matroid:
         return max((S & B).bit_count() for B in self.bases)
 
     def closure(self, S):
+        # e outside S escapes the closure iff it lies in a basis B with
+        # |B & S| = rank(S)
         r = self.rank(S)
-        out = S
-        for e in subsets.elements(self.ground.full_mask & ~S):
-            if self.rank(S | (1 << e)) == r:
-                out |= 1 << e
-        return out
+        escape = 0
+        for B in self.bases:
+            if (S & B).bit_count() == r:
+                escape |= B
+        return S | (self.ground.full_mask & ~escape)
 
     def loops(self):
         return self.closure(0)

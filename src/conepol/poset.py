@@ -92,13 +92,9 @@ class GradedSubposet:
 
     def comparable_pairs(self):
         """All (K, L) with K < L, in canonical order of indices."""
-        out = []
-        for i, a in enumerate(self.elements):
-            for j in range(i + 1, len(self.elements)):
-                b = self.elements[j]
-                if subsets.is_subset(a, b):
-                    out.append((a, b))
-        return out
+        els = self.elements
+        # the grading table holds every comparable (i, j), i <= j, in order
+        return [(els[i], els[j]) for i, j in self._rank if i < j]
 
     def maximal_chains(self, K, L):
         """All saturated chains from K to L, as lists of elements."""
@@ -340,26 +336,45 @@ def disconnection_witness(P, K, L):
 
 
 def is_semimodular_lattice(P):
-    """P is a lattice and a \\/ b covers a, b whenever a, b cover a /\\ b."""
+    """P is a lattice and a \\/ b covers a, b whenever a, b cover a /\\ b.
+
+    The common lower bounds of a and b are the elements below a & b, so
+    their meet exists iff the union of those elements lies in P, and is
+    then that union.  A finite nonempty poset with a greatest element in
+    which every pair has a meet is a lattice, so joins need no search.
+    Two distinct upper covers a, b of m have meet m, and their join covers
+    a iff some upper cover of a contains b, which is then the join; it
+    covers b as well, because the interval from m to it is graded.
+    """
     els = P.elements
-    meets = {}
-    joins = {}
-    for i, a in enumerate(els):
-        for b in els[i:]:
-            lowers = [c for c in els if P.leq(c, a) and P.leq(c, b)]
-            top_lowers = [c for c in lowers if all(subsets.is_subset(d, c) for d in lowers)]
-            uppers = [c for c in els if P.leq(a, c) and P.leq(b, c)]
-            bot_uppers = [c for c in uppers if all(subsets.is_subset(c, d) for d in uppers)]
-            if len(top_lowers) != 1 or len(bot_uppers) != 1:
-                return False
-            meets[(a, b)] = top_lowers[0]
-            joins[(a, b)] = bot_uppers[0]
+    if not els:
+        return True
+    index = P._index
+    top = 0
+    for a in els:
+        top |= a
+    if top not in index:
+        return False
+    has_meet = {}
     for i, a in enumerate(els):
         for b in els[i + 1:]:
-            m = meets[(a, b)]
-            if a in P.upper_covers(m) and b in P.upper_covers(m):
-                j = joins[(a, b)]
-                if j not in P.upper_covers(a) or j not in P.upper_covers(b):
+            m = a & b
+            if m in index:
+                continue
+            ok = has_meet.get(m)
+            if ok is None:
+                below = 0
+                for c in els:
+                    if c & ~m == 0:
+                        below |= c
+                ok = has_meet[m] = below in index
+            if not ok:
+                return False
+    covers = P._upper_covers
+    for ups in covers:
+        for x, i in enumerate(ups):
+            for j in ups[x + 1:]:
+                if not any(els[j] & ~els[k] == 0 for k in covers[i]):
                     return False
     return True
 

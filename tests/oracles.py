@@ -270,3 +270,64 @@ def descartes_inertia(rows):
     signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
     n_plus = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return (n_plus, n_zero, n - n_plus - n_zero)
+
+
+def semimodular_lattice(P):
+    """P is a lattice and a \\/ b covers a, b whenever a, b cover a /\\ b,
+    by listing every pair's common lower and upper bounds and searching
+    each list for its greatest and least member."""
+    els = P.elements
+    meets = {}
+    joins = {}
+    for i, a in enumerate(els):
+        for b in els[i:]:
+            lowers = [c for c in els if P.leq(c, a) and P.leq(c, b)]
+            top_lowers = [c for c in lowers if all(d & ~c == 0 for d in lowers)]
+            uppers = [c for c in els if P.leq(a, c) and P.leq(b, c)]
+            bot_uppers = [c for c in uppers if all(c & ~d == 0 for d in uppers)]
+            if len(top_lowers) != 1 or len(bot_uppers) != 1:
+                return False
+            meets[(a, b)] = top_lowers[0]
+            joins[(a, b)] = bot_uppers[0]
+    for i, a in enumerate(els):
+        for b in els[i + 1:]:
+            m = meets[(a, b)]
+            if a in P.upper_covers(m) and b in P.upper_covers(m):
+                j = joins[(a, b)]
+                if j not in P.upper_covers(a) or j not in P.upper_covers(b):
+                    return False
+    return True
+
+
+def is_lattice(P):
+    """Every pair has a greatest common lower and a least common upper
+    bound, by exhaustive search."""
+    els = P.elements
+    for a in els:
+        for b in els:
+            lowers = [c for c in els if c & ~(a & b) == 0]
+            uppers = [c for c in els if (a | b) & ~c == 0]
+            if not any(all(d & ~c == 0 for d in lowers) for c in lowers):
+                return False
+            if not any(all(c & ~d == 0 for d in uppers) for c in uppers):
+                return False
+    return True
+
+
+def first_exchange_violation(bases):
+    """First (x, B1, B2) with x in B1 - B2 and no y in B2 - B1 making
+    B1 - x + y a basis, or None.  Bases are int bitsets; pairs are walked
+    in the iteration order of `bases` and x in increasing order, so given
+    the frozenset a matroid holds it finds the same first violation as the
+    package's exhaustive check."""
+    as_sets = {B: frozenset(i for i in range(B.bit_length()) if (B >> i) & 1)
+               for B in bases}
+    family = set(as_sets.values())
+    for B1 in bases:
+        S1 = as_sets[B1]
+        for B2 in bases:
+            S2 = as_sets[B2]
+            for x in sorted(S1 - S2):
+                if not any((S1 - {x}) | {y} in family for y in S2 - S1):
+                    return x, B1, B2
+    return None

@@ -155,6 +155,19 @@ def test_poset_check(capsys):
     assert payload["flats"] == 16
 
 
+def test_poset_check_two_k4_sharing_a_vertex(capsys, tmp_path):
+    k4 = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+    bowtie = k4 + [[a + 3, b + 3] for a, b in k4]
+    path = tmp_path / "bowtie.json"
+    path.write_text(json.dumps({"edges": bowtie}))
+    code, out, _ = run(capsys, ["poset-check", "--graphic", str(path), "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["flats"] == 225
+    assert len(payload["checks"]) == 5 and all(payload["checks"].values())
+    assert payload["verdict"] is True
+
+
 def test_usage_error_exit_1(capsys):
     code, _, _ = run(capsys, ["charpoly"])
     assert code == 1

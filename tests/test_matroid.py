@@ -4,8 +4,10 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from conepol import (
     GroundSet,
+    Matroid,
     UniPoly,
     characteristic_polynomial,
     closure,
@@ -25,9 +27,10 @@ from conepol.errors import (
     LoopElement,
     UnequalBasisSizes,
 )
-from conepol.subsets import from_elements
+from conepol.subsets import elements, format_elements, from_elements
 
 from conftest import K4_EDGES
+from test_random_matroids import random_binary_matroid
 
 
 def test_matroid_from_bases_uniform():
@@ -202,3 +205,66 @@ def test_unipoly_str_and_eval():
     assert str(p) == "t^2 - 5*t + 6"
     assert p(Fraction(2)) == 0
     assert p(Fraction(1, 2)) == Fraction(1, 4) - Fraction(5, 2) + 6
+
+
+def closure_cases():
+    rng = random.Random(424242)
+    binary = [
+        random_binary_matroid(rng, rng.choice([2, 3]), rng.randint(3, 5))
+        for _ in range(12)
+    ]
+    loopy = graphic_matroid([(0, 1), (1, 2), (0, 2), (2, 2), (1, 1)])
+    return [fano(), uniform_matroid(3, 5), graphic_matroid(K4_EDGES), loopy] + binary
+
+
+def test_closure_matches_frozenset_oracle():
+    cases = closure_cases()
+    for M in cases:
+        universe = frozenset(range(M.ground.n))
+        bases = [frozenset(elements(B)) for B in M.bases]
+        for S in range(M.ground.full_mask + 1):
+            expected = oracles.closure_of(universe, bases, elements(S))
+            assert elements(closure(M, S)) == sorted(expected), (M, S)
+    loopy = cases[3]
+    assert loopy.closure(0) == from_elements([3, 4]) == loopy.loops()
+
+
+def random_equal_size_family(rng):
+    """Bases of a random binary matroid, sometimes with one basis dropped
+    or one equal-size set added, or else a random family of r-subsets."""
+    n = rng.randint(4, 6)
+    if rng.random() < 0.6:
+        M = random_binary_matroid(rng, rng.choice([2, 3]), n)
+        family = set(M.bases)
+        r = M.rank_total
+        roll = rng.random()
+        if roll < 0.3 and len(family) > 1:
+            family.discard(rng.choice(sorted(family)))
+        elif roll < 0.6:
+            family.add(from_elements(rng.sample(range(n), r)))
+    else:
+        r = rng.randint(1, n - 1)
+        pool = [from_elements(c) for c in combinations(range(n), r)]
+        family = set(rng.sample(pool, rng.randint(1, len(pool))))
+    return n, frozenset(family)
+
+
+def test_exchange_violation_names_oracle_witness():
+    rng = random.Random(5150)
+    violations = valid = 0
+    for _ in range(400):
+        n, bases = random_equal_size_family(rng)
+        witness = oracles.first_exchange_violation(bases)
+        if witness is None:
+            assert Matroid(GroundSet(n), bases).bases == bases
+            valid += 1
+            continue
+        violations += 1
+        x, B1, B2 = witness
+        with pytest.raises(ExchangeAxiomViolation) as exc:
+            Matroid(GroundSet(n), bases)
+        assert str(exc.value) == (
+            f"no exchange for element {x} between bases "
+            f"{{{format_elements(B1)}}} and {{{format_elements(B2)}}}"
+        )
+    assert violations >= 30 and valid >= 30, (violations, valid)

@@ -1,14 +1,18 @@
+import random
 from itertools import chain, combinations
 
 import pytest
 
+import oracles
 from conepol import (
+    flats_lattice,
     is_balanced,
     is_interval_connected,
     is_one_balanced,
     is_semimodular_lattice,
     mobius,
     subposet_from_sets,
+    uniform_matroid,
     weisner_check,
 )
 from conepol.errors import HypothesisViolation, InvalidParams, NotGraded
@@ -152,8 +156,9 @@ def test_two_tower_poset_is_not_semimodular_nor_balanced():
 
 
 def test_semimodularity(lattices):
-    for L in lattices.values():
+    for L in list(lattices.values()) + [flats_lattice(uniform_matroid(4, 5))]:
         assert is_semimodular_lattice(L)
+        assert oracles.semimodular_lattice(L)
     assert is_semimodular_lattice(boolean_lattice(3))
 
 
@@ -176,3 +181,56 @@ def test_reextracted_interval_passes_flats_axioms(lattices):
         sub = subposet_from_sets(L.n, L.interval(K, top))
         assert flats_axioms_hold(sub, top)
         assert is_one_balanced(sub)
+
+
+def random_graded_subposets(rng, count):
+    """Seeded graded subposets of Boolean lattices B_1..B_5; sets that
+    fail gradedness are skipped."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 5)
+        full = (1 << n) - 1
+        keep = rng.choice([0.3, 0.5, 0.7, 0.9])
+        sets = {s for s in range(full + 1) if rng.random() < keep}
+        if rng.random() < 0.8:
+            sets |= {0, full}
+        try:
+            out.append(subposet_from_sets(n, sets))
+        except NotGraded:
+            continue
+    return out
+
+
+def test_semimodular_lattice_matches_pairwise_oracle():
+    rng = random.Random(20261018)
+    counts = {"not lattice": 0, "lattice only": 0, "semimodular": 0}
+    for P in random_graded_subposets(rng, 900):
+        got = is_semimodular_lattice(P)
+        assert got == oracles.semimodular_lattice(P), P.elements
+        if got:
+            counts["semimodular"] += 1
+        elif oracles.is_lattice(P):
+            counts["lattice only"] += 1
+        else:
+            counts["not lattice"] += 1
+    assert min(counts.values()) >= 50, counts
+
+
+def test_non_lattices_are_not_semimodular_lattices():
+    # {0} and {1} lie under both {0,1,2} and {0,1,3}: graded, but no meet
+    graded_non_lattice = subposet_from_sets(4, [
+        0, from_elements([0]), from_elements([1]), from_elements([0, 1, 2]),
+        from_elements([0, 1, 3]), from_elements([0, 1, 2, 3])])
+    two_maximal = subposet_from_sets(2, [0, from_elements([0]), from_elements([1])])
+    for P in (graded_non_lattice, two_maximal):
+        assert not is_semimodular_lattice(P)
+        assert not oracles.semimodular_lattice(P)
+
+
+def test_comparable_pairs_in_canonical_order(lattices):
+    rng = random.Random(7)
+    for P in list(lattices.values()) + random_graded_subposets(rng, 60):
+        els = P.elements
+        expected = [(a, b) for i, a in enumerate(els) for b in els[i + 1:]
+                    if a & ~b == 0]
+        assert P.comparable_pairs() == expected
