@@ -9,6 +9,7 @@ or verification failed, 4 size guard.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -305,7 +306,11 @@ def cmd_poset_check(args):
     return EXIT_OK if ok else EXIT_FAILED
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process.  An argparse parser is a web of
+    reference cycles, so one built per `main` call would linger as garbage
+    until a full collection; parsing does not change it, so it is shared."""
     parser = _Parser(prog="conepol", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

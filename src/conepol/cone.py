@@ -344,17 +344,20 @@ def project(t, F, G):
     ):
         raise BadNesting("need K <= F < G <= L")
     target = IntervalCoords(F, G)
-    span = Fraction((G & ~F).bit_count())
     tF = t[F]
     tG = t[G]
     vals = []
     for S in target.subsets:
-        vals.append(
-            t[S]
-            - tG * Fraction((S & ~F).bit_count()) / span
-            - tF * Fraction((G & ~S).bit_count()) / span
-        )
+        wF, wG = projection_weights(S, F, G)
+        vals.append(t[S] - tF * wF - tG * wG)
     return IntervalVector(target, vals)
+
+
+def projection_weights(S, F, G):
+    """Weights (|G \\ S| / |G \\ F|, |S \\ F| / |G \\ F|) of t_F and t_G in
+    coordinate S of `project(t, F, G)`."""
+    span = (G & ~F).bit_count()
+    return Fraction((G & ~S).bit_count(), span), Fraction((S & ~F).bit_count(), span)
 
 
 def alpha_vector(coords):

@@ -8,6 +8,7 @@ is divided by the interval degree.  Everything is exact.
 """
 
 import random
+import weakref
 from fractions import Fraction
 from math import comb, factorial
 
@@ -32,11 +33,19 @@ from .unipoly import UniPoly
 
 class IntervalPolynomials:
     """Memoized interval polynomials of one poset; variables are the open
-    interval's elements in canonical order."""
+    interval's elements in canonical order.
+
+    The cache lives on its poset and refers back to it weakly, so a poset
+    and its polynomials are freed by reference counting alone.
+    """
 
     def __init__(self, P):
-        self.poset = P
+        self._poset = weakref.ref(P)
         self._memo = {}
+
+    @property
+    def poset(self):
+        return self._poset()
 
     def polynomial(self, K, L):
         key = (K, L)
@@ -51,42 +60,35 @@ class IntervalPolynomials:
         else:
             acc = MultiPoly.zero(flats, degree=d)
             for F in flats:
-                low = self._lift_low(K, F, flats)
-                high = self._lift_high(F, L, flats)
+                low = self._lift(K, F, flats)
+                high = self._lift(F, L, flats)
                 acc = acc + MultiPoly.variable(flats, F) * low * high
             result = acc * Fraction(1, d)
         self._memo[key] = result
         return result
 
-    def _lift_low(self, K, F, big_vars):
-        """Polynomial of [K, F] composed with the projection onto (K, F),
-        written in the big interval's variables."""
-        inner = self.polynomial(K, F)
-        span = Fraction((F & ~K).bit_count())
-        matrix = []
+    def _lift(self, G, H, big_vars):
+        """Polynomial of [G, H] composed with `cone.project` onto (G, H),
+        written in the variables of a larger open interval.  Endpoints of
+        the larger interval are not variables there (their t is 0), so for
+        [K, F] and [F, L] each row has at most two entries."""
+        inner = self.polynomial(G, H)
+        col = {S: j for j, S in enumerate(big_vars)}
+        rows = []
         for S in inner.vars:
-            row = [Fraction(0)] * len(big_vars)
-            row[big_vars.index(S)] = Fraction(1)
-            row[big_vars.index(F)] -= Fraction((S & ~K).bit_count()) / span
-            matrix.append(row)
-        return substitute_affine(inner, matrix, big_vars)
-
-    def _lift_high(self, F, L, big_vars):
-        inner = self.polynomial(F, L)
-        span = Fraction((L & ~F).bit_count())
-        matrix = []
-        for S in inner.vars:
-            row = [Fraction(0)] * len(big_vars)
-            row[big_vars.index(S)] = Fraction(1)
-            row[big_vars.index(F)] -= Fraction((L & ~S).bit_count()) / span
-            matrix.append(row)
-        return substitute_affine(inner, matrix, big_vars)
+            wG, wH = cone.projection_weights(S, G, H)
+            row = {col[S]: 1}
+            for end, w in ((G, wG), (H, wH)):
+                if end in col:
+                    row[col[end]] = -w
+            rows.append(row)
+        return substitute_affine(inner, rows, big_vars)
 
     def derivative_factor(self, K, F, L):
         """Product of the lifted sub-interval polynomials at a middle F;
         by the splitting identity this equals d/d t_F of the polynomial."""
         flats = tuple(self.poset.open_interval(K, L))
-        return self._lift_low(K, F, flats) * self._lift_high(F, L, flats)
+        return self._lift(K, F, flats) * self._lift(F, L, flats)
 
 
 def cache_for(P):

@@ -209,7 +209,6 @@ class FlatLattice(poset.GradedSubposet):
             super().__init__(matroid.ground.n, flats)
         except Exception as exc:
             raise InternalAxiomFailure(f"flats failed gradedness: {exc}") from exc
-        self.matroid = matroid
         self.bottom = self.elements[0]
         self.top = matroid.ground.full_mask
         if not poset.flats_axioms_hold(self, self.top):

@@ -3,9 +3,21 @@
 Variables are arbitrary hashable keys held in a fixed ordered tuple; terms
 map dense exponent tuples to nonzero Fractions.  No floating point enters
 this module.
+
+Two constructors share one contract.  The public `MultiPoly(variables,
+terms, degree)` accepts any rational coefficients and integer exponents,
+normalises them, merges duplicate keys, drops zeros and raises on a key of
+the wrong length or degree.  `MultiPoly._trusted` wraps data that already
+meets the contract without looking at it: `vars` a tuple, `terms` a dict
+from exponent tuples of length len(vars), each summing to `degree`, to
+nonzero Fractions, and `_pos` the index of each variable, shared with the
+operands rather than rebuilt.  Sums, negations, scalar and polynomial
+products, `partial`, `dir_derivative` and `substitute_affine` build their
+results with it; everything read from outside goes through the public one.
 """
 
 from fractions import Fraction
+from operator import add
 
 from . import subsets
 from .errors import (
@@ -45,6 +57,19 @@ class MultiPoly:
         self.terms = cleaned
         self.degree = deg if deg is not None else (degree if degree is not None else 0)
         self._pos = {v: i for i, v in enumerate(vs)}
+
+    @classmethod
+    def _trusted(cls, variables, terms, degree, pos):
+        """Wrap terms that already meet the module's contract, unchecked."""
+        self = object.__new__(cls)
+        self.vars = variables
+        self.terms = terms
+        self.degree = degree
+        self._pos = pos
+        return self
+
+    def _like(self, terms, degree):
+        return MultiPoly._trusted(self.vars, terms, degree, self._pos)
 
     # -- constructors ---------------------------------------------------------
 
@@ -88,31 +113,29 @@ class MultiPoly:
         if self.degree != other.degree:
             raise Inhomogeneous("sum of different homogeneous degrees")
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(self.vars, out, degree=self.degree)
+        _accumulate(out, other.terms.items())
+        return self._like(out, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return MultiPoly(
-            self.vars, {e: -c for e, c in self.terms.items()}, degree=self.degree
-        )
+        return self._like({e: -c for e, c in self.terms.items()}, self.degree)
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check_compatible(other)
             out = {}
             for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return MultiPoly(self.vars, out, degree=self.degree + other.degree)
+                _accumulate(
+                    out,
+                    ((tuple(map(add, e1, e2)), c1 * c2) for e2, c2 in other.terms.items()),
+                )
+            return self._like(out, self.degree + other.degree)
         c = Fraction(other)
-        return MultiPoly(
-            self.vars, {e: c * v for e, v in self.terms.items()}, degree=self.degree
-        )
+        if not c:
+            return self._like({}, self.degree)
+        return self._like({e: c * v for e, v in self.terms.items()}, self.degree)
 
     __rmul__ = __mul__
 
@@ -142,6 +165,19 @@ class MultiPoly:
         return f"MultiPoly({to_text(self)})"
 
 
+def _accumulate(out, items):
+    """Add (key, nonzero coefficient) pairs into the dict `out`, dropping
+    every key whose coefficient cancels to zero."""
+    pop = out.pop
+    for key, c in items:
+        old = pop(key, None)
+        if old is not None:
+            c += old
+            if not c:
+                continue
+        out[key] = c
+
+
 def _coordinate(point, key):
     try:
         return Fraction(point[key])
@@ -157,13 +193,9 @@ def partial(f, var):
     out = {}
     for exps, coeff in f.terms.items():
         e = exps[i]
-        if e == 0:
-            continue
-        new = list(exps)
-        new[i] = e - 1
-        key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + coeff * e
-    return MultiPoly(f.vars, out, degree=max(f.degree - 1, 0))
+        if e:
+            out[exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * e
+    return f._like(out, max(f.degree - 1, 0))
 
 
 def dir_derivative(f, v):
@@ -174,11 +206,15 @@ def dir_derivative(f, v):
     weights = [_coordinate(v, var) for var in f.vars]
     out = {}
     for exps, coeff in f.terms.items():
-        for i, e in enumerate(exps):
-            if e and weights[i]:
-                key = exps[:i] + (e - 1,) + exps[i + 1:]
-                out[key] = out.get(key, 0) + coeff * e * weights[i]
-    return MultiPoly(f.vars, out, degree=max(f.degree - 1, 0))
+        _accumulate(
+            out,
+            (
+                (exps[:i] + (e - 1,) + exps[i + 1:], coeff * e * weights[i])
+                for i, e in enumerate(exps)
+                if e and weights[i]
+            ),
+        )
+    return f._like(out, max(f.degree - 1, 0))
 
 
 def hessian_of_quadratic(f):
@@ -218,49 +254,43 @@ def gradient_at(f, point):
 
 def substitute_affine(f, matrix, new_variables):
     """Compose f with a linear map: old variable i becomes the linear form
-    with coefficients matrix[i] over the new variables."""
+    with coefficients matrix[i] over the new variables.
+
+    A row is either a sequence with one coefficient per new variable or a
+    sparse mapping from column index to coefficient.
+    """
     new_vars = tuple(new_variables)
+    n = len(new_vars)
     if len(matrix) != len(f.vars):
         raise DimensionMismatch("matrix rows != old variable count")
-    for row in matrix:
-        if len(row) != len(new_vars):
-            raise DimensionMismatch("matrix columns != new variable count")
-    forms = [
-        MultiPoly(
-            new_vars,
-            {
-                tuple(1 if k == j else 0 for k in range(len(new_vars))): Fraction(c)
-                for j, c in enumerate(row)
-                if c != 0
-            },
-            degree=1,
-        )
-        for row in matrix
-    ]
-    power_cache = [{} for _ in forms]
-
-    def form_power(i, e):
-        cache = power_cache[i]
-        if e not in cache:
-            if e == 0:
-                cache[e] = MultiPoly.constant(new_vars, 1)
-            else:
-                cache[e] = form_power(i, e - 1) * forms[i]
-        return cache[e]
-
-    out = MultiPoly.zero(new_vars, degree=f.degree)
+    pos = {v: i for i, v in enumerate(new_vars)}
+    one = MultiPoly._trusted(new_vars, {(0,) * n: Fraction(1)}, 0, pos)
+    forms = [MultiPoly._trusted(new_vars, _form_terms(row, n), 1, pos) for row in matrix]
+    powers = [[one] for _ in forms]
+    out = {}
     for exps, coeff in f.terms.items():
-        term = MultiPoly.constant(new_vars, coeff)
+        term = one * coeff
         for i, e in enumerate(exps):
             if e:
-                term = term * form_power(i, e)
-        if term.degree != f.degree:
-            # a factor collapsed to zero
-            if term.is_zero():
-                continue
-            raise Inhomogeneous("affine substitution broke homogeneity")
-        out = out + term
-    return out
+                while len(powers[i]) <= e:
+                    powers[i].append(powers[i][-1] * forms[i])
+                term = term * powers[i][e]
+        _accumulate(out, term.terms.items())
+    return MultiPoly._trusted(new_vars, out, f.degree, pos)
+
+
+def _form_terms(row, n):
+    """Terms of the linear form given by a dense or {column: value} row."""
+    if isinstance(row, dict):
+        if any(not (isinstance(j, int) and 0 <= j < n) for j in row):
+            raise DimensionMismatch("matrix column index outside the new variables")
+        items = row.items()
+    else:
+        if len(row) != n:
+            raise DimensionMismatch("matrix columns != new variable count")
+        items = enumerate(row)
+    coeffs = ((j, Fraction(c)) for j, c in items)
+    return {tuple(int(k == j) for k in range(n)): c for j, c in coeffs if c}
 
 
 def restrict_to_directions(f, directions, new_variables=None):

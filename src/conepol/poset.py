@@ -101,18 +101,14 @@ class GradedSubposet:
         self.interval_rank(K, L)
         inside = set(self.interval(K, L))
         chains = []
-
-        def walk(prefix, top):
-            if top == L:
-                chains.append(list(prefix))
-                return
-            for up in self.upper_covers(top):
-                if up in inside:
-                    prefix.append(up)
-                    walk(prefix, up)
-                    prefix.pop()
-
-        walk([K], K)
+        stack = [[K]]
+        while stack:
+            chain = stack.pop()
+            if chain[-1] == L:
+                chains.append(chain)
+                continue
+            ups = [up for up in self.upper_covers(chain[-1]) if up in inside]
+            stack.extend(chain + [up] for up in reversed(ups))
         return chains
 
     # -- construction helpers -------------------------------------------------

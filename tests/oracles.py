@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here works on frozensets and dense coefficient lists,
-deliberately sharing no code or data layout with the package under test.
+deliberately sharing no code or data layout with the package under test;
+the polynomial oracles at the end are the one exception, see there.
 """
 
 from fractions import Fraction
@@ -331,3 +332,56 @@ def first_exchange_violation(bases):
                 if not any((S1 - {x}) | {y} in family for y in S2 - S1):
                     return x, B1, B2
     return None
+
+
+# The polynomial oracles below are the package's earlier term-at-a-time
+# algorithms.  They touch MultiPoly only through its public constructor,
+# which re-validates every intermediate result.
+
+def poly_mul_validated(a, b):
+    """Product of two MultiPolys on one variable tuple, every pair of terms
+    added into a dict that the public constructor then normalises."""
+    assert a.vars == b.vars
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return type(a)(a.vars, out, degree=a.degree + b.degree)
+
+
+def poly_add_validated(a, b):
+    """Sum of two MultiPolys of one degree on one variable tuple."""
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return type(a)(a.vars, out, degree=a.degree)
+
+
+def substitute_affine_validated(f, matrix, new_variables):
+    """f composed with dense rows: each old variable becomes the linear form
+    matrix[i]; every term is expanded on its own as a product of cached
+    powers of those forms and added to the running sum."""
+    cls = type(f)
+    new_vars = tuple(new_variables)
+    n = len(new_vars)
+    forms = [
+        cls(
+            new_vars,
+            {tuple(int(k == j) for k in range(n)): Fraction(c)
+             for j, c in enumerate(row) if c != 0},
+            degree=1,
+        )
+        for row in matrix
+    ]
+    powers = [[cls.constant(new_vars, 1)] for _ in forms]
+    out = cls.zero(new_vars, degree=f.degree)
+    for exps, coeff in f.terms.items():
+        term = cls.constant(new_vars, coeff)
+        for i, e in enumerate(exps):
+            while len(powers[i]) <= e:
+                powers[i].append(poly_mul_validated(powers[i][-1], forms[i]))
+            if e:
+                term = poly_mul_validated(term, powers[i][e])
+        out = poly_add_validated(out, term)
+    return out

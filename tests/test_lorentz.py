@@ -298,8 +298,8 @@ def test_product_check_derivative_factor(lattices):
     cache = cache_for(L)
     f = cache.polynomial(L.bottom, L.top)
     F = f.vars[0]
-    low = cache._lift_low(L.bottom, F, f.vars)
-    high = cache._lift_high(F, L.top, f.vars)
+    low = cache._lift(L.bottom, F, f.vars)
+    high = cache._lift(F, L.top, f.vars)
     tuples = sample_direction_tuples(coords, 1, 4, seed=3)
     assert product_check(low, high, tuples)
 

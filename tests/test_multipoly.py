@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from conepol import (
     IntervalCoords,
     MultiPoly,
@@ -10,7 +11,9 @@ from conepol import (
     alpha_vector,
     beta_vector,
     dir_derivative,
+    fano,
     flats_lattice,
+    graphic_matroid,
     hessian_of_quadratic,
     interval_polynomial,
     partial,
@@ -26,6 +29,7 @@ from conepol.errors import (
     UnknownVariable,
     WrongDegree,
 )
+from conepol.intervalpoly import cache_for
 from conepol.multipoly import to_text
 
 
@@ -174,3 +178,135 @@ def test_to_text_canonical_order():
     L = flats_lattice(uniform_matroid(2, 3))
     f = interval_polynomial(L, L.bottom, L.top)
     assert to_text(f) == "t_{0} + t_{1} + t_{2}"
+
+
+# -- the trusted fast path against the validated term-at-a-time oracles ------
+
+
+def assert_contract(p):
+    """What `MultiPoly._trusted` relies on and never checks."""
+    assert isinstance(p.vars, tuple)
+    assert p._pos == {v: i for i, v in enumerate(p.vars)}
+    for key, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(key) == len(p.vars)
+        assert sum(key) == p.degree
+
+
+def assert_same(fast, slow):
+    assert_contract(fast)
+    assert fast.vars == slow.vars
+    assert fast.degree == slow.degree
+    assert fast.terms == slow.terms
+
+
+def random_coeff(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def random_poly(rng, variables, degree, n_terms):
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * len(variables)
+        for _ in range(degree):
+            exps[rng.randrange(len(variables))] += 1
+        terms[tuple(exps)] = random_coeff(rng)
+    return MultiPoly(variables, terms, degree=degree)
+
+
+def random_row(rng, n):
+    if rng.random() < 0.15:
+        return [0] * n  # collapses every term that uses this variable
+    return [random_coeff(rng) if rng.random() < 0.4 else 0 for _ in range(n)]
+
+
+def test_products_match_validated_oracle():
+    rng = random.Random(31)
+    variables = ("a", "b", "c", "d")
+    for _ in range(150):
+        f = random_poly(rng, variables, rng.randint(0, 3), rng.randint(0, 6))
+        g = random_poly(rng, variables, rng.randint(0, 3), rng.randint(0, 6))
+        assert_same(f * g, oracles.poly_mul_validated(f, g))
+        c = random_coeff(rng)
+        assert_same(f * c, MultiPoly(f.vars, {e: c * v for e, v in f.terms.items()}, f.degree))
+    x, y = (MultiPoly.variable(("x", "y"), v) for v in "xy")
+    # (x + y)(x - y): the cross terms cancel; a zero factor keeps the degree sum
+    assert_same((x + y) * (x - y), oracles.poly_mul_validated(x + y, x - y))
+    zero = MultiPoly.zero(("x", "y"), degree=2)
+    assert_same(zero * (x + y), oracles.poly_mul_validated(zero, x + y))
+    assert_same(0 * (x + y), MultiPoly.zero(("x", "y"), degree=1))
+    assert_same((x + y) - (x + y), MultiPoly.zero(("x", "y"), degree=1))
+
+
+def test_substitution_matches_validated_oracle():
+    rng = random.Random(32)
+    old_vars = ("a", "b", "c")
+    seen_zero = 0
+    for trial in range(200):
+        f = random_poly(rng, old_vars, rng.randint(0, 4), rng.randint(0, 7))
+        new_vars = tuple(range(rng.randint(1, 4)))
+        dense = [random_row(rng, len(new_vars)) for _ in old_vars]
+        slow = oracles.substitute_affine_validated(f, dense, new_vars)
+        assert_same(substitute_affine(f, dense, new_vars), slow)
+        sparse = [{j: c for j, c in enumerate(row) if c} for row in dense]
+        assert_same(substitute_affine(f, sparse, new_vars), slow)
+        seen_zero += slow.is_zero() and not f.is_zero()
+    # a - b with a, b -> u cancels to zero, and so does anything times a zero row
+    f = MultiPoly(("a", "b"), {(2, 0): 1, (0, 2): -1})
+    for rows in ([[1], [1]], [[0], [3]]):
+        g = substitute_affine(f, rows, ("u",))
+        assert_same(g, oracles.substitute_affine_validated(f, rows, ("u",)))
+    assert seen_zero >= 5
+
+
+@pytest.mark.parametrize("name", ["fano", "k4", "u45", "u55"])
+def test_memoised_interval_polynomials_match_validated_oracle(name):
+    """Rebuild every memoised sub-interval polynomial one recursion step at a
+    time with the validated oracles and the dense projection rows."""
+    M = {
+        "fano": fano(),
+        "k4": graphic_matroid([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        "u45": uniform_matroid(4, 5),
+        "u55": uniform_matroid(5, 5),
+    }[name]
+    P = flats_lattice(M)
+    cache = cache_for(P)
+    cache.polynomial(P.bottom, P.top)
+    memo = dict(cache._memo)
+
+    def lifted(K, F, L, flats, low):
+        inner = memo[(K, F) if low else (F, L)]
+        rows = []
+        for S in inner.vars:
+            row = [Fraction(0)] * len(flats)
+            row[flats.index(S)] = Fraction(1)
+            if low:
+                row[flats.index(F)] -= Fraction((S & ~K).bit_count(), (F & ~K).bit_count())
+            else:
+                row[flats.index(F)] -= Fraction((L & ~S).bit_count(), (L & ~F).bit_count())
+            rows.append(row)
+        return oracles.substitute_affine_validated(inner, rows, flats)
+
+    assert len(memo) > 10
+    for (K, L), f in memo.items():
+        assert_contract(f)
+        d = P.interval_degree(K, L)
+        if d == 0:
+            assert_same(f, MultiPoly.constant((), 1))
+            continue
+        flats = tuple(P.open_interval(K, L))
+        acc = MultiPoly.zero(flats, degree=d)
+        for F in flats:
+            term = oracles.poly_mul_validated(
+                MultiPoly.variable(flats, F),
+                oracles.poly_mul_validated(
+                    lifted(K, F, L, flats, True), lifted(K, F, L, flats, False)
+                ),
+            )
+            acc = oracles.poly_add_validated(acc, term)
+        expected = MultiPoly(flats, {e: c / d for e, c in acc.terms.items()}, degree=d)
+        assert_same(f, expected)
+        for F in flats[:3]:
+            assert_contract(cache.derivative_factor(K, F, L))

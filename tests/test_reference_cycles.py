@@ -1,0 +1,59 @@
+"""A CLI job's objects are freed by reference counting when it returns.
+
+Reference cycles among a job's objects (a poset and its polynomial cache, a
+matroid and its lattice, a self-recursive closure, a fresh argparse parser)
+keep the whole job alive until the cyclic collector runs, which is what a
+long-lived caller's peak memory then pays for.  With the collector off and DEBUG_SAVEALL on, every
+object that only a collection could free lands in `gc.garbage`.
+"""
+
+import contextlib
+import gc
+import io
+import types
+
+import pytest
+
+from conepol import cli
+
+JOBS = [
+    ["certify", "--uniform", "4", "5", "--samples", "2"],
+    ["pol", "--uniform", "4", "5", "--eval", "alpha"],
+    ["chow-verify", "--fano", "--all-intervals"],
+    ["poset-check", "--fano"],
+    ["charpoly", "--uniform", "3", "5"],
+]
+
+
+def _from_conepol(obj):
+    """An instance of a conepol class, or a function defined in conepol."""
+    if isinstance(obj, types.FunctionType):
+        return (obj.__module__ or "").startswith("conepol")
+    return type(obj).__module__.startswith("conepol")
+
+
+@pytest.mark.parametrize("argv", JOBS, ids=lambda argv: argv[0])
+def test_cli_job_leaves_no_cyclic_garbage(argv):
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        gc.collect()
+        leaked = sorted(
+            {
+                getattr(obj, "__qualname__", type(obj).__qualname__)
+                for obj in gc.garbage
+                if _from_conepol(obj)
+            }
+        )
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+        gc.collect()
+    assert code == 0
+    assert leaked == []

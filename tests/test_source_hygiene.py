@@ -54,3 +54,23 @@ def test_one_exact_inertia_routine(path):
             assert node.name != "charpoly_descending", (
                 f"{path.name}:{node.lineno}: defines charpoly_descending"
             )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_self_recursive_closures(path):
+    """A nested function that calls itself by name refers to its own cell:
+    a reference cycle that keeps the enclosing call's locals alive until the
+    cyclic collector runs."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for outer in ast.walk(_tree(path)):
+        if not isinstance(outer, funcs):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, funcs):
+                continue
+            for node in ast.walk(inner):
+                assert not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == inner.name
+                ), f"{path.name}:{inner.lineno}: nested {inner.name} calls itself"
