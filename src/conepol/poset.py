@@ -1,12 +1,17 @@
 """Graded sub-posets of a Boolean lattice.
 
-Elements are subsets of {0,...,n-1} ordered by inclusion.  Construction
-verifies that every closed interval is graded, and caches the interval
-rank of each comparable pair.  On top of that sit the Mobius table, the
-balancedness and connectivity predicates, and the Weisner identity check.
+Elements are subsets of {0,...,n-1} ordered by inclusion, indexed in
+canonical order, so every element has a higher index than those below it.
+One order table answers every order question: `_up[i]` and `_down[i]` are
+int bitsets over element indices of the elements above and below element
+i, i included.  Covers, interval ranks, intervals (`_up[K] & _down[L]` in
+index order), the Mobius table and comparability components all read it.
+Construction verifies that every closed interval is graded.  The Mobius
+table and the balancedness, connectivity and semimodularity predicates are
+each computed once per poset and kept on it.
 """
 
-from collections import deque
+import functools
 
 from . import subsets
 from .errors import (
@@ -34,13 +39,22 @@ class GradedSubposet:
         self.n = n
         self.elements = tuple(elems)
         self._index = {s: i for i, s in enumerate(elems)}
-        self._upper_covers = self._compute_covers()
+        up = [1 << i for i in range(len(elems))]
+        down = list(up)
+        for i, a in enumerate(elems):
+            for j in range(i + 1, len(elems)):
+                if a & ~elems[j] == 0:
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+        self._up, self._down = up, down
+        self._upper_covers = [self._minimal(up[i] & ~(1 << i)) for i in range(len(elems))]
         self._lower_covers = [[] for _ in elems]
         for i, ups in enumerate(self._upper_covers):
             for j in ups:
                 self._lower_covers[j].append(i)
         # interval rank for every comparable pair; raises NotGraded on failure
         self._rank = self._grade_all_intervals()
+        self._proved = {}  # predicate results, keyed by (function, *args)
 
     # -- basic order queries ------------------------------------------------
 
@@ -70,14 +84,10 @@ class GradedSubposet:
 
     def interval(self, K, L):
         """Closed interval [K, L] in canonical order."""
-        self.index(K)
-        self.index(L)
-        if not subsets.is_subset(K, L):
-            raise NotAnInterval("endpoints are not nested")
-        return [s for s in self.elements if subsets.is_subset(K, s) and subsets.is_subset(s, L)]
+        return self._members(self._interval_mask(K, L))
 
     def open_interval(self, K, L):
-        return [s for s in self.interval(K, L) if s != K and s != L]
+        return self._members(self._open_mask(K, L))
 
     def interval_rank(self, K, L):
         """Common length of all maximal chains of [K, L]."""
@@ -111,72 +121,76 @@ class GradedSubposet:
             stack.extend(chain + [up] for up in reversed(ups))
         return chains
 
-    # -- construction helpers -------------------------------------------------
+    # -- order table ------------------------------------------------------------
 
-    def _compute_covers(self):
-        n_el = len(self.elements)
-        ups = [[] for _ in range(n_el)]
-        for i, a in enumerate(self.elements):
-            for j in range(i + 1, n_el):
-                b = self.elements[j]
-                if not subsets.is_proper_subset(a, b):
-                    continue
-                covered = True
-                for k in range(i + 1, j):
-                    c = self.elements[k]
-                    if subsets.is_proper_subset(a, c) and subsets.is_proper_subset(c, b):
-                        covered = False
-                        break
-                if covered:
-                    ups[i].append(j)
-        return ups
+    def _members(self, mask):
+        """Elements whose indices are the set bits of `mask`, in index order."""
+        els = self.elements
+        return [els[j] for j in subsets.elements(mask)]
+
+    def _interval_mask(self, K, L):
+        i, j = self.index(K), self.index(L)
+        if not subsets.is_subset(K, L):
+            raise NotAnInterval("endpoints are not nested")
+        return self._up[i] & self._down[j]
+
+    def _open_mask(self, K, L):
+        mask = self._interval_mask(K, L)
+        return mask & ~(1 << self._index[K]) & ~(1 << self._index[L])
+
+    def _minimal(self, mask):
+        """Indices of the minimal elements of `mask`, in index order: the
+        lowest index left is minimal, and everything above it is dropped."""
+        out = []
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            out.append(j)
+            mask &= ~self._up[j]
+        return out
 
     def _grade_all_intervals(self):
         """Longest-chain ranks for all comparable pairs.
 
-        An interval is graded iff each cover step inside it raises the
-        longest-chain height by exactly one; that forces all maximal chains
-        to share one length.
+        Heights above a bottom i do not depend on the top, so they are
+        computed once per i.  [i, j] is graded iff no k in it has lower
+        covers above i at different heights; such a k breaks every top
+        above it, so the first one is the first non-graded top for i.
         """
         ranks = {}
-        n_el = len(self.elements)
-        for i in range(n_el):
-            bottom = self.elements[i]
-            for j in range(i, n_el):
-                top = self.elements[j]
-                if not subsets.is_subset(bottom, top):
-                    continue
-                inside = [
-                    k
-                    for k in range(i, j + 1)
-                    if subsets.is_subset(bottom, self.elements[k])
-                    and subsets.is_subset(self.elements[k], top)
-                ]
-                in_set = set(inside)
-                height = {i: 0}
-                for k in inside:
-                    if k == i:
-                        continue
-                    height[k] = 1 + max(
-                        height[p] for p in self._lower_covers[k] if p in in_set
+        for i, above in enumerate(self._up):
+            height = {i: 0}
+            for k in subsets.elements(above & ~(1 << i)):
+                below = {height[p] for p in self._lower_covers[k] if (above >> p) & 1}
+                if len(below) > 1:
+                    raise NotGraded(
+                        "interval [{}, {}] has maximal chains of different "
+                        "lengths".format(
+                            "{" + subsets.format_elements(self.elements[i]) + "}",
+                            "{" + subsets.format_elements(self.elements[k]) + "}",
+                        )
                     )
-                for k in inside:
-                    for up in self._upper_covers[k]:
-                        if up in in_set and height[up] != height[k] + 1:
-                            raise NotGraded(
-                                "interval [{}, {}] has maximal chains of different "
-                                "lengths".format(
-                                    "{" + subsets.format_elements(bottom) + "}",
-                                    "{" + subsets.format_elements(top) + "}",
-                                )
-                            )
-                ranks[(i, j)] = height[j]
+                height[k] = 1 + below.pop()
+            for k, h in height.items():
+                ranks[(i, k)] = h
         return ranks
 
 
 def subposet_from_sets(n, element_sets):
     """Validated graded sub-poset from explicit subsets of the ground set."""
     return GradedSubposet(n, element_sets)
+
+
+def _once_per_poset(predicate):
+    """predicate(P, *args), computed once per poset and kept on P."""
+
+    @functools.wraps(predicate)
+    def proved(P, *args):
+        key = (predicate, *args)
+        if key not in P._proved:
+            P._proved[key] = predicate(P, *args)
+        return P._proved[key]
+
+    return proved
 
 
 # -- Mobius function ----------------------------------------------------------
@@ -198,27 +212,19 @@ class MobiusTable:
         return self._table.items()
 
 
+@_once_per_poset
 def mobius(P):
     """Full Mobius table via mu(a, b) = -sum_{a <= c < b} mu(a, c)."""
-    cached = getattr(P, "_mobius_table", None)
-    if cached is not None:
-        return cached
     table = {}
     els = P.elements
     for i, a in enumerate(els):
-        below = []
-        for j in range(i, len(els)):
-            b = els[j]
-            if not subsets.is_subset(a, b):
-                continue
-            if a == b:
-                table[(a, b)] = 1
-            else:
-                table[(a, b)] = -sum(table[(a, c)] for c in below if subsets.is_subset(c, b))
-            below.append(b)
-    result = MobiusTable(table)
-    P._mobius_table = result
-    return result
+        above = P._up[i]
+        mu = {i: 1}
+        for j in subsets.elements(above & ~(1 << i)):
+            mu[j] = -sum(mu[c] for c in subsets.elements(above & P._down[j] & ~(1 << j)))
+        for j, value in mu.items():
+            table[(a, els[j])] = value
+    return MobiusTable(table)
 
 
 def weisner_check(P, x, a, y, table=None):
@@ -248,13 +254,10 @@ def _rank2_pairs(P):
             yield K, L
 
 
+@_once_per_poset
 def is_balanced(P):
     """Every element of L \\ K is hit by equally many middles of each
     rank-2 interval [K, L]."""
-    cached = getattr(P, "_balanced", None)
-    if cached is not None:
-        return cached
-    ok = True
     for K, L in _rank2_pairs(P):
         mids = P.open_interval(K, L)
         counts = {
@@ -262,12 +265,11 @@ def is_balanced(P):
             for e in subsets.elements(L & ~K)
         }
         if len(set(counts.values())) > 1:
-            ok = False
-            break
-    P._balanced = ok
-    return ok
+            return False
+    return True
 
 
+@_once_per_poset
 def is_one_balanced(P):
     """Middles of each rank-2 interval partition L \\ K."""
     for K, L in _rank2_pairs(P):
@@ -282,55 +284,38 @@ def is_one_balanced(P):
     return True
 
 
+@_once_per_poset
 def is_interval_connected(P):
     """Comparability graph of every open interval with d >= 2 is connected."""
     for K, L in P.comparable_pairs():
-        if P.interval_rank(K, L) < 3:
-            continue
-        mids = P.open_interval(K, L)
-        if not _comparability_connected(mids):
+        if P.interval_rank(K, L) >= 3 and _first_component(P, K, L)[1]:
             return False
     return True
 
 
-def _comparability_connected(mids):
-    if len(mids) <= 1:
-        return True
-    adj = {s: [] for s in mids}
-    for i, a in enumerate(mids):
-        for b in mids[i + 1:]:
-            if subsets.comparable(a, b):
-                adj[a].append(b)
-                adj[b].append(a)
-    seen = {mids[0]}
-    queue = deque([mids[0]])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(mids)
-
-
 def disconnection_witness(P, K, L):
     """Two comparability components of (K, L), or None if connected."""
-    mids = P.open_interval(K, L)
-    if not mids or _comparability_connected(mids):
+    component, rest = _first_component(P, K, L)
+    if not rest:
         return None
-    first = mids[0]
-    component = {first}
-    queue = deque([first])
-    while queue:
-        cur = queue.popleft()
-        for other in mids:
-            if other not in component and subsets.comparable(cur, other):
-                component.add(other)
-                queue.append(other)
-    rest = [s for s in mids if s not in component]
-    return sorted(component, key=subsets.sort_key), rest
+    return P._members(component), P._members(rest)
 
 
+def _first_component(P, K, L):
+    """Comparability component of the first element of the open interval
+    (K, L), and the rest of it, as index bitsets."""
+    mids = P._open_mask(K, L)
+    component = frontier = mids & -mids
+    while frontier:
+        j = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = (P._up[j] | P._down[j]) & mids & ~component
+        component |= new
+        frontier |= new
+    return component, mids & ~component
+
+
+@_once_per_poset
 def is_semimodular_lattice(P):
     """P is a lattice and a \\/ b covers a, b whenever a, b cover a /\\ b.
 
@@ -375,6 +360,7 @@ def is_semimodular_lattice(P):
     return True
 
 
+@_once_per_poset
 def flats_axioms_hold(P, ground):
     """The three closure axioms: ground membership, intersection closure,
     and cover gains partitioning the complement of each element."""

@@ -32,7 +32,11 @@ def is_json_int(x):
 
 
 def elements(s):
-    return [i for i in range(s.bit_length()) if (s >> i) & 1]
+    out = []
+    while s:
+        out.append((s & -s).bit_length() - 1)
+        s &= s - 1
+    return out
 
 
 def size(s):

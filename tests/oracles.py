@@ -315,6 +315,62 @@ def is_lattice(P):
     return True
 
 
+def graded_order(n, sets):
+    """Upper covers and interval ranks of a family of subsets of range(n)
+    under inclusion, walking every closed interval on its own.
+
+    `sets` holds int bitsets, as `subposet_from_sets` takes them; they are
+    turned into frozensets first.  Returns (upper, ranks, None) where
+    `upper` maps each set to its upper covers and `ranks` maps each
+    comparable (bottom, top), bottom == top included, to its rank, both in
+    canonical order (bottoms, then tops).  If some interval has maximal
+    chains of different lengths, returns (upper, None, (bottom, top)) for
+    the first such interval in that order.
+    """
+    family = {frozenset(e for e in range(n) if (s >> e) & 1) for s in sets}
+    ordered = sorted(family, key=lambda f: (len(f), sorted(f)))
+    upper = {}
+    for a in ordered:
+        above = [b for b in ordered if a < b]
+        upper[a] = [b for b in above if not any(a < c < b for c in above)]
+    ranks = {}
+    for a in ordered:
+        for b in ordered:
+            if not a <= b:
+                continue
+            inside = [c for c in ordered if a <= c <= b]
+            height = {a: 0}
+            for c in inside[1:]:
+                height[c] = 1 + max(height[p] for p in inside if c in upper[p])
+            for c in inside:
+                for d in upper[c]:
+                    if d in height and height[d] != height[c] + 1:
+                        return upper, None, (a, b)
+            ranks[(a, b)] = height[b]
+    return upper, ranks, None
+
+
+def comparability_components(mids):
+    """Components of the comparability graph on `mids`, a list of
+    frozensets in canonical order, by breadth-first search.  Each
+    component keeps that order; components come in order of their first
+    member."""
+    left = list(mids)
+    components = []
+    while left:
+        component = {left[0]}
+        queue = [left[0]]
+        while queue:
+            cur = queue.pop(0)
+            for other in left:
+                if other not in component and (cur <= other or other <= cur):
+                    component.add(other)
+                    queue.append(other)
+        components.append([m for m in left if m in component])
+        left = [m for m in left if m not in component]
+    return components
+
+
 def first_exchange_violation(bases):
     """First (x, B1, B2) with x in B1 - B2 and no y in B2 - B1 making
     B1 - x + y a basis, or None.  Bases are int bitsets; pairs are walked

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conepol import (
     flats_lattice,
+    graphic_matroid,
     is_balanced,
     is_interval_connected,
     is_one_balanced,
@@ -15,13 +16,13 @@ from conepol import (
     uniform_matroid,
     weisner_check,
 )
-from conepol.errors import HypothesisViolation, InvalidParams, NotGraded
+from conepol.errors import HypothesisViolation, InvalidParams, NotAnInterval, NotGraded
 from conepol.poset import (
     disconnection_witness,
     flats_axioms_hold,
     interval_flats_axioms_hold,
 )
-from conepol.subsets import from_elements
+from conepol.subsets import elements, from_elements
 
 
 def boolean_lattice(n):
@@ -183,17 +184,26 @@ def test_reextracted_interval_passes_flats_axioms(lattices):
         assert is_one_balanced(sub)
 
 
-def random_graded_subposets(rng, count):
-    """Seeded graded subposets of Boolean lattices B_1..B_5; sets that
-    fail gradedness are skipped."""
-    out = []
-    while len(out) < count:
+def random_families(rng):
+    """Endless seeded families of subsets of Boolean lattices B_1..B_5, as
+    (n, sets); most contain the empty set and the full set."""
+    while True:
         n = rng.randint(1, 5)
         full = (1 << n) - 1
         keep = rng.choice([0.3, 0.5, 0.7, 0.9])
         sets = {s for s in range(full + 1) if rng.random() < keep}
         if rng.random() < 0.8:
             sets |= {0, full}
+        yield n, sets
+
+
+def random_graded_subposets(rng, count):
+    """Seeded graded subposets of Boolean lattices B_1..B_5; sets that
+    fail gradedness are skipped."""
+    out = []
+    families = random_families(rng)
+    while len(out) < count:
+        n, sets = next(families)
         try:
             out.append(subposet_from_sets(n, sets))
         except NotGraded:
@@ -234,3 +244,125 @@ def test_comparable_pairs_in_canonical_order(lattices):
         expected = [(a, b) for i, a in enumerate(els) for b in els[i + 1:]
                     if a & ~b == 0]
         assert P.comparable_pairs() == expected
+
+
+def frozen(s):
+    return frozenset(e for e in range(s.bit_length()) if (s >> e) & 1)
+
+
+def braces(f):
+    return "{" + ",".join(str(e) for e in sorted(f)) + "}"
+
+
+def assert_order_matches_oracle(P):
+    """Elements, covers, ranks, intervals and the Mobius table of P agree
+    with the interval-walk and Mobius-recursion oracles."""
+    upper, ranks, failure = oracles.graded_order(P.n, P.elements)
+    assert failure is None
+    els = [frozen(s) for s in P.elements]
+    assert els == list(upper)
+    for s, f in zip(P.elements, els):
+        assert [frozen(c) for c in P.upper_covers(s)] == upper[f]
+        assert [frozen(c) for c in P.lower_covers(s)] == [a for a in els if f in upper[a]]
+        assert P.interval_rank(s, s) == 0
+    got = [((frozen(K), frozen(L)), P.interval_rank(K, L)) for K, L in P.comparable_pairs()]
+    assert got == [(pair, r) for pair, r in ranks.items() if pair[0] != pair[1]]
+    for K, L in [(K, K) for K in P.elements] + P.comparable_pairs():
+        a, b = frozen(K), frozen(L)
+        inside = [c for c in els if a <= c <= b]
+        assert [frozen(c) for c in P.interval(K, L)] == inside
+        assert [frozen(c) for c in P.open_interval(K, L)] == [c for c in inside if c not in (a, b)]
+    table = {(frozen(a), frozen(b)): mu for (a, b), mu in mobius(P).items()}
+    assert list(table) == list(ranks)
+    assert table == oracles.mobius_table(els)
+
+
+def test_order_table_matches_interval_walk_oracle():
+    rng = random.Random(20261019)
+    counts = {"graded": 0, "not graded": 0}
+    families = random_families(rng)
+    for _ in range(2400):
+        n, sets = next(families)
+        _, _, failure = oracles.graded_order(n, sets)
+        if failure is None:
+            assert_order_matches_oracle(subposet_from_sets(n, sets))
+            counts["graded"] += 1
+            continue
+        with pytest.raises(NotGraded) as caught:
+            subposet_from_sets(n, sets)
+        bottom, top = failure
+        assert str(caught.value) == (
+            f"interval [{braces(bottom)}, {braces(top)}] has maximal chains of different lengths"
+        )
+        counts["not graded"] += 1
+    assert min(counts.values()) >= 300, counts
+
+
+def test_order_table_matches_oracle_on_lattices(lattices):
+    k4 = list(combinations(range(4), 2))
+    bowtie = k4 + [(a + 3, b + 3) for a, b in k4]  # M(K4.K4), 225 flats
+    for L in list(lattices.values()) + [flats_lattice(graphic_matroid(bowtie))]:
+        assert_order_matches_oracle(L)
+
+
+def test_intervals_need_nested_endpoints_in_the_poset():
+    P = boolean_lattice(2)
+    a, b = from_elements([0]), from_elements([1])
+    for K, L in ((a, b), (b, a), (a, from_elements([0, 2]))):
+        with pytest.raises(NotAnInterval):
+            P.interval(K, L)
+        with pytest.raises(NotAnInterval):
+            P.open_interval(K, L)
+        with pytest.raises(NotAnInterval):
+            disconnection_witness(P, K, L)
+
+
+def test_connectivity_matches_component_oracle():
+    rng = random.Random(20261020)
+    seen = {"witness": 0, "not interval connected": 0}
+    for P in random_graded_subposets(rng, 1500):
+        els = [frozen(s) for s in P.elements]
+        connected = True
+        for K, L in P.comparable_pairs():
+            a, b = frozen(K), frozen(L)
+            mids = [c for c in els if a < c < b]
+            components = oracles.comparability_components(mids)
+            got = disconnection_witness(P, K, L)
+            if len(components) <= 1:
+                assert got is None
+                continue
+            first = components[0]
+            assert [frozen(c) for c in got[0]] == first
+            assert [frozen(c) for c in got[1]] == [c for c in mids if c not in first]
+            seen["witness"] += 1
+            if P.interval_rank(K, L) >= 3:
+                connected = False
+        assert is_interval_connected(P) == connected
+        seen["not interval connected"] += not connected
+    assert min(seen.values()) >= 50, seen
+
+
+def test_elements_walks_set_bits():
+    rng = random.Random(11)
+    cases = [0, 1, 1 << 1999] + [rng.getrandbits(rng.randint(1, 2000)) for _ in range(300)]
+    for s in cases:
+        assert elements(s) == [i for i in range(s.bit_length()) if (s >> i) & 1]
+
+
+def test_predicates_are_proved_once_per_poset(monkeypatch):
+    P = flats_lattice(uniform_matroid(3, 5))
+    table = mobius(P)
+    assert is_balanced(P)
+    assert not flats_axioms_hold(P, from_elements([0]))
+    # with the order data gone, only stored results can answer
+    for name in ("elements", "_index", "_up", "_down", "_upper_covers", "_lower_covers", "_rank"):
+        monkeypatch.setattr(P, name, None)
+    # proved while the lattice was built
+    assert flats_axioms_hold(P, P.top)
+    assert is_one_balanced(P)
+    assert is_semimodular_lattice(P)
+    assert is_interval_connected(P)
+    # proved by the calls above, each keyed by its arguments
+    assert mobius(P) is table
+    assert is_balanced(P)
+    assert not flats_axioms_hold(P, from_elements([0]))
