@@ -4,9 +4,13 @@ Rank, closure and flats are all derived from the basis family by direct
 search, which is exact and fast enough for desk-scale ground sets.  The
 closure of S is one pass over the bases: an element outside S stays out
 of it iff some basis meeting S in rank(S) elements contains it.  The
-basis-exchange axiom is validated exhaustively at construction time,
-pair by pair over precomputed swap masks (for each basis B and x in B,
-the y with B - x + y a basis).
+lattice of flats is searched cover by cover: one scan per flat F keeps the
+bases meeting F in rank(F) elements, each cover cl(F + e) is read off
+those that hold e, and the elements it adds to F are not tried again.
+The basis-exchange axiom is validated exhaustively at construction time
+over int bitsets of basis indices: for each basis B1 and x in B1, the
+bases B2 that hold neither x nor any y with B1 - x + y a basis are one
+mask, and the first violation is reported as a pair-by-pair walk would.
 """
 
 from dataclasses import dataclass
@@ -65,45 +69,60 @@ class Matroid:
             sizes.add(B.bit_count())
         if len(sizes) != 1:
             raise UnequalBasisSizes(f"basis cardinalities differ: {sorted(sizes)}")
+        # holding[y]: the bases that contain y, as a bitset over their
+        # indices in iteration order
         bases = self.bases
-        # swaps[B][x]: every y outside B with B - x + y a basis
-        swaps = {}
-        for B in bases:
-            row = {}
-            outside = subsets.elements(full & ~B)
-            for x in subsets.elements(B):
-                stripped = B & ~(1 << x)
-                mask = 0
+        order = list(bases)
+        everyone = (1 << len(order)) - 1
+        holding = [0] * self.ground.n
+        for i, B in enumerate(order):
+            for y in subsets.elements(B):
+                holding[y] |= 1 << i
+        for B1 in order:
+            outside = subsets.elements(full & ~B1)
+            failing = {}
+            for x in subsets.elements(B1):
+                stripped = B1 & ~(1 << x)
+                ok = holding[x]
                 for y in outside:
                     if stripped | (1 << y) in bases:
-                        mask |= 1 << y
-                row[x] = mask
-            swaps[B] = row
-        for B1 in bases:
-            row = swaps[B1]
-            for B2 in bases:
-                for x, mask in row.items():
-                    if not (B2 >> x) & 1 and not mask & B2:
-                        raise ExchangeAxiomViolation(
-                            "no exchange for element {} between bases "
-                            "{{{}}} and {{{}}}".format(
-                                x,
-                                subsets.format_elements(B1),
-                                subsets.format_elements(B2),
-                            )
-                        )
+                        ok |= holding[y]
+                if ok != everyone:
+                    failing[x] = everyone & ~ok
+            if failing:
+                # the first B2, then the first x, as a walk over pairs meets them
+                low = min(mask & -mask for mask in failing.values())
+                x = next(x for x, mask in failing.items() if mask & low)
+                raise ExchangeAxiomViolation(
+                    "no exchange for element {} between bases "
+                    "{{{}}} and {{{}}}".format(
+                        x,
+                        subsets.format_elements(B1),
+                        subsets.format_elements(order[low.bit_length() - 1]),
+                    )
+                )
 
     def rank(self, S):
         return max((S & B).bit_count() for B in self.bases)
 
+    def _spanning_bases(self, S):
+        """The bases meeting S in rank(S) elements, which are the bases
+        that contain a basis of S, from one pass over the bases."""
+        best, kept = -1, []
+        for B in self.bases:
+            k = (S & B).bit_count()
+            if k > best:
+                best, kept = k, [B]
+            elif k == best:
+                kept.append(B)
+        return kept
+
     def closure(self, S):
         # e outside S escapes the closure iff it lies in a basis B with
         # |B & S| = rank(S)
-        r = self.rank(S)
         escape = 0
-        for B in self.bases:
-            if (S & B).bit_count() == r:
-                escape |= B
+        for B in self._spanning_bases(S):
+            escape |= B
         return S | (self.ground.full_mask & ~escape)
 
     def loops(self):
@@ -222,7 +241,14 @@ class FlatLattice(poset.GradedSubposet):
 
 
 def flats_lattice(M):
-    """All closure-closed sets of M, as a validated FlatLattice."""
+    """All closure-closed sets of M, as a validated FlatLattice.
+
+    The upper covers of a flat F are the cl(F + e), e outside F, and
+    cl(F + e) = cl(F + e') for every e' in cl(F + e) - F, so each cover is
+    closed once.  Of the bases spanning F, found in one scan, those that
+    also hold e are the bases meeting F + e in its rank r(F) + 1, so
+    cl(F + e) is F + e plus everything outside their union.
+    """
     if M._lattice is not None:
         return M._lattice
     bottom = M.closure(0)
@@ -231,8 +257,16 @@ def flats_lattice(M):
     full = M.ground.full_mask
     while frontier:
         F = frontier.pop()
-        for e in subsets.elements(full & ~F):
-            G = M.closure(F | (1 << e))
+        kept = M._spanning_bases(F)
+        untried = full & ~F
+        while untried:
+            bit = untried & -untried
+            escape = 0
+            for B in kept:
+                if B & bit:
+                    escape |= B
+            G = F | bit | (full & ~escape)
+            untried &= ~G
             if G not in found:
                 found.add(G)
                 frontier.append(G)
@@ -250,11 +284,10 @@ def characteristic_polynomial(M):
     lattice = flats_lattice(M)
     table = poset.mobius(lattice)
     top = lattice.top
-    out = UniPoly.zero()
+    coeffs = [0] * (M.rank_total + 1)
     for F in lattice.elements:
-        k = lattice.interval_rank(F, top)
-        out = out + UniPoly.monomial(k, table.mu(lattice.bottom, F))
-    return out
+        coeffs[lattice.interval_rank(F, top)] += table.mu(lattice.bottom, F)
+    return UniPoly(coeffs)
 
 
 def reduced_characteristic_polynomial(M, i):
@@ -275,12 +308,11 @@ def reduced_characteristic_polynomial(M, i):
     lattice = flats_lattice(M)
     table = poset.mobius(lattice)
     top = lattice.top
-    out = UniPoly.zero()
+    coeffs = [0] * M.rank_total
     for F in lattice.elements:
-        if (F >> i) & 1:
-            continue
-        d = lattice.interval_rank(F, top) - 1
-        out = out + UniPoly.monomial(d, table.mu(lattice.bottom, F))
+        if not (F >> i) & 1:
+            coeffs[lattice.interval_rank(F, top) - 1] += table.mu(lattice.bottom, F)
+    out = UniPoly(coeffs)
     chi = characteristic_polynomial(M)
     if UniPoly([-1, 1]) * out != chi:
         raise DivisibilityFailure("(t - 1) * reduced != characteristic")

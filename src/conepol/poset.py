@@ -249,9 +249,10 @@ def weisner_check(P, x, a, y, table=None):
 
 
 def _rank2_pairs(P):
-    for K, L in P.comparable_pairs():
-        if P.interval_rank(K, L) == 2:
-            yield K, L
+    els = P.elements
+    for (i, j), r in P._rank.items():
+        if r == 2:
+            yield els[i], els[j]
 
 
 @_once_per_poset
@@ -287,8 +288,9 @@ def is_one_balanced(P):
 @_once_per_poset
 def is_interval_connected(P):
     """Comparability graph of every open interval with d >= 2 is connected."""
-    for K, L in P.comparable_pairs():
-        if P.interval_rank(K, L) >= 3 and _first_component(P, K, L)[1]:
+    els = P.elements
+    for (i, j), r in P._rank.items():
+        if r >= 3 and _first_component(P, els[i], els[j])[1]:
             return False
     return True
 

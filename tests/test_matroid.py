@@ -214,7 +214,11 @@ def closure_cases():
         for _ in range(12)
     ]
     loopy = graphic_matroid([(0, 1), (1, 2), (0, 2), (2, 2), (1, 1)])
-    return [fano(), uniform_matroid(3, 5), graphic_matroid(K4_EDGES), loopy] + binary
+    multigraph = graphic_matroid(
+        [(0, 1), (0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (2, 3), (1, 3)]
+    )
+    named = [fano(), uniform_matroid(3, 5), graphic_matroid(K4_EDGES), loopy]
+    return named + binary + [multigraph]
 
 
 def test_closure_matches_frozenset_oracle():
@@ -227,6 +231,54 @@ def test_closure_matches_frozenset_oracle():
             assert elements(closure(M, S)) == sorted(expected), (M, S)
     loopy = cases[3]
     assert loopy.closure(0) == from_elements([3, 4]) == loopy.loops()
+
+
+def test_flats_lattice_matches_frozenset_oracles():
+    cases = closure_cases()
+    loopless = 0
+    for M in cases:
+        universe = frozenset(range(M.ground.n))
+        bases = [frozenset(elements(B)) for B in M.bases]
+        L = flats_lattice(M)
+        flats = {frozenset(elements(F)) for F in L.elements}
+        assert flats == oracles.all_flats(universe, bases), M
+        for F in L.elements:
+            expected = {
+                oracles.closure_of(universe, bases, set(elements(F)) | {e})
+                for e in universe - set(elements(F))
+            }
+            covers = [frozenset(elements(G)) for G in L.upper_covers(F)]
+            assert len(covers) == len(expected) and set(covers) == expected, (M, F)
+        if not M.is_loopless():
+            continue
+        loopless += 1
+        chi = characteristic_polynomial(M)
+        assert list(chi.coeffs) == oracles.charpoly_coeffs_ascending(universe, bases)
+        reduced = oracles.reduced_coeffs_ascending(universe, bases)
+        for i in range(M.ground.n):
+            assert list(reduced_characteristic_polynomial(M, i).coeffs) == reduced
+    assert loopless == len(cases) - 1
+
+
+def test_flats_search_closes_each_cover_once(monkeypatch):
+    """Building a lattice of flats closes only the bottom flat and asks for
+    no rank: every cover comes from one basis scan of the flat below it."""
+    calls = {"rank": 0, "closure": 0}
+    for name in calls:
+        original = getattr(Matroid, name)
+
+        def counted(self, S, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, S)
+
+        monkeypatch.setattr(Matroid, name, counted)
+    cases = [graphic_matroid(list(combinations(range(5), 2)))] + closure_cases()[4:16]
+    assert len(cases) == 13
+    for M in cases:
+        calls.update(rank=0, closure=0)
+        flats_lattice(M)
+        assert calls == {"rank": 0, "closure": 1}, M
+    assert len(flats_lattice(cases[0])) == 52  # partitions of a 5-set
 
 
 def random_equal_size_family(rng):
@@ -249,11 +301,54 @@ def random_equal_size_family(rng):
     return n, frozenset(family)
 
 
+def exchange_violations(bases, B1):
+    """{B2: every x in B1 - B2 with no exchange into B2}, by brute force."""
+    out = {}
+    for B2 in bases:
+        xs = [
+            x for x in elements(B1 & ~B2)
+            if not any((B1 & ~(1 << x)) | (1 << y) in bases for y in elements(B2 & ~B1))
+        ]
+        if xs:
+            out[B2] = xs
+    return out
+
+
+def uniform_minus_some_bases(rng):
+    """r-subsets of an n-set (more than 64 of them) minus one to four; a
+    second dropped set one swap away from the first breaks the exchange
+    axiom, otherwise the family may still be a matroid."""
+    r, n = rng.choice([(4, 9), (5, 10), (3, 11)])
+    pool = [from_elements(c) for c in combinations(range(n), r)]
+    first = rng.choice(pool)
+    dropped = {first}
+    if rng.random() < 0.5:
+        inside, outside = elements(first), elements(((1 << n) - 1) & ~first)
+        dropped.add(first & ~(1 << rng.choice(inside)) | (1 << rng.choice(outside)))
+    while len(dropped) < rng.randint(1, 4):
+        dropped.add(rng.choice(pool))
+    return n, frozenset(B for B in pool if B not in dropped)
+
+
+def sparse_family(rng):
+    """A few r-subsets, far from a matroid: pairs of bases often differ in
+    several elements that have no exchange."""
+    n = rng.randint(4, 7)
+    r = rng.randint(2, n - 2)
+    pool = [from_elements(c) for c in combinations(range(n), r)]
+    return n, frozenset(rng.sample(pool, rng.randint(2, 5)))
+
+
 def test_exchange_violation_names_oracle_witness():
+    """The first B1 in iteration order, then its first violating B2, then
+    the smallest x: pinned on families with several violating B2 for that
+    B1, several x for that B2, and bitsets of more than 64 bases."""
     rng = random.Random(5150)
-    violations = valid = 0
-    for _ in range(400):
-        n, bases = random_equal_size_family(rng)
+    families = [random_equal_size_family(rng) for _ in range(400)]
+    families += [sparse_family(rng) for _ in range(100)]
+    families += [uniform_minus_some_bases(rng) for _ in range(40)]
+    violations = valid = several_b2 = several_x = wide = high_b2 = 0
+    for n, bases in families:
         witness = oracles.first_exchange_violation(bases)
         if witness is None:
             assert Matroid(GroundSet(n), bases).bases == bases
@@ -261,6 +356,12 @@ def test_exchange_violation_names_oracle_witness():
             continue
         violations += 1
         x, B1, B2 = witness
+        found = exchange_violations(bases, B1)
+        assert next(iter(found)) == B2 and found[B2][0] == x
+        several_b2 += len(found) >= 2
+        several_x += len(found[B2]) >= 2
+        wide += len(bases) > 64
+        high_b2 += list(bases).index(B2) >= 64
         with pytest.raises(ExchangeAxiomViolation) as exc:
             Matroid(GroundSet(n), bases)
         assert str(exc.value) == (
@@ -268,3 +369,5 @@ def test_exchange_violation_names_oracle_witness():
             f"{{{format_elements(B1)}}} and {{{format_elements(B2)}}}"
         )
     assert violations >= 30 and valid >= 30, (violations, valid)
+    assert several_b2 >= 30 and several_x >= 30, (several_b2, several_x)
+    assert wide >= 20 and high_b2 >= 3, (wide, high_b2)
