@@ -3,9 +3,12 @@
 The ring on generators x_F (one per middle element) is cut by two families
 of relations: products of incomparable generators vanish, and for any two
 elements i, j of L \\ K the sums of generators containing i and containing
-j agree.  Each graded piece is handled as exact sparse integer elimination
-over the monomials supported on chains; monomials touching an incomparable
-pair are pruned up front since they are already zero.
+j agree.  Monomials off the chains are already zero, so only multichains
+are listed: a monomial is the nondecreasing tuple of its flats' positions
+in the open interval, and degree k extends each degree-(k-1) tuple by the
+flats above its last entry, read off the poset's order table.  Each graded
+piece is handled as exact sparse integer elimination over those columns,
+with one linear relation per element of L \\ K other than the first.
 
 The top graded piece must be one dimensional, with all maximal-chain
 monomials in the same nonzero class; the induced functional normalizes
@@ -14,15 +17,17 @@ them to 1 and generates the volume polynomial.
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from . import subsets
 from .errors import (
+    DimensionMismatch,
     FlagInconsistency,
+    InvalidParams,
     NotAnInterval,
     SizeLimitExceeded,
     TopDegreeNotOneDimensional,
+    UnknownVariable,
     WrongDegree,
 )
 from .intervalpoly import interval_polynomial
@@ -84,16 +89,21 @@ def _kernel_basis(echelon, ncols):
 
 
 class ChowRing:
-    """Graded data of the quotient ring of one interval."""
+    """Graded data of the quotient ring of one interval.
+
+    A monomial is the nondecreasing tuple of its flats' positions in
+    `flats`; `monomials[k]` lists the degree-k chain monomials in lex order.
+    """
 
     def __init__(self, P, K, L):
         d = P.interval_degree(K, L)
         if d < 0:
             raise NotAnInterval("need K <= L in the poset")
-        flats = tuple(P.open_interval(K, L))
-        if len(flats) > MAX_OPEN_FLATS:
+        mask = P._open_mask(K, L)
+        index = subsets.elements(mask)
+        if len(index) > MAX_OPEN_FLATS:
             raise SizeLimitExceeded(
-                f"{len(flats)} open flats exceeds the cap of {MAX_OPEN_FLATS}"
+                f"{len(index)} open flats exceeds the cap of {MAX_OPEN_FLATS}"
             )
         if d > MAX_DEGREE:
             raise SizeLimitExceeded(f"degree {d} exceeds the cap of {MAX_DEGREE}")
@@ -101,76 +111,64 @@ class ChowRing:
         self.K = K
         self.L = L
         self.degree = d
-        self.flats = flats
-        self._comparable = {
-            (i, j): subsets.comparable(flats[i], flats[j])
-            for i in range(len(flats))
-            for j in range(len(flats))
-        }
-        self.monomials = [self._chain_monomials(k) for k in range(d + 1)]
+        self.flats = tuple(P.elements[i] for i in index)
+        self._position = {F: p for p, F in enumerate(self.flats)}
+        # the poset's order table restricted to the open interval, as
+        # bitsets over positions: flats above flat p, and flats comparable
+        # with it, p included in both
+        bit = {i: 1 << p for p, i in enumerate(index)}
+
+        def positions(poset_bits):
+            return sum(bit[j] for j in subsets.elements(poset_bits & mask))
+
+        self._above = [positions(P._up[i]) for i in index]
+        self._comparable = [positions(P._up[i] | P._down[i]) for i in index]
+        self.monomials = [[()]]
+        for _ in range(d):
+            self.monomials.append(self._extend(self.monomials[-1]))
         echelons = [_echelon(self._relation_rows(k)) for k in range(d + 1)]
         self.graded_dims = [len(m) - len(e) for m, e in zip(self.monomials, echelons)]
         self._top_functional = self._build_top_functional(echelons[d])
 
     # -- monomials -------------------------------------------------------------
 
-    def _chain_monomials(self, k):
-        """Exponent tuples of degree k whose support is a chain of flats."""
-        n = len(self.flats)
-        if k == 0:
-            return [tuple([0] * n)]
-        out = []
-        for combo in combinations_with_replacement(range(n), k):
-            distinct = sorted(set(combo))
-            ok = all(
-                self._comparable[(a, b)]
-                for idx, a in enumerate(distinct)
-                for b in distinct[idx + 1:]
-            )
-            if not ok:
-                continue
-            exps = [0] * n
-            for i in combo:
-                exps[i] += 1
-            out.append(tuple(exps))
-        return out
-
-    def _is_chain_exponents(self, exps):
-        support = [i for i, e in enumerate(exps) if e]
-        return all(
-            self._comparable[(a, b)]
-            for idx, a in enumerate(support)
-            for b in support[idx + 1:]
-        )
+    def _extend(self, monomials):
+        """Chain monomials one degree up, in lex order: each key extended by
+        the positions above its last entry, ascending.  Canonical order puts
+        a flat before the flats containing it, so keys walk up multichains."""
+        everything = (1 << len(self.flats)) - 1
+        return [
+            m + (q,)
+            for m in monomials
+            for q in subsets.elements(self._above[m[-1]] if m else everything)
+        ]
 
     # -- relations ---------------------------------------------------------------
-
-    def _linear_form_pairs(self):
-        """Element pairs (i, j) of L \\ K indexing the linear relations."""
-        els = subsets.elements(self.L & ~self.K)
-        return [(a, b) for idx, a in enumerate(els) for b in els[idx + 1:]]
 
     def _relation_rows(self, k):
         """Images in degree k of monomial times linear relation, as sparse
         {column: coefficient} rows over the chain monomials (the others are
-        already zero).  Coefficients lie in {-1, 1}."""
+        already zero).  The linear relations pair the first element a of
+        L \\ K with each other element j; the relation of any pair i, j is
+        the difference of two of these.  Coefficients lie in {-1, 1}."""
         if k == 0:
             return []
-        index = {m: pos for pos, m in enumerate(self.monomials[k])}
-        pairs = self._linear_form_pairs()
+        column = {m: c for c, m in enumerate(self.monomials[k])}
+        first, *others = subsets.elements(self.L & ~self.K)
+        everything = (1 << len(self.flats)) - 1
         rows = []
         for m in self.monomials[k - 1]:
-            support = [i for i, e in enumerate(m) if e]
-            bumps = []
-            for pos, F in enumerate(self.flats):
-                if all(self._comparable[(pos, s)] for s in support):
-                    bumped = list(m)
-                    bumped[pos] += 1
-                    bumps.append((F, index[tuple(bumped)]))
-            for i, j in pairs:
+            bumpable = everything
+            for p in m:
+                bumpable &= self._comparable[p]
+            bumps = [
+                (self.flats[q], column[tuple(sorted(m + (q,)))])
+                for q in subsets.elements(bumpable)
+            ]
+            for j in others:
                 row = {}
                 for F, col in bumps:
-                    bit = ((F >> i) & 1) - ((F >> j) & 1)
+                    bit = ((F >> first) & 1) - ((F >> j) & 1)
                     if bit:
                         row[col] = bit
                 if row:
@@ -188,13 +186,10 @@ class ChowRing:
                 f"top graded piece has dimension {len(kernel)}"
             )
         phi = dict(zip(top, kernel[0]))
-        flag_values = set()
-        for chain in self.poset.maximal_chains(self.K, self.L):
-            middle = chain[1:-1]
-            exps = [0] * len(self.flats)
-            for F in middle:
-                exps[self.flats.index(F)] += 1
-            flag_values.add(phi[tuple(exps)])
+        flag_values = {
+            phi[tuple(self._position[F] for F in chain[1:-1])]
+            for chain in self.poset.maximal_chains(self.K, self.L)
+        }
         if len(flag_values) != 1:
             raise FlagInconsistency("maximal-chain monomials land in different classes")
         scale = flag_values.pop()
@@ -205,23 +200,26 @@ class ChowRing:
     # -- public surface ----------------------------------------------------------------
 
     def degree_map(self, monomial):
-        """Normalized top-degree functional; incomparable supports give 0."""
-        exps = self._as_exponents(monomial)
-        if sum(exps) != self.degree:
-            raise WrongDegree(
-                f"monomial degree {sum(exps)} != ring top degree {self.degree}"
-            )
-        if not self._is_chain_exponents(exps):
-            return Fraction(0)
-        return self._top_functional[exps]
-
-    def _as_exponents(self, monomial):
+        """Normalized top-degree functional on {flat: exponent} or on a dense
+        exponent tuple over `flats`; monomials off the chains give 0."""
         if isinstance(monomial, dict):
-            exps = [0] * len(self.flats)
-            for F, e in monomial.items():
-                exps[self.flats.index(F)] += e
-            return tuple(exps)
-        return tuple(monomial)
+            unknown = [F for F in monomial if F not in self._position]
+            if unknown:
+                raise UnknownVariable(f"{unknown[0]!r} not among the ring's flats")
+            exps = {self._position[F]: e for F, e in monomial.items()}
+        elif len(monomial) == len(self.flats):
+            exps = dict(enumerate(monomial))
+        else:
+            raise DimensionMismatch(
+                f"{len(monomial)} exponents for {len(self.flats)} flats"
+            )
+        if any(e < 0 for e in exps.values()):
+            raise InvalidParams("monomial has a negative exponent")
+        total = sum(exps.values())
+        if total != self.degree:
+            raise WrongDegree(f"monomial degree {total} != ring top degree {self.degree}")
+        key = tuple(p for p in sorted(exps) for _ in range(exps[p]))
+        return self._top_functional.get(key, Fraction(0))
 
     def volume_polynomial(self):
         """(1/d!) deg((sum_F x_F t_F)^d) expanded termwise by multinomials."""
@@ -229,14 +227,14 @@ class ChowRing:
         if d == 0:
             return MultiPoly.constant((), 1)
         terms = {}
-        for exps in self.monomials[d]:
-            value = self._top_functional[exps]
+        for key in self.monomials[d]:
+            value = self._top_functional[key]
             if value == 0:
                 continue
-            weight = Fraction(1)
-            for e in exps:
-                weight /= factorial(e)
-            terms[exps] = value * weight
+            exps = [0] * len(self.flats)
+            for p in key:
+                exps[p] += 1
+            terms[tuple(exps)] = value / prod(factorial(e) for e in exps)
         return MultiPoly(self.flats, terms, degree=d)
 
 
@@ -297,13 +295,9 @@ def tensor_degree_check(P, K, F, L, samples=20, seed=0):
     for _ in range(samples):
         xi = random_exponents(low, low.degree)
         eta = random_exponents(high, high.degree)
-        combined = [0] * len(big.flats)
-        for pos, e in zip(low.flats, xi):
-            combined[big.flats.index(pos)] += e
-        for pos, e in zip(high.flats, eta):
-            combined[big.flats.index(pos)] += e
-        combined[big.flats.index(F)] += 1
-        lhs = big.degree_map(tuple(combined))
+        # the open intervals below and above F are disjoint and miss F
+        combined = {F: 1, **dict(zip(low.flats, xi)), **dict(zip(high.flats, eta))}
+        lhs = big.degree_map(combined)
         rhs = low.degree_map(xi) * high.degree_map(eta)
         if lhs != rhs:
             return False

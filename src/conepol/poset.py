@@ -362,50 +362,41 @@ def is_semimodular_lattice(P):
     return True
 
 
+def _flats_axioms(P, mask, top):
+    """Flats axioms on the elements whose indices are the set bits of
+    `mask`, relative to `top`: top is one of them, they are closed under
+    intersection, and for each of them, F, the gains of its upper covers
+    inside the mask partition top minus F."""
+    members = P._members(mask)
+    inside = set(members)
+    if top not in inside:
+        return False
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if (a & b) not in inside:
+                return False
+    els = P.elements
+    for i in subsets.elements(mask):
+        F = els[i]
+        seen = 0
+        for j in P._upper_covers[i]:
+            if (mask >> j) & 1:
+                gain = els[j] & ~F
+                if gain & seen:
+                    return False
+                seen |= gain
+        if seen != top & ~F:
+            return False
+    return True
+
+
 @_once_per_poset
 def flats_axioms_hold(P, ground):
     """The three closure axioms: ground membership, intersection closure,
     and cover gains partitioning the complement of each element."""
-    if ground not in P:
-        return False
-    els = P.elements
-    for i, a in enumerate(els):
-        for b in els[i + 1:]:
-            if (a & b) not in P:
-                return False
-    for K in els:
-        seen = 0
-        for A in P.upper_covers(K):
-            gain = A & ~K
-            if gain & seen:
-                return False
-            seen |= gain
-        if seen != ground & ~K:
-            return False
-    return True
+    return _flats_axioms(P, (1 << len(P)) - 1, ground)
 
 
 def interval_flats_axioms_hold(P, K, L):
     """Flats axioms for the closed interval [K, L] relative to its endpoints."""
-    inside = P.interval(K, L)
-    inside_set = set(inside)
-    if L not in inside_set:
-        return False
-    for i, a in enumerate(inside):
-        for b in inside[i + 1:]:
-            if (a & b) not in inside_set:
-                return False
-    for F in inside:
-        if F == L:
-            continue
-        seen = 0
-        for A in P.upper_covers(F):
-            if A not in inside_set:
-                continue
-            gain = A & ~F
-            if gain & seen:
-                return False
-            seen |= gain
-        if seen != L & ~F:
-            return False
-    return True
+    return _flats_axioms(P, P._interval_mask(K, L), L)

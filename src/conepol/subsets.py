@@ -51,10 +51,6 @@ def is_proper_subset(a, b):
     return a != b and a & ~b == 0
 
 
-def comparable(a, b):
-    return a & ~b == 0 or b & ~a == 0
-
-
 def sort_key(s):
     """Canonical order: cardinality first, then lexicographic element lists."""
     return (s.bit_count(), tuple(elements(s)))

@@ -6,7 +6,7 @@ the polynomial oracles at the end are the one exception, see there.
 """
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, combinations_with_replacement
 
 
 def powerset(universe):
@@ -300,6 +300,34 @@ def semimodular_lattice(P):
     return True
 
 
+def flats_axioms_failure(P, inside, top):
+    """First flats axiom that the elements `inside` of P (a list) break
+    relative to `top`, or None: "missing top", then "intersection not
+    closed" over every pair, then "covers not partitioning" when the gains
+    of some F's upper covers in `inside` overlap or miss part of top - F.
+    The earlier pairwise check behind both `flats_axioms_hold` (with all of
+    P) and `interval_flats_axioms_hold` (with [K, L] and top L)."""
+    inside_set = set(inside)
+    if top not in inside_set:
+        return "missing top"
+    for i, a in enumerate(inside):
+        for b in inside[i + 1:]:
+            if (a & b) not in inside_set:
+                return "intersection not closed"
+    for F in inside:
+        seen = 0
+        for A in P.upper_covers(F):
+            if A not in inside_set:
+                continue
+            gain = A & ~F
+            if gain & seen:
+                return "covers not partitioning"
+            seen |= gain
+        if seen != top & ~F:
+            return "covers not partitioning"
+    return None
+
+
 def is_lattice(P):
     """Every pair has a greatest common lower and a least common upper
     bound, by exhaustive search."""
@@ -388,6 +416,51 @@ def first_exchange_violation(bases):
                 if not any((S1 - {x}) | {y} in family for y in S2 - S1):
                     return x, B1, B2
     return None
+
+
+def chain_exponents(flats, k):
+    """Exponent tuples of degree k over `flats` (int bitsets) whose support
+    is a chain, by filtering every multiset of k flats in the order
+    combinations_with_replacement gives them."""
+    n = len(flats)
+    out = []
+    for combo in combinations_with_replacement(range(n), k):
+        support = sorted(set(combo))
+        if all(flats[a] & ~flats[b] == 0 or flats[b] & ~flats[a] == 0
+               for x, a in enumerate(support) for b in support[x + 1:]):
+            exps = [0] * n
+            for i in combo:
+                exps[i] += 1
+            out.append(tuple(exps))
+    return out
+
+
+def pairwise_relation_rows(flats, ground, below, above):
+    """Rows {column: coefficient} of m * (sum of x_F over F holding i minus
+    sum of x_F over F holding j) for every m in `below` and every pair
+    i < j of the elements of the bitset `ground`, keeping only the bumps of
+    m whose support stays a chain; columns index `above`.  Both lists hold
+    exponent tuples over `flats`."""
+    column = {m: c for c, m in enumerate(above)}
+    els = [e for e in range(ground.bit_length()) if (ground >> e) & 1]
+    rows = []
+    for m in below:
+        bumps = []
+        for pos in range(len(flats)):
+            bumped = list(m)
+            bumped[pos] += 1
+            if tuple(bumped) in column:
+                bumps.append((flats[pos], column[tuple(bumped)]))
+        for x, i in enumerate(els):
+            for j in els[x + 1:]:
+                row = {}
+                for F, col in bumps:
+                    bit = ((F >> i) & 1) - ((F >> j) & 1)
+                    if bit:
+                        row[col] = bit
+                if row:
+                    rows.append(row)
+    return rows
 
 
 # The polynomial oracles below are the package's earlier term-at-a-time

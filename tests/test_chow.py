@@ -16,7 +16,13 @@ from conepol import (
     verify_vol_eq_pol,
     volume_polynomial,
 )
-from conepol.errors import SizeLimitExceeded, WrongDegree
+from conepol.errors import (
+    DimensionMismatch,
+    InvalidParams,
+    SizeLimitExceeded,
+    UnknownVariable,
+    WrongDegree,
+)
 
 
 def test_u23_degree_one_quotient_is_a_line(lattices):
@@ -133,3 +139,38 @@ def test_size_guard():
     L = flats_lattice(M)
     with pytest.raises(SizeLimitExceeded):
         build_chow(L, L.bottom, L.top)
+
+
+def u33_ring(lattices):
+    L = lattices["u33"]
+    return L, build_chow(L, L.bottom, L.top)
+
+
+def test_degree_map_rejects_a_flat_outside_the_ring(lattices):
+    L, ring = u33_ring(lattices)
+    for F in (L.bottom, L.top, ring.flats[0] | 1 << 5):
+        with pytest.raises(UnknownVariable):
+            degree_map(ring, {F: 1, ring.flats[0]: 1})
+
+
+def test_degree_map_rejects_a_tuple_of_the_wrong_length(lattices):
+    _, ring = u33_ring(lattices)
+    assert len(ring.flats) == 6
+    for exps in ((1, 1), (1, 0, 0, 1), (0, 0, 0, 1, 0, 0, 1)):
+        with pytest.raises(DimensionMismatch):
+            degree_map(ring, exps)
+
+
+def test_degree_map_rejects_a_negative_exponent(lattices):
+    _, ring = u33_ring(lattices)
+    a, b = ring.flats[0], ring.flats[3]
+    for mono in ({a: -1, b: 3}, (3, 0, 0, -1, 0, 0)):
+        with pytest.raises(InvalidParams):
+            degree_map(ring, mono)
+
+
+def test_degree_map_rejects_a_dense_tuple_of_the_wrong_degree(lattices):
+    _, ring = u33_ring(lattices)
+    for exps in ((0,) * 6, (1, 0, 0, 0, 0, 0), (1, 0, 0, 2, 0, 0)):
+        with pytest.raises(WrongDegree):
+            degree_map(ring, exps)

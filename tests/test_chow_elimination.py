@@ -1,13 +1,15 @@
 """The sparse fraction-free elimination of the quotient ring against the
 dense Fraction row reduction in tests/oracles.py."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conepol import flats_lattice, graphic_matroid, subsets, uniform_matroid
-from conepol.chow import ChowRing, _echelon, _kernel_basis
+import oracles
+from conepol import chow, flats_lattice, graphic_matroid, subsets, uniform_matroid
+from conepol.chow import ChowRing, _echelon, _kernel_basis, vol_pol_mismatch_witness
 
 from oracles import kernel_basis, rref
 
@@ -116,3 +118,97 @@ def test_full_rank(seed):
     assert_matches_oracle(sparse(rows), n)
     # a duplicated row and a zero row leave the rank at n
     assert_matches_oracle(sparse(rows + [rows[0], [0] * n]), n)
+
+
+def uncap(monkeypatch):
+    monkeypatch.setattr(chow, "MAX_OPEN_FLATS", math.inf)
+    monkeypatch.setattr(chow, "MAX_DEGREE", math.inf)
+
+
+K5_EDGES = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+
+# full intervals past the quotient-ring caps, with their graded dimensions
+UNCAPPED = {
+    "k5": (lambda: full(flats_lattice(graphic_matroid(K5_EDGES))), [1, 41, 41, 1]),
+    "u45": (lambda: full(flats_lattice(uniform_matroid(4, 5))), [1, 21, 21, 1]),
+}
+
+
+def exponents(ring, key):
+    exps = [0] * len(ring.flats)
+    for p in key:
+        exps[p] += 1
+    return tuple(exps)
+
+
+def rows_against_pairwise_oracle(ring):
+    """Asserts that the multichain walk lists the chain monomials of the
+    multiset filter, in the same order, and returns per degree the ring's
+    relation rows and the all-pairs rows over the same columns."""
+    ground = ring.L & ~ring.K
+    new, old = [], []
+    for k, keys in enumerate(ring.monomials):
+        want = oracles.chain_exponents(ring.flats, k)
+        assert [exponents(ring, m) for m in keys] == want
+        new.append(ring._relation_rows(k))
+        old.append(
+            oracles.pairwise_relation_rows(ring.flats, ground, below, want) if k else []
+        )
+        below = want
+    return new, old
+
+
+def top_values(ring):
+    return [ring.degree_map(exponents(ring, m)) for m in ring.monomials[ring.degree]]
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_multichains_and_relations_match_pairwise_oracle(lattices, name):
+    ring = ChowRing(*RINGS[name](lattices))
+    new, old = rows_against_pairwise_oracle(ring)
+    for k, monomials in enumerate(ring.monomials):
+        n = len(monomials)
+        rank = rref(dense(new[k], n))[0]
+        assert rref(dense(old[k], n))[0] == rank
+        assert rref(dense(new[k] + old[k], n))[0] == rank
+        assert ring.graded_dims[k] == n - rank
+    # the kernel of the all-pairs rows, scaled to 1 on a flag monomial
+    n = len(ring.monomials[-1])
+    (vector,) = kernel_basis(dense(old[-1], n), n)
+    chain = ring.poset.maximal_chains(ring.K, ring.L)[0]
+    flag = ring.monomials[-1].index(tuple(ring.flats.index(F) for F in chain[1:-1]))
+    assert top_values(ring) == [v / vector[flag] for v in vector]
+
+
+@pytest.mark.parametrize("name", sorted(UNCAPPED))
+def test_uncapped_rings_match_pairwise_oracle(monkeypatch, name):
+    """Dense reduction of the top degree of M(K5) takes minutes, so the
+    ranks here come from the sparse elimination, which the tests above
+    check against the dense one."""
+    uncap(monkeypatch)
+    ring = ChowRing(*UNCAPPED[name][0]())
+    new, old = rows_against_pairwise_oracle(ring)
+    for k in range(ring.degree + 1):
+        rank = len(_echelon(new[k]))
+        assert len(_echelon(old[k])) == rank
+        assert len(_echelon(new[k] + old[k])) == rank
+    # every all-pairs row vanishes on the ring's top functional
+    values = top_values(ring)
+    assert ring.graded_dims[-1] == 1 and any(values)
+    for row in old[-1]:
+        assert sum(v * values[c] for c, v in row.items()) == 0
+
+
+@pytest.mark.parametrize("name", sorted(UNCAPPED))
+def test_ring_identities_past_the_caps(monkeypatch, name):
+    uncap(monkeypatch)
+    build, dims = UNCAPPED[name]
+    P, K, L = build()
+    ring = ChowRing(P, K, L)
+    assert ring.graded_dims == dims
+    # Poincare duality
+    assert ring.graded_dims == ring.graded_dims[::-1]
+    # A^1 is spanned by the open flats modulo one relation per atom but one
+    atoms = P.upper_covers(K)
+    assert ring.graded_dims[1] == len(ring.flats) - (len(atoms) - 1)
+    assert vol_pol_mismatch_witness(ring) is None

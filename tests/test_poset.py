@@ -366,3 +366,34 @@ def test_predicates_are_proved_once_per_poset(monkeypatch):
     assert mobius(P) is table
     assert is_balanced(P)
     assert not flats_axioms_hold(P, from_elements([0]))
+
+
+def test_flats_axioms_match_pairwise_oracle(lattices):
+    rng = random.Random(20261021)
+    seen = {"whole": {}, "interval": {}}
+
+    def check(kind, got, failure):
+        assert got == (failure is None)
+        seen[kind][failure] = seen[kind].get(failure, 0) + 1
+
+    for P in random_graded_subposets(rng, 1000):
+        els = list(P.elements)
+        full = (1 << P.n) - 1
+        for ground in {full, *els[-1:], *rng.sample(els, min(1, len(els)))}:
+            check("whole", flats_axioms_hold(P, ground),
+                  oracles.flats_axioms_failure(P, els, ground))
+        for K, L in [(K, K) for K in els] + P.comparable_pairs():
+            check("interval", interval_flats_axioms_hold(P, K, L),
+                  oracles.flats_axioms_failure(P, P.interval(K, L), L))
+    for P in lattices.values():
+        assert flats_axioms_hold(P, P.top)
+        for K, L in P.comparable_pairs():
+            assert interval_flats_axioms_hold(P, K, L)
+            assert oracles.flats_axioms_failure(P, P.interval(K, L), L) is None
+    floors = {
+        "whole": ("missing top", "intersection not closed", "covers not partitioning",
+                  None),
+        "interval": ("intersection not closed", "covers not partitioning", None),
+    }
+    for kind, failures in floors.items():
+        assert min(seen[kind].get(f, 0) for f in failures) >= 50, seen
