@@ -19,6 +19,7 @@ from .errors import (
     MalformedInput,
     MissingCoordinate,
     NotInCone,
+    SizeLimitExceeded,
     TrivialInterval,
 )
 
@@ -33,7 +34,7 @@ class IntervalCoords:
             raise InvalidParams("interval needs K strictly inside L")
         span = (L & ~K).bit_count()
         if span > MAX_INTERVAL_SPAN:
-            raise InvalidParams(
+            raise SizeLimitExceeded(
                 f"interval span {span} exceeds the cap of {MAX_INTERVAL_SPAN}"
             )
         self.K = K

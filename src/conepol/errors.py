@@ -132,10 +132,6 @@ class DirectionNotInCone(ConepolError):
     pass
 
 
-class CertificationFailure(ConepolError):
-    pass
-
-
 class UnsupportedSupport(ConepolError):
     pass
 

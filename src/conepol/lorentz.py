@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import cone, poset, subsets
 from .errors import (
@@ -34,30 +34,17 @@ from .multipoly import (
     SymMatrix,
     _coordinate,
     dir_derivative,
-    gradient_at,
-    hessian_at,
     hessian_of_quadratic,
     partial,
 )
 
 
-class InertiaTriple(tuple):
+class InertiaTriple(NamedTuple):
     """Counts (n_plus, n_zero, n_minus) of eigenvalue signs."""
 
-    def __new__(cls, n_plus, n_zero, n_minus):
-        return super().__new__(cls, (n_plus, n_zero, n_minus))
-
-    @property
-    def n_plus(self):
-        return self[0]
-
-    @property
-    def n_zero(self):
-        return self[1]
-
-    @property
-    def n_minus(self):
-        return self[2]
+    n_plus: int
+    n_zero: int
+    n_minus: int
 
 
 def inertia(A):
@@ -217,25 +204,36 @@ class LorentzianCertificate:
         }
 
 
+def _contracted(f, directions):
+    """The Hessian H of f contracted along directions[2:], and the full
+    contraction v1^T H v2 of f along all of them.
+
+    Every Lorentzian check reads this one quadratic form.  The full
+    contraction is symmetric in the directions, so any d - 2 of them may be
+    put last to get the Hessian contracted along those.
+    """
+    g = f
+    for v in directions[2:]:
+        g = dir_derivative(g, v)
+    H = hessian_of_quadratic(g)
+    v1, v2 = ([_coordinate(v, var) for var in f.vars] for v in directions[:2])
+    value = sum(
+        (x * sum(h * y for h, y in zip(row, v2) if h) for x, row in zip(v1, H.rows)),
+        Fraction(0),
+    )
+    return H, value
+
+
 def _tuple_result(f, directions):
     """Positivity of the full contraction, and when deg >= 2 the inertia of
-    the Hessian H after contracting along all but the first two directions;
-    the full contraction is then read off that Hessian as v1^T H v2."""
+    the Hessian after contracting along all but the first two directions."""
     d = f.degree
     if len(directions) != d:
         raise DimensionMismatch(f"need {d} directions, got {len(directions)}")
     if d < 2:
         value = full_contraction(f, directions)
         return value, None, value > 0
-    g = f
-    for v in directions[2:]:
-        g = dir_derivative(g, v)
-    H = hessian_of_quadratic(g)
-    v1, v2 = ([_coordinate(v, var) for var in g.vars] for v in directions[:2])
-    value = sum(
-        (x * sum(h * y for h, y in zip(row, v2) if h) for x, row in zip(v1, H.rows)),
-        Fraction(0),
-    )
+    H, value = _contracted(f, directions)
     result_inertia = inertia(H)
     return value, result_inertia, value > 0 and result_inertia.n_plus == 1
 
@@ -301,23 +299,17 @@ def is_lorentzian_orthant(f):
     if any(c < 0 for c in f.terms.values()):
         return False
     d = f.degree
-    n = len(f.vars)
     if d >= 2:
-        for combo in combinations_with_replacement(range(n), d - 2):
-            g = f
-            for idx in combo:
-                g = partial(g, f.vars[idx])
-            if g.is_zero():
-                continue
-            if inertia(hessian_of_quadratic(g)).n_plus > 1:
+        # a partial derivative is a contraction along a unit vector; the
+        # first two directions only enter the unused full contraction
+        units = [{v: int(v == w) for v in f.vars} for w in f.vars]
+        for combo in combinations_with_replacement(units, d - 2):
+            H, _ = _contracted(f, (units[0], units[0]) + combo)
+            if inertia(H).n_plus > 1:
                 return False
-    full_support = {
-        tuple(
-            sum(1 for c in combo if c == i) for i in range(n)
-        )
-        for combo in combinations_with_replacement(range(n), d)
-    }
-    if set(f.terms) != full_support:
+    # the keys are distinct points of the simplex, so they fill it iff there
+    # are C(n + d - 1, d) of them; a nonzero constant always does
+    if d and len(f.terms) != math.comb(len(f.vars) + d - 1, d):
         raise UnsupportedSupport(
             "support is not the full degree simplex; cannot decide"
         )
@@ -327,34 +319,30 @@ def is_lorentzian_orthant(f):
 def product_check(f, g, sample_tuples):
     """The product passes the same sampled contraction and inertia checks."""
     h = f * g
-    if h.is_zero():
-        return True
-    for tup in sample_tuples:
-        _, _, ok = _tuple_result(h, tup)
-        if not ok:
-            return False
-    return True
+    return h.is_zero() or all(_tuple_result(h, tup)[2] for tup in sample_tuples)
 
 
 def hessian_one_positive_equivalence(g, point):
     """At a point where g is positive: the Hessian having exactly one
     positive eigenvalue must coincide with negative semidefiniteness of
-    d*g*H - (d-1)*grad*grad^T.  Returns whether the two sides agree."""
+    d*g*H - (d-1)*grad*grad^T.  Returns whether the two sides agree.
+
+    With Q contracted along p = point d - 2 times, Euler's identity gives
+    Q = (d-2)! H, Q p = (d-1)! grad and p^T Q p = d! g, so that matrix is a
+    positive multiple of (p^T Q p) Q - (Q p)(Q p)^T and has its inertia.
+    Below degree 2 the Hessian is zero, so the sides disagree.
+    """
     value = g.evaluate(point)
     if value <= 0:
         raise NonpositiveValue(f"g(point) = {value} is not positive")
     d = g.degree
-    H = hessian_at(g, point)
-    side_a = inertia(H).n_plus == 1
-    grad = gradient_at(g, point)
-    n = len(grad)
-    rows = [
-        [
-            d * value * H[i, j] - (d - 1) * grad[i] * grad[j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    if d < 2:
+        return False
+    Q, top = _contracted(g, (point,) * d)
+    p = [_coordinate(point, var) for var in g.vars]
+    Qp = [sum(q * x for q, x in zip(row, p)) for row in Q.rows]
+    side_a = inertia(Q).n_plus == 1
+    rows = [[top * q - a * b for q, b in zip(row, Qp)] for row, a in zip(Q.rows, Qp)]
     side_c = inertia(SymMatrix(rows)).n_plus == 0
     return side_a == side_c
 
@@ -392,10 +380,19 @@ class HypothesesReport:
         }
 
 
+def _hypothesis(witness):
+    return HypothesisResult("pass" if witness is None else "fail", witness)
+
+
 def hypotheses_report(P, K, L, samples=10, seed=0):
     """Per-hypothesis report for the sufficiency ladder behind certification:
     modular shift invariance, positive contractions, irreducible Hessians
-    with nonnegative off-diagonal, and certified derivative polynomials."""
+    with nonnegative off-diagonal, and certified derivative polynomials.
+
+    One pass over the sampled tuples reads each contraction and Hessian off
+    `_contracted`, with the first d - 2 directions of a tuple put last; each
+    hypothesis names the first tuple that fails it.
+    """
     d = P.interval_degree(K, L)
     coords = cone.IntervalCoords(K, L)
     cache = cache_for(P)
@@ -405,47 +402,46 @@ def hypotheses_report(P, K, L, samples=10, seed=0):
     invariant = modular_shift_invariance(
         P, K, L, trials=samples, seed=seed, require_balanced=False
     )
-    results["modular_shift_invariance"] = HypothesisResult(
-        "pass" if invariant else "fail",
-        None if invariant else "found x, w with pol(x + w) != pol(x)",
+    results["modular_shift_invariance"] = _hypothesis(
+        None if invariant else "found x, w with pol(x + w) != pol(x)"
     )
 
     tuples = sample_direction_tuples(coords, d, samples, seed) if d >= 1 else []
+    nonpositive = reducible = None  # first tuple failing each check
+    for idx, tup in enumerate(tuples):
+        if d >= 2:
+            H, value = _contracted(f, tup[d - 2:] + tup[: d - 2])
+            if reducible is None and not is_irreducible_nonneg_offdiag(H):
+                reducible = idx
+        else:
+            value = full_contraction(f, tup)
+        if nonpositive is None and value <= 0:
+            nonpositive = idx
+
     if d >= 1:
-        witness = None
-        for idx, tup in enumerate(tuples):
-            if full_contraction(f, tup) <= 0:
-                witness = f"tuple {idx} has nonpositive contraction"
-                break
-        results["contraction_positivity"] = HypothesisResult(
-            "pass" if witness is None else "fail", witness
+        results["contraction_positivity"] = _hypothesis(
+            None if nonpositive is None
+            else f"tuple {nonpositive} has nonpositive contraction"
         )
     else:
         results["contraction_positivity"] = HypothesisResult("skipped")
 
     if d >= 2:
         witness = None
-        for idx, tup in enumerate(tuples):
-            g = f
-            for v in tup[: d - 2]:
-                g = dir_derivative(g, v)
-            H = hessian_of_quadratic(g)
-            if not is_irreducible_nonneg_offdiag(H):
-                parts = poset.disconnection_witness(P, K, L)
-                if parts is not None:
-                    comp = "{" + "; ".join(
-                        "{" + subsets.format_elements(s) + "}" for s in parts[0]
-                    ) + "}"
-                    witness = (
-                        f"tuple {idx}: Hessian reducible, comparability "
-                        f"component {comp} is isolated"
-                    )
-                else:
-                    witness = f"tuple {idx}: Hessian fails the sign or connectivity test"
-                break
-        results["hessian_irreducible_nonneg"] = HypothesisResult(
-            "pass" if witness is None else "fail", witness
-        )
+        if reducible is not None:
+            parts = poset.disconnection_witness(P, K, L)
+            if parts is None:
+                witness = "Hessian fails the sign or connectivity test"
+            else:
+                comp = "; ".join(
+                    "{" + subsets.format_elements(s) + "}" for s in parts[0]
+                )
+                witness = (
+                    f"Hessian reducible, comparability component {{{comp}}} "
+                    "is isolated"
+                )
+            witness = f"tuple {reducible}: {witness}"
+        results["hessian_irreducible_nonneg"] = _hypothesis(witness)
     else:
         results["hessian_irreducible_nonneg"] = HypothesisResult("skipped")
 
@@ -465,9 +461,7 @@ def hypotheses_report(P, K, L, samples=10, seed=0):
                     break
             if witness:
                 break
-        results["derivatives_certified"] = HypothesisResult(
-            "pass" if witness is None else "fail", witness
-        )
+        results["derivatives_certified"] = _hypothesis(witness)
     else:
         results["derivatives_certified"] = HypothesisResult("skipped")
 

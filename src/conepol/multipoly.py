@@ -5,15 +5,16 @@ map dense exponent tuples to nonzero Fractions.  No floating point enters
 this module.
 
 Two constructors share one contract.  The public `MultiPoly(variables,
-terms, degree)` accepts any rational coefficients and integer exponents,
-normalises them, merges duplicate keys, drops zeros and raises on a key of
-the wrong length or degree.  `MultiPoly._trusted` wraps data that already
-meets the contract without looking at it: `vars` a tuple, `terms` a dict
-from exponent tuples of length len(vars), each summing to `degree`, to
-nonzero Fractions, and `_pos` the index of each variable, shared with the
-operands rather than rebuilt.  Sums, negations, scalar and polynomial
-products, `partial`, `dir_derivative` and `substitute_affine` build their
-results with it; everything read from outside goes through the public one.
+terms, degree)` accepts any rational coefficients and nonnegative integer
+exponents, normalises them, merges duplicate keys, drops zeros and raises
+on any other exponent or a key of the wrong length or degree.
+`MultiPoly._trusted` wraps data that already meets the contract without
+looking at it: `vars` a tuple, `terms` a dict from exponent tuples of
+length len(vars), each summing to `degree`, to nonzero Fractions, and
+`_pos` the index of each variable, shared with the operands rather than
+rebuilt.  Sums, negations, scalar and polynomial products, `partial`,
+`dir_derivative` and `substitute_affine` build their results with it;
+everything read from outside goes through the public one.
 """
 
 from fractions import Fraction
@@ -23,6 +24,7 @@ from . import subsets
 from .errors import (
     DimensionMismatch,
     Inhomogeneous,
+    InvalidParams,
     MissingCoordinate,
     NotSymmetric,
     UnknownVariable,
@@ -41,7 +43,12 @@ class MultiPoly:
             c = Fraction(coeff)
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            key = tuple(int(e) for e in exps)
+            if key != exps or any(e < 0 for e in key):
+                raise InvalidParams(
+                    f"exponents must be nonnegative integers, got {exps!r}"
+                )
+            exps = key
             if len(exps) != len(vs):
                 raise DimensionMismatch("exponent tuple length != variable count")
             total = sum(exps)
@@ -232,20 +239,7 @@ def hessian_of_quadratic(f):
             i, j = support
             rows[i][j] = coeff
             rows[j][i] = coeff
-    return SymMatrix(rows, labels=f.vars)
-
-
-def hessian_at(f, point):
-    """Symmetric matrix of second partials evaluated at a point."""
-    n = len(f.vars)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, vi in enumerate(f.vars):
-        fi = partial(f, vi)
-        for j in range(i, n):
-            val = partial(fi, f.vars[j]).evaluate(point)
-            rows[i][j] = val
-            rows[j][i] = val
-    return SymMatrix(rows, labels=f.vars)
+    return SymMatrix(rows)
 
 
 def gradient_at(f, point):
@@ -340,9 +334,9 @@ def to_text(f, var_label=None):
 class SymMatrix:
     """Exact rational symmetric matrix."""
 
-    __slots__ = ("rows", "labels")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, labels=None):
+    def __init__(self, rows):
         mat = tuple(tuple(Fraction(v) for v in row) for row in rows)
         n = len(mat)
         for row in mat:
@@ -353,7 +347,6 @@ class SymMatrix:
                 if mat[i][j] != mat[j][i]:
                     raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
         self.rows = mat
-        self.labels = tuple(labels) if labels is not None else None
 
     @property
     def n(self):

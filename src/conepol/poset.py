@@ -321,13 +321,15 @@ def _first_component(P, K, L):
 def is_semimodular_lattice(P):
     """P is a lattice and a \\/ b covers a, b whenever a, b cover a /\\ b.
 
-    The common lower bounds of a and b are the elements below a & b, so
-    their meet exists iff the union of those elements lies in P, and is
-    then that union.  A finite nonempty poset with a greatest element in
-    which every pair has a meet is a lattice, so joins need no search.
-    Two distinct upper covers a, b of m have meet m, and their join covers
-    a iff some upper cover of a contains b, which is then the join; it
-    covers b as well, because the interval from m to it is graded.
+    When a & b lies in P it is the meet of a and b.  Otherwise their common
+    lower bounds are `_down[i] & _down[j]`; indices extend the order, so
+    the meet exists iff that set is nonempty and its highest index k has
+    exactly it below, and is then element k.  A finite nonempty poset with
+    a greatest element in which every pair has a meet is a lattice, so
+    joins need no search.  Two distinct upper covers a, b of m have meet
+    m, and their join covers a iff some upper cover of a contains b, which
+    is then the join; it covers b as well, because the interval from m to
+    it is graded.
     """
     els = P.elements
     if not els:
@@ -338,20 +340,13 @@ def is_semimodular_lattice(P):
         top |= a
     if top not in index:
         return False
-    has_meet = {}
+    down = P._down
     for i, a in enumerate(els):
         for b in els[i + 1:]:
-            m = a & b
-            if m in index:
+            if a & b in index:
                 continue
-            ok = has_meet.get(m)
-            if ok is None:
-                below = 0
-                for c in els:
-                    if c & ~m == 0:
-                        below |= c
-                ok = has_meet[m] = below in index
-            if not ok:
+            lower = down[i] & down[index[b]]
+            if not lower or down[lower.bit_length() - 1] != lower:
                 return False
     covers = P._upper_covers
     for ups in covers:

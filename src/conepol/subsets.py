@@ -79,7 +79,12 @@ def format_elements(s):
 
 
 def parse_elements(text):
+    """Bitset of a comma-separated element list; "" or "empty" is 0."""
     text = text.strip()
     if text in ("", "empty"):
         return 0
-    return from_elements(int(part) for part in text.split(","))
+    try:
+        elements = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise MalformedInput(f"malformed element list {text!r}") from None
+    return from_elements(elements)

@@ -2,11 +2,22 @@
 
 Everything here works on frozensets and dense coefficient lists,
 deliberately sharing no code or data layout with the package under test;
-the polynomial oracles at the end are the one exception, see there.
+the polynomial and Lorentzian oracles at the end are the exceptions, see
+there.
 """
 
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
+
+from conepol.errors import NonpositiveValue, UnsupportedSupport
+from conepol.intervalpoly import full_contraction
+from conepol.lorentz import is_irreducible_nonneg_offdiag
+from conepol.multipoly import (
+    dir_derivative,
+    gradient_at,
+    hessian_of_quadratic,
+    partial,
+)
 
 
 def powerset(universe):
@@ -514,3 +525,85 @@ def substitute_affine_validated(f, matrix, new_variables):
                 term = poly_mul_validated(term, powers[i][e])
         out = poly_add_validated(out, term)
     return out
+
+
+# The Lorentzian oracles below are the package's earlier per-check
+# routines.  Each builds its own Hessian from the package's polynomial
+# primitives, by its own chain of derivatives, where the package reads one
+# contracted form; inertia comes from `descartes_inertia`.
+
+def first_nonpositive_contraction(f, tuples):
+    """Index of the first tuple whose full contraction of f is not
+    positive, or None."""
+    for idx, tup in enumerate(tuples):
+        if full_contraction(f, tup) <= 0:
+            return idx
+    return None
+
+
+def first_reducible_hessian(f, tuples):
+    """Index of the first tuple for which the Hessian of f, differentiated
+    along its first deg - 2 directions, fails the nonnegative off-diagonal
+    and connectivity test, or None."""
+    for idx, tup in enumerate(tuples):
+        g = f
+        for v in tup[: f.degree - 2]:
+            g = dir_derivative(g, v)
+        if not is_irreducible_nonneg_offdiag(hessian_of_quadratic(g)):
+            return idx
+    return None
+
+
+def hessian_at(f, point):
+    """Dense matrix of second partials of f evaluated at a point."""
+    n = len(f.vars)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, vi in enumerate(f.vars):
+        fi = partial(f, vi)
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = partial(fi, f.vars[j]).evaluate(point)
+    return rows
+
+
+def hessian_one_positive_equivalence(g, point):
+    """Whether one positive eigenvalue of the Hessian at the point agrees
+    with negative semidefiniteness of d*g*H - (d-1)*grad*grad^T, from the
+    second partials and the gradient; raises NonpositiveValue where g is
+    not positive."""
+    value = g.evaluate(point)
+    if value <= 0:
+        raise NonpositiveValue(f"g(point) = {value} is not positive")
+    d = g.degree
+    H = hessian_at(g, point)
+    grad = gradient_at(g, point)
+    rows = [
+        [d * value * h - (d - 1) * gi * gj for h, gj in zip(row, grad)]
+        for row, gi in zip(H, grad)
+    ]
+    return (descartes_inertia(H)[0] == 1) == (descartes_inertia(rows)[0] == 0)
+
+
+def is_lorentzian_orthant(f):
+    """Nonnegative coefficients, at most one positive eigenvalue in the
+    Hessian of every (d-2)-fold partial derivative, and a support compared
+    with the enumerated degree-d simplex (UnsupportedSupport if they
+    differ)."""
+    if not f.terms:
+        return True
+    if any(c < 0 for c in f.terms.values()):
+        return False
+    d, n = f.degree, len(f.vars)
+    if d >= 2:
+        for combo in combinations_with_replacement(f.vars, d - 2):
+            g = f
+            for var in combo:
+                g = partial(g, var)
+            if descartes_inertia(hessian_of_quadratic(g).rows)[0] > 1:
+                return False
+    full_support = {
+        tuple(combo.count(i) for i in range(n))
+        for combo in combinations_with_replacement(range(n), d)
+    }
+    if set(f.terms) != full_support:
+        raise UnsupportedSupport("support is not the full degree simplex")
+    return True

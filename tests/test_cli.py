@@ -270,3 +270,35 @@ def test_malformed_json_input_exit_2(capsys, tmp_path, command, flag, payload):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("MalformedInput: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--uniform", "2", "17"],
+        ["pol", "--uniform", "2", "17", "--eval", "alpha"],
+    ],
+)
+def test_interval_span_cap_is_a_size_guard(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "SizeLimitExceeded: interval span 17 exceeds the cap of 16"
+    ]
+
+
+def test_malformed_interval_elements_exit_2(capsys):
+    code, out, err = run(capsys, ["pol", "--fano", "--interval", "a", "b"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["MalformedInput: malformed element list 'a'"]
+
+
+def test_malformed_vector_key_exit_2(capsys, tmp_path):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"K": [], "L": [0, 1, 2], "values": {"a": "1"}}))
+    code, out, err = run(capsys, ["pol", "--uniform", "3", "3", "--eval", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["MalformedInput: malformed element list 'a'"]

@@ -1,0 +1,195 @@
+"""Every Lorentzian check reads one contracted Hessian; each must agree
+with the earlier routine that built its own (tests/oracles.py)."""
+
+import random
+import types
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
+import pytest
+
+import oracles
+from conepol import (
+    IntervalCoords,
+    MultiPoly,
+    canonical_interior_point,
+    fano,
+    flats_lattice,
+    graphic_matroid,
+    hessian_one_positive_equivalence,
+    hypotheses_report,
+    is_lorentzian_orthant,
+    lorentz,
+    sample_direction_tuples,
+    subposet_from_sets,
+    uniform_matroid,
+)
+from conepol.errors import ConepolError
+from conepol.intervalpoly import cache_for
+from conepol.subsets import from_elements
+
+TOP4 = from_elements([0, 1, 2, 3])
+
+
+def two_towers():
+    """Two chains {0} < {0,1} and {2} < {2,3} between 0 and {0,1,2,3}."""
+    sets = [0, from_elements([0]), from_elements([0, 1]), from_elements([2]),
+            from_elements([2, 3]), TOP4]
+    return subposet_from_sets(4, sets), 0, TOP4
+
+
+def full_interval(M):
+    P = flats_lattice(M)
+    return P, P.bottom, P.top
+
+
+LADDER = {
+    "u23": lambda: full_interval(uniform_matroid(2, 3)),
+    "u33": lambda: full_interval(uniform_matroid(3, 3)),
+    "u34": lambda: full_interval(uniform_matroid(3, 4)),
+    "k4": lambda: full_interval(graphic_matroid(oracles.K4_EDGES)),
+    "fano": lambda: full_interval(fano()),
+    "u44": lambda: full_interval(uniform_matroid(4, 4)),
+    "u45": lambda: full_interval(uniform_matroid(4, 5)),
+    "towers": two_towers,
+}
+
+
+def expected_ladder_steps(f, tuples, witness_of_reducible):
+    """Contraction and Hessian results of the ladder, from the oracles."""
+    d = f.degree
+    if d < 1:
+        return "skipped", "skipped"
+    bad = oracles.first_nonpositive_contraction(f, tuples)
+    contraction = (
+        ("pass", None) if bad is None
+        else ("fail", f"tuple {bad} has nonpositive contraction")
+    )
+    if d < 2:
+        return contraction, "skipped"
+    bad = oracles.first_reducible_hessian(f, tuples)
+    hessian = ("pass", None) if bad is None else ("fail", witness_of_reducible(bad))
+    return contraction, hessian
+
+
+def ladder_steps(report):
+    out = []
+    for key in ("contraction_positivity", "hessian_irreducible_nonneg"):
+        r = report.results[key]
+        out.append("skipped" if r.status == "skipped" else (r.status, r.witness))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_hypotheses_report_matches_per_check_oracles(name):
+    P, K, L = LADDER[name]()
+    f = cache_for(P).polynomial(K, L)
+    d = P.interval_degree(K, L)
+    for seed in range(6):
+        report = hypotheses_report(P, K, L, samples=3, seed=seed)
+        tuples = sample_direction_tuples(IntervalCoords(K, L), d, 3, seed) if d else []
+        expected = expected_ladder_steps(
+            f,
+            tuples,
+            lambda idx: (
+                f"tuple {idx}: Hessian reducible, comparability component "
+                "{{0}; {0,1}} is isolated"
+            ),
+        )
+        assert ladder_steps(report) == expected, (name, seed)
+        assert report.all_evaluated_pass() == (name != "towers"), (name, seed)
+
+
+# f + k * t_a t_b t_c on the full interval of U(4,4): these k put the first
+# nonpositive contraction and the first reducible Hessian on different tuples
+PERTURBATIONS = [0, Fraction(-1, 8), Fraction(-9, 2), Fraction(-37, 8), Fraction(-19, 4)]
+
+
+def test_hypotheses_report_first_failures_match_oracles(monkeypatch):
+    P, K, L = full_interval(uniform_matroid(4, 4))
+    f = cache_for(P).polynomial(K, L)
+    exps = tuple(int(i in (0, 1, 2)) for i in range(len(f.vars)))
+    bump = MultiPoly(f.vars, {exps: 1}, degree=3)
+    tuples = sample_direction_tuples(IntervalCoords(K, L), 3, 6, seed=0)
+    seen = set()
+    for k in PERTURBATIONS:
+        g = f + k * bump if k else f
+        monkeypatch.setattr(
+            lorentz, "cache_for", lambda _P: types.SimpleNamespace(polynomial=lambda K, L: g)
+        )
+        report = hypotheses_report(P, K, L, samples=6, seed=0)
+        expected = expected_ladder_steps(
+            g, tuples, lambda idx: f"tuple {idx}: Hessian fails the sign or connectivity test"
+        )
+        assert ladder_steps(report) == expected, k
+        seen.add((
+            oracles.first_nonpositive_contraction(g, tuples),
+            oracles.first_reducible_hessian(g, tuples),
+        ))
+    assert seen == {(None, None), (None, 0), (4, 0), (3, 0), (0, 0)}
+
+
+def test_hypotheses_report_contracts_along_the_first_directions(monkeypatch):
+    """Tuple 1 puts a supermodular direction first: contracting along it
+    flips the Hessian's signs, contracting along the last one would not."""
+    P, K, L = full_interval(uniform_matroid(4, 4))
+    c = canonical_interior_point(IntervalCoords(K, L))
+    tuples = [(c, c, c), (c.scale(-1), c, c)]
+    monkeypatch.setattr(lorentz, "sample_direction_tuples", lambda *args: tuples)
+    report = hypotheses_report(P, K, L, samples=2, seed=0)
+    f = cache_for(P).polynomial(K, L)
+    assert ladder_steps(report) == expected_ladder_steps(
+        f, tuples, lambda idx: f"tuple {idx}: Hessian fails the sign or connectivity test"
+    ) == (
+        ("fail", "tuple 1 has nonpositive contraction"),
+        ("fail", "tuple 1: Hessian fails the sign or connectivity test"),
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConepolError as exc:
+        return type(exc).__name__
+
+
+def random_polynomial(rng):
+    """Degree 0-4 in 1-3 variables, on the full simplex or part of it, with
+    an occasional negative coefficient."""
+    n, d = rng.randint(1, 3), rng.randint(0, 4)
+    simplex = [
+        tuple(combo.count(i) for i in range(n))
+        for combo in combinations_with_replacement(range(n), d)
+    ]
+    keys = simplex if rng.randint(0, 1) else rng.sample(simplex, rng.randint(1, len(simplex)))
+    low = -3 if rng.randint(0, 4) == 0 else 1
+    terms = {e: Fraction(rng.randint(low, 6), rng.randint(1, 3)) for e in keys}
+    return MultiPoly("xyz"[:n], terms, degree=d)
+
+
+def test_equivalence_and_orthant_match_oracles_on_random_polynomials():
+    rng = random.Random(20)
+    equivalence, orthant = set(), set()
+    for _ in range(300):
+        g = random_polynomial(rng)
+        point = {v: Fraction(rng.randint(-1, 5), rng.randint(1, 3)) for v in g.vars}
+        got = outcome(hessian_one_positive_equivalence, g, point)
+        assert got == outcome(oracles.hessian_one_positive_equivalence, g, point), g
+        equivalence.add(got)
+        got = outcome(is_lorentzian_orthant, g)
+        assert got == outcome(oracles.is_lorentzian_orthant, g), g
+        orthant.add(got)
+    assert equivalence == {True, False, "NonpositiveValue"}
+    assert orthant == {True, False, "UnsupportedSupport"}
+
+
+def test_equivalence_matches_oracle_on_interval_polynomials(lattices):
+    for name, P in lattices.items():
+        f = cache_for(P).polynomial(P.bottom, P.top)
+        coords = IntervalCoords(P.bottom, P.top)
+        points = [canonical_interior_point(coords)]
+        points += [tup[0] for tup in sample_direction_tuples(coords, 1, 3, seed=7)[1:]]
+        for point in points:
+            assert hessian_one_positive_equivalence(f, point) == (
+                oracles.hessian_one_positive_equivalence(f, point)
+            ), name

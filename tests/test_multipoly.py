@@ -24,6 +24,7 @@ from conepol import (
 from conepol.errors import (
     DimensionMismatch,
     Inhomogeneous,
+    InvalidParams,
     MissingCoordinate,
     NotSymmetric,
     UnknownVariable,
@@ -310,3 +311,14 @@ def test_memoised_interval_polynomials_match_validated_oracle(name):
         assert_same(f, expected)
         for F in flats[:3]:
             assert_contract(cache.derivative_factor(K, F, L))
+
+
+def test_constructor_rejects_negative_exponent():
+    with pytest.raises(InvalidParams):
+        xy_poly({(3, -1): 1}, degree=2)
+
+
+def test_constructor_rejects_non_integer_exponent():
+    with pytest.raises(InvalidParams):
+        MultiPoly(("x",), {(1.5,): 1})
+    assert MultiPoly(("x",), {(Fraction(2),): 1}).terms == {(2,): 1}

@@ -74,3 +74,31 @@ def test_no_self_recursive_closures(path):
                     and isinstance(node.func, ast.Name)
                     and node.func.id == inner.name
                 ), f"{path.name}:{inner.lineno}: nested {inner.name} calls itself"
+
+
+def _error_name(node):
+    """Name of the class a `raise` statement or base-class entry refers to."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def test_every_error_class_is_raised_or_subclassed():
+    """An exception class that nothing raises or derives from is dead."""
+    declared = [
+        node.name
+        for node in _tree(SRC / "errors.py").body
+        if isinstance(node, ast.ClassDef)
+    ]
+    used = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                used.add(_error_name(node.exc))
+            elif isinstance(node, ast.ClassDef):
+                used.update(_error_name(base) for base in node.bases)
+    assert declared and [name for name in declared if name not in used] == []
