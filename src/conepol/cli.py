@@ -42,6 +42,9 @@ def _add_matroid_args(p):
 
 def _add_common_args(p):
     p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _add_interval_arg(p):
     p.add_argument("--interval", nargs=2, metavar=("K", "L"),
                    help="comma-separated element lists; 'empty' for the bottom")
 
@@ -322,12 +325,14 @@ def build_parser():
     p = sub.add_parser("pol", help="interval polynomial, optionally evaluated")
     _add_matroid_args(p)
     _add_common_args(p)
+    _add_interval_arg(p)
     p.add_argument("--eval", metavar="alpha|beta|FILE")
     p.set_defaults(func=cmd_pol)
 
     p = sub.add_parser("certify", help="sampled cone-Lorentzian certification")
     _add_matroid_args(p)
     _add_common_args(p)
+    _add_interval_arg(p)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--directions", metavar="FILE",
@@ -337,6 +342,7 @@ def build_parser():
     p = sub.add_parser("chow-verify", help="volume polynomial vs interval polynomial")
     _add_matroid_args(p)
     _add_common_args(p)
+    _add_interval_arg(p)
     p.add_argument("--all-intervals", action="store_true")
     p.add_argument("--max-degree", type=int, default=chow.MAX_DEGREE)
     p.set_defaults(func=cmd_chow_verify)

@@ -37,8 +37,9 @@ class GroundSet:
     labels: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.n < 1 or self.n > subsets.MAX_GROUND:
+        if self.n < 1:
             raise InvalidParams(f"ground size must be 1..{subsets.MAX_GROUND}")
+        subsets.check_ground_cap(self.n)
         if self.labels is not None:
             if len(self.labels) != self.n or len(set(self.labels)) != self.n:
                 raise InvalidParams("labels must be n pairwise distinct strings")
@@ -152,6 +153,7 @@ def uniform_matroid(r, n):
     """Bases are all r-subsets of an n-element ground set."""
     if n < 1 or r < 0 or r > n:
         raise InvalidParams(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
+    subsets.check_ground_cap(n)
     bases = {subsets.from_elements(c) for c in combinations(range(n), r)}
     return Matroid(GroundSet(n), bases)
 
@@ -165,6 +167,7 @@ def graphic_matroid(edges):
     edges = [tuple(e) for e in edges]
     if not edges:
         raise InvalidParams("graph needs at least one edge")
+    subsets.check_ground_cap(len(edges))
     vertices = sorted({v for e in edges for v in e})
     v_index = {v: i for i, v in enumerate(vertices)}
 

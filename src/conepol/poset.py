@@ -4,11 +4,35 @@ Elements are subsets of {0,...,n-1} ordered by inclusion, indexed in
 canonical order, so every element has a higher index than those below it.
 One order table answers every order question: `_up[i]` and `_down[i]` are
 int bitsets over element indices of the elements above and below element
-i, i included.  Covers, interval ranks, intervals (`_up[K] & _down[L]` in
-index order), the Mobius table and comparability components all read it.
-Construction verifies that every closed interval is graded.  The Mobius
-table and the balancedness, connectivity and semimodularity predicates are
-each computed once per poset and kept on it.
+i, i included.  `_up[i]` is the AND, over the points e of element i, of
+the elements holding e, and `_down[j]` the AND, over the points outside
+element j, of the elements lacking them.  Covers, interval ranks,
+intervals (`_up[K] & _down[L]` in index order), the Mobius table and
+comparability components all read it.  The Mobius table and the
+balancedness, connectivity and semimodularity predicates are each computed
+once per poset and kept on it.  Each check takes a shortcut that is exact:
+
+- Grading walks up from the minimal elements only.  A maximal chain of
+  [i, k] preceded by one of [m, i], for a minimal m <= i, is a maximal
+  chain of [m, k]; so if every [m, k] is graded, so is every [i, k], with
+  rank h_m(k) - h_m(i) for the heights h_m above m.  The lowest index
+  below i is such an m, and any failing [i, k] makes [m, k] fail with m
+  of lower index, so the first `NotGraded` is the one a walk from every
+  bottom would raise.
+- Rank-2 intervals come from 2-chains.  L is an upper cover of an upper
+  cover of K exactly when [K, L] has rank 2, and then its middles are the
+  upper covers of K that L covers; grouping 2-chains by their top lists
+  every rank-2 interval with its middles and nothing else.
+- Connectivity absorbs atoms.  Every element of an open interval (K, L)
+  lies above an atom of [K, L], the upper covers of K below L.  The
+  elements above the atoms absorbed so far form a set closed under
+  comparability once no further atom's up-set meets it, so (K, L) is
+  connected iff absorbing every atom whose up-set meets it takes all.
+- Mobius rows come on demand: `mobius(P)` computes the row of a when
+  mu(a, .) is first asked, so the characteristic polynomial pays for the
+  bottom row only.  The table keeps P's order data, not P, so P, which
+  keeps its table, is freed by reference counting alone, and the table
+  still answers after P is gone.
 """
 
 import functools
@@ -39,20 +63,28 @@ class GradedSubposet:
         self.n = n
         self.elements = tuple(elems)
         self._index = {s: i for i, s in enumerate(elems)}
-        up = [1 << i for i in range(len(elems))]
-        down = list(up)
-        for i, a in enumerate(elems):
-            for j in range(i + 1, len(elems)):
-                if a & ~elems[j] == 0:
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
+        everyone = (1 << len(elems)) - 1
+        has = [0] * n  # has[e]: the elements holding point e
+        for i, s in enumerate(elems):
+            for e in subsets.elements(s):
+                has[e] |= 1 << i
+        up, down = [], []
+        for s in elems:
+            above = below = everyone
+            for e, holders in enumerate(has):
+                if (s >> e) & 1:
+                    above &= holders
+                else:
+                    below &= ~holders
+            up.append(above)
+            down.append(below)
         self._up, self._down = up, down
         self._upper_covers = [self._minimal(up[i] & ~(1 << i)) for i in range(len(elems))]
         self._lower_covers = [[] for _ in elems]
         for i, ups in enumerate(self._upper_covers):
             for j in ups:
                 self._lower_covers[j].append(i)
-        # interval rank for every comparable pair; raises NotGraded on failure
+        # _rank[i][k] - _rank[i][i] is the rank of [i, k]; raises NotGraded
         self._rank = self._grade_all_intervals()
         self._proved = {}  # predicate results, keyed by (function, *args)
 
@@ -91,10 +123,11 @@ class GradedSubposet:
 
     def interval_rank(self, K, L):
         """Common length of all maximal chains of [K, L]."""
-        key = (self.index(K), self.index(L))
-        if key not in self._rank:
+        i, j = self.index(K), self.index(L)
+        if not (self._up[i] >> j) & 1:
             raise NotAnInterval("endpoints are not comparable in the poset")
-        return self._rank[key]
+        height = self._rank[i]
+        return height[j] - height[i]
 
     def interval_degree(self, K, L):
         """d(K, L) = interval rank minus one."""
@@ -103,8 +136,11 @@ class GradedSubposet:
     def comparable_pairs(self):
         """All (K, L) with K < L, in canonical order of indices."""
         els = self.elements
-        # the grading table holds every comparable (i, j), i <= j, in order
-        return [(els[i], els[j]) for i, j in self._rank if i < j]
+        return [
+            (a, els[j])
+            for i, a in enumerate(els)
+            for j in subsets.elements(self._up[i] & ~(1 << i))
+        ]
 
     def maximal_chains(self, K, L):
         """All saturated chains from K to L, as lists of elements."""
@@ -149,30 +185,31 @@ class GradedSubposet:
         return out
 
     def _grade_all_intervals(self):
-        """Longest-chain ranks for all comparable pairs.
+        """For each element i, the heights above the lowest element below
+        it, which is minimal (see the module docstring).
 
-        Heights above a bottom i do not depend on the top, so they are
-        computed once per i.  [i, j] is graded iff no k in it has lower
-        covers above i at different heights; such a k breaks every top
-        above it, so the first one is the first non-graded top for i.
+        [m, j] is graded iff no k in it has lower covers above m at
+        different heights; such a k breaks every top above it, so the
+        first one is the first non-graded top for m.
         """
-        ranks = {}
-        for i, above in enumerate(self._up):
-            height = {i: 0}
-            for k in subsets.elements(above & ~(1 << i)):
+        heights = {}
+        for m, above in enumerate(self._up):
+            if self._down[m] != 1 << m:
+                continue
+            height = {m: 0}
+            for k in subsets.elements(above & ~(1 << m)):
                 below = {height[p] for p in self._lower_covers[k] if (above >> p) & 1}
                 if len(below) > 1:
                     raise NotGraded(
                         "interval [{}, {}] has maximal chains of different "
                         "lengths".format(
-                            "{" + subsets.format_elements(self.elements[i]) + "}",
+                            "{" + subsets.format_elements(self.elements[m]) + "}",
                             "{" + subsets.format_elements(self.elements[k]) + "}",
                         )
                     )
                 height[k] = 1 + below.pop()
-            for k, h in height.items():
-                ranks[(i, k)] = h
-        return ranks
+            heights[m] = height
+        return [heights[(d & -d).bit_length() - 1] for d in self._down]
 
 
 def subposet_from_sets(n, element_sets):
@@ -197,34 +234,45 @@ def _once_per_poset(predicate):
 
 
 class MobiusTable:
-    """mu(a, b) for every comparable pair a <= b of a finite poset."""
+    """mu(a, b) for every comparable pair a <= b of a finite poset, one row
+    mu(a, .) at a time, each computed when first asked for."""
 
-    def __init__(self, table):
-        self._table = table
+    def __init__(self, P):
+        self._elements, self._index = P.elements, P._index
+        self._up, self._down = P._up, P._down
+        self._rows = {}
+
+    def _row(self, i):
+        """{j: mu(a, b)} for element i = a and every j = b above it, by
+        mu(a, b) = -sum_{a <= c < b} mu(a, c)."""
+        if i not in self._rows:
+            above = self._up[i]
+            mu = {i: 1}
+            for j in subsets.elements(above & ~(1 << i)):
+                mu[j] = -sum(mu[c] for c in subsets.elements(above & self._down[j] & ~(1 << j)))
+            self._rows[i] = mu
+        return self._rows[i]
 
     def mu(self, a, b):
         try:
-            return self._table[(a, b)]
+            return self._row(self._index[a])[self._index[b]]
         except KeyError:
             raise NotAnInterval("mu requested for a non-comparable pair") from None
 
     def items(self):
-        return self._table.items()
+        """Every ((a, b), mu(a, b)), by a and then b in canonical order."""
+        els = self._elements
+        return {
+            (a, els[j]): value
+            for i, a in enumerate(els)
+            for j, value in self._row(i).items()
+        }.items()
 
 
 @_once_per_poset
 def mobius(P):
-    """Full Mobius table via mu(a, b) = -sum_{a <= c < b} mu(a, c)."""
-    table = {}
-    els = P.elements
-    for i, a in enumerate(els):
-        above = P._up[i]
-        mu = {i: 1}
-        for j in subsets.elements(above & ~(1 << i)):
-            mu[j] = -sum(mu[c] for c in subsets.elements(above & P._down[j] & ~(1 << j)))
-        for j, value in mu.items():
-            table[(a, els[j])] = value
-    return MobiusTable(table)
+    """Mobius table of P; rows are computed as they are asked for."""
+    return MobiusTable(P)
 
 
 def weisner_check(P, x, a, y, table=None):
@@ -248,23 +296,30 @@ def weisner_check(P, x, a, y, table=None):
 # -- structural predicates -----------------------------------------------------
 
 
-def _rank2_pairs(P):
-    els = P.elements
-    for (i, j), r in P._rank.items():
-        if r == 2:
-            yield els[i], els[j]
+def _rank2_middles(P):
+    """(K, L, middles) for every rank-2 interval [K, L], as indices, from
+    the 2-chains K < A < L of covers grouped by their top L."""
+    covers = P._upper_covers
+    for k, atoms in enumerate(covers):
+        middles = {}
+        for a in atoms:
+            for top in covers[a]:
+                middles.setdefault(top, []).append(a)
+        for top, mids in middles.items():
+            yield k, top, mids
 
 
 @_once_per_poset
 def is_balanced(P):
     """Every element of L \\ K is hit by equally many middles of each
     rank-2 interval [K, L]."""
-    for K, L in _rank2_pairs(P):
-        mids = P.open_interval(K, L)
-        counts = {
-            e: sum(1 for F in mids if (F >> e) & 1)
-            for e in subsets.elements(L & ~K)
-        }
+    els = P.elements
+    for k, top, mids in _rank2_middles(P):
+        K = els[k]
+        counts = dict.fromkeys(subsets.elements(els[top] & ~K), 0)
+        for a in mids:
+            for e in subsets.elements(els[a] & ~K):
+                counts[e] += 1
         if len(set(counts.values())) > 1:
             return False
     return True
@@ -273,14 +328,16 @@ def is_balanced(P):
 @_once_per_poset
 def is_one_balanced(P):
     """Middles of each rank-2 interval partition L \\ K."""
-    for K, L in _rank2_pairs(P):
+    els = P.elements
+    for k, top, mids in _rank2_middles(P):
+        K = els[k]
         seen = 0
-        for A in P.open_interval(K, L):
-            gain = A & ~K
+        for a in mids:
+            gain = els[a] & ~K
             if gain & seen:
                 return False
             seen |= gain
-        if seen != L & ~K:
+        if seen != els[top] & ~K:
             return False
     return True
 
@@ -288,10 +345,33 @@ def is_one_balanced(P):
 @_once_per_poset
 def is_interval_connected(P):
     """Comparability graph of every open interval with d >= 2 is connected."""
-    els = P.elements
-    for (i, j), r in P._rank.items():
-        if r >= 3 and _first_component(P, els[i], els[j])[1]:
+    for k, above in enumerate(P._up):
+        height = P._rank[k]
+        for top in subsets.elements(above):
+            if height[top] - height[k] >= 3 and not _atoms_absorbed(P, k, top):
+                return False
+    return True
+
+
+def _atoms_absorbed(P, k, top):
+    """Whether the open interval (k, top) is connected: the component
+    grows from the first atom of [k, top] by absorbing every atom whose
+    up-set meets it, until all are in or none joins (see the module
+    docstring)."""
+    up, below = P._up, P._down[top]
+    mids = up[k] & below & ~(1 << k) & ~(1 << top)
+    first, *left = [a for a in P._upper_covers[k] if (below >> a) & 1]
+    component = up[first] & mids
+    while left:
+        grown, stay = component, []
+        for a in left:
+            if up[a] & component:
+                grown |= up[a] & mids
+            else:
+                stay.append(a)
+        if len(stay) == len(left):
             return False
+        component, left = grown, stay
     return True
 
 
@@ -326,10 +406,11 @@ def is_semimodular_lattice(P):
     the meet exists iff that set is nonempty and its highest index k has
     exactly it below, and is then element k.  A finite nonempty poset with
     a greatest element in which every pair has a meet is a lattice, so
-    joins need no search.  Two distinct upper covers a, b of m have meet
-    m, and their join covers a iff some upper cover of a contains b, which
-    is then the join; it covers b as well, because the interval from m to
-    it is graded.
+    joins need no search, and neither do meets when P is closed under
+    intersection.  Two distinct upper covers a, b of m have meet m, and
+    their join covers a iff some upper cover of a contains b, which is
+    then the join; it covers b as well, because the interval from m to it
+    is graded.
     """
     els = P.elements
     if not els:
@@ -340,21 +421,39 @@ def is_semimodular_lattice(P):
         top |= a
     if top not in index:
         return False
-    down = P._down
-    for i, a in enumerate(els):
-        for b in els[i + 1:]:
-            if a & b in index:
-                continue
-            lower = down[i] & down[index[b]]
-            if not lower or down[lower.bit_length() - 1] != lower:
-                return False
-    covers = P._upper_covers
+    if not _intersection_closed(P):
+        down = P._down
+        for i, a in enumerate(els):
+            for b in els[i + 1:]:
+                if a & b in index:
+                    continue
+                lower = down[i] & down[index[b]]
+                if not lower or down[lower.bit_length() - 1] != lower:
+                    return False
+    covers, up = P._upper_covers, P._up
+    over = [sum(1 << k for k in ks) for ks in covers]  # upper covers, as bitsets
     for ups in covers:
         for x, i in enumerate(ups):
             for j in ups[x + 1:]:
-                if not any(els[j] & ~els[k] == 0 for k in covers[i]):
+                if not up[j] & over[i]:
                     return False
     return True
+
+
+def _closed_under_intersection(members, inside):
+    """a & b lies in `inside` for every two of `members`."""
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            if a & b not in inside:
+                return False
+    return True
+
+
+@_once_per_poset
+def _intersection_closed(P):
+    """P is closed under intersection: one pairwise pass, shared by the
+    flats axioms and the lattice test."""
+    return _closed_under_intersection(P.elements, P._index)
 
 
 def _flats_axioms(P, mask, top):
@@ -366,10 +465,12 @@ def _flats_axioms(P, mask, top):
     inside = set(members)
     if top not in inside:
         return False
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if (a & b) not in inside:
-                return False
+    if mask == (1 << len(P)) - 1:
+        closed = _intersection_closed(P)
+    else:
+        closed = _closed_under_intersection(members, inside)
+    if not closed:
+        return False
     els = P.elements
     for i in subsets.elements(mask):
         F = els[i]

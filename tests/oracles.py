@@ -339,6 +339,85 @@ def flats_axioms_failure(P, inside, top):
     return None
 
 
+def _open_intervals(P):
+    """(K, L, middles) for every comparable K < L of P, middles in
+    canonical order, found by subset tests on every element."""
+    els = P.elements
+    for K in els:
+        for L in els:
+            if K != L and K & ~L == 0:
+                yield K, L, [c for c in els if c not in (K, L) and K & ~c == 0 and c & ~L == 0]
+
+
+def _has_comparable_pair(mids):
+    return any(a & ~b == 0 for i, a in enumerate(mids) for b in mids[i + 1:])
+
+
+def _rank2_intervals(P):
+    """(K, L, middles) for every rank-2 interval of a graded P: those whose
+    open interval is a nonempty antichain."""
+    for K, L, mids in _open_intervals(P):
+        if mids and not _has_comparable_pair(mids):
+            yield K, L, mids
+
+
+def is_balanced(P):
+    """Per rank-2 interval, every element of L - K counted over its middles."""
+    for K, L, mids in _rank2_intervals(P):
+        counts = {e: sum(1 for F in mids if (F >> e) & 1)
+                  for e in range(L.bit_length()) if ((L & ~K) >> e) & 1}
+        if len(set(counts.values())) > 1:
+            return False
+    return True
+
+
+def is_one_balanced(P):
+    """Per rank-2 interval, the gains of its middles partition L - K."""
+    for K, L, mids in _rank2_intervals(P):
+        seen = 0
+        for A in mids:
+            gain = A & ~K
+            if gain & seen:
+                return False
+            seen |= gain
+        if seen != L & ~K:
+            return False
+    return True
+
+
+def is_interval_connected(P):
+    """Breadth-first search of the comparability graph of every open
+    interval that holds a comparable pair, which in a graded poset are
+    those of rank at least 3."""
+    for _, _, mids in _open_intervals(P):
+        if not _has_comparable_pair(mids):
+            continue
+        component, queue = {mids[0]}, [mids[0]]
+        while queue:
+            cur = queue.pop(0)
+            for other in mids:
+                if other not in component and (cur & ~other == 0 or other & ~cur == 0):
+                    component.add(other)
+                    queue.append(other)
+        if len(component) != len(mids):
+            return False
+    return True
+
+
+def mobius_items(P):
+    """Every ((a, b), mu(a, b)) of P, by a and then b in canonical order,
+    all computed up front by mu(a, b) = -sum_{a <= c < b} mu(a, c)."""
+    els = P.elements
+    table = {}
+    for a in els:
+        for b in els:
+            if a & ~b == 0:
+                table[(a, b)] = 1 if a == b else -sum(
+                    table[(a, c)] for c in els if c != b and a & ~c == 0 and c & ~b == 0
+                )
+    return list(table.items())
+
+
 def is_lattice(P):
     """Every pair has a greatest common lower and a least common upper
     bound, by exhaustive search."""

@@ -302,3 +302,41 @@ def test_malformed_vector_key_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["MalformedInput: malformed element list 'a'"]
+
+
+@pytest.mark.parametrize("command", ["charpoly", "poset-check"])
+def test_interval_is_refused_where_it_would_be_ignored(capsys, command):
+    code, out, err = run(capsys, [command, "--uniform", "2", "3", "--interval", "0", "5"])
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --interval 0 5" in err
+
+
+def test_uniform_ground_cap_is_a_size_guard(capsys):
+    code, out, err = run(capsys, ["charpoly", "--uniform", "1", "65"])
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "SizeLimitExceeded: ground set of 65 elements exceeds the cap of 64"
+    ]
+
+
+def test_graphic_ground_cap_is_a_size_guard(capsys, tmp_path):
+    # a path on 66 vertices: 65 edges, 65 elements
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"edges": [[v, v + 1] for v in range(65)]}))
+    code, out, err = run(capsys, ["charpoly", "--graphic", str(path)])
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "SizeLimitExceeded: ground set of 65 elements exceeds the cap of 64"
+    ]
+
+
+def test_empty_ground_stays_invalid_input(capsys):
+    code, out, err = run(capsys, ["charpoly", "--uniform", "0", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "InvalidParams: uniform matroid needs 0 <= r <= n, got r=0, n=0"
+    ]

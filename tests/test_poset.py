@@ -17,6 +17,7 @@ from conepol import (
     weisner_check,
 )
 from conepol.errors import HypothesisViolation, InvalidParams, NotAnInterval, NotGraded
+from conepol.matroid import characteristic_polynomial
 from conepol.poset import (
     disconnection_witness,
     flats_axioms_hold,
@@ -280,10 +281,14 @@ def assert_order_matches_oracle(P):
 def test_order_table_matches_interval_walk_oracle():
     rng = random.Random(20261019)
     counts = {"graded": 0, "not graded": 0}
+    several_minima = {"graded": 0, "not graded": 0}
     families = random_families(rng)
     for _ in range(2400):
         n, sets = next(families)
         _, _, failure = oracles.graded_order(n, sets)
+        minima = [s for s in sets if not any(t != s and t & ~s == 0 for t in sets)]
+        if len(minima) >= 2:
+            several_minima["graded" if failure is None else "not graded"] += 1
         if failure is None:
             assert_order_matches_oracle(subposet_from_sets(n, sets))
             counts["graded"] += 1
@@ -296,6 +301,7 @@ def test_order_table_matches_interval_walk_oracle():
         )
         counts["not graded"] += 1
     assert min(counts.values()) >= 300, counts
+    assert several_minima["graded"] >= 50 and several_minima["not graded"] >= 10, several_minima
 
 
 def test_order_table_matches_oracle_on_lattices(lattices):
@@ -397,3 +403,36 @@ def test_flats_axioms_match_pairwise_oracle(lattices):
     }
     for kind, failures in floors.items():
         assert min(seen[kind].get(f, 0) for f in failures) >= 50, seen
+
+
+def test_rank2_connectivity_and_mobius_match_per_pair_oracles(lattices):
+    rng = random.Random(20261022)
+    seen = {"several minima": 0, "not balanced": 0, "not 1-balanced": 0,
+            "not interval connected": 0}
+    for P in random_graded_subposets(rng, 2500) + list(lattices.values()):
+        got = (is_balanced(P), is_one_balanced(P), is_interval_connected(P))
+        expected = (oracles.is_balanced(P), oracles.is_one_balanced(P),
+                    oracles.is_interval_connected(P))
+        assert got == expected, P.elements
+        assert list(mobius(P).items()) == oracles.mobius_items(P)
+        seen["several minima"] += sum(1 for d in P._down if d & (d - 1) == 0) >= 2
+        seen["not balanced"] += not got[0]
+        seen["not 1-balanced"] += not got[1]
+        seen["not interval connected"] += not got[2]
+    assert min(seen.values()) >= 100, seen
+
+
+def test_mobius_rows_are_computed_on_demand(lattices):
+    L = lattices["k4"]
+    M = uniform_matroid(3, 5)
+    chi = characteristic_polynomial(M)
+    P = flats_lattice(M)
+    table = mobius(P)
+    # the characteristic polynomial reads the bottom row only
+    assert list(table._rows) == [0]
+    assert chi == characteristic_polynomial(M)
+    with pytest.raises(NotAnInterval, match="non-comparable pair"):
+        table.mu(P.elements[1], P.elements[2])
+    with pytest.raises(NotAnInterval, match="non-comparable pair"):
+        mobius(L).mu(L.top, L.bottom)
+    assert list(table.items()) == oracles.mobius_items(P)

@@ -11,10 +11,12 @@ import contextlib
 import gc
 import io
 import types
+import weakref
 
 import pytest
 
-from conepol import cli
+from conepol import cli, poset, subposet_from_sets
+from conepol.subsets import from_elements
 
 JOBS = [
     ["certify", "--uniform", "4", "5", "--samples", "2"],
@@ -57,3 +59,30 @@ def test_cli_job_leaves_no_cyclic_garbage(argv):
         gc.collect()
     assert code == 0
     assert leaked == []
+
+
+def test_poset_and_its_mobius_table_are_freed_by_reference_counting():
+    sets = [0, from_elements([0]), from_elements([1]), from_elements([0, 1])]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        P = subposet_from_sets(2, sets)
+        table = poset.mobius(P)
+        assert table.mu(0, from_elements([0, 1])) == 1
+        poset_ref, table_ref = weakref.ref(P), weakref.ref(table)
+        del table
+        # the poset keeps its table; the table does not keep the poset
+        assert table_ref() is not None
+        del P
+        assert poset_ref() is None
+        assert table_ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_mobius_table_answers_after_its_poset_is_gone():
+    sets = [0, from_elements([0]), from_elements([1]), from_elements([0, 1])]
+    table = poset.mobius(subposet_from_sets(2, sets))
+    assert table.mu(from_elements([0]), from_elements([0, 1])) == -1
+    assert [mu for _, mu in table.items()] == [1, -1, -1, 1, 1, -1, 1, -1, 1]
