@@ -26,6 +26,7 @@ from .errors import (
     InternalAxiomFailure,
     InvalidParams,
     LoopElement,
+    SizeLimitExceeded,
     UnequalBasisSizes,
 )
 from .unipoly import UniPoly
@@ -39,7 +40,10 @@ class GroundSet:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParams(f"ground size must be 1..{subsets.MAX_GROUND}")
-        subsets.check_ground_cap(self.n)
+        if self.n > subsets.MAX_GROUND:
+            raise SizeLimitExceeded(
+                f"ground set of {self.n} elements exceeds the cap of {subsets.MAX_GROUND}"
+            )
         if self.labels is not None:
             if len(self.labels) != self.n or len(set(self.labels)) != self.n:
                 raise InvalidParams("labels must be n pairwise distinct strings")
@@ -153,9 +157,9 @@ def uniform_matroid(r, n):
     """Bases are all r-subsets of an n-element ground set."""
     if n < 1 or r < 0 or r > n:
         raise InvalidParams(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
-    subsets.check_ground_cap(n)
+    ground = GroundSet(n)
     bases = {subsets.from_elements(c) for c in combinations(range(n), r)}
-    return Matroid(GroundSet(n), bases)
+    return Matroid(ground, bases)
 
 
 def graphic_matroid(edges):
@@ -167,7 +171,7 @@ def graphic_matroid(edges):
     edges = [tuple(e) for e in edges]
     if not edges:
         raise InvalidParams("graph needs at least one edge")
-    subsets.check_ground_cap(len(edges))
+    ground = GroundSet(len(edges))
     vertices = sorted({v for e in edges for v in e})
     v_index = {v: i for i, v in enumerate(vertices)}
 
@@ -196,7 +200,7 @@ def graphic_matroid(edges):
         mask = subsets.from_elements(combo)
         if forest_rank(mask) == r:
             bases.add(mask)
-    return Matroid(GroundSet(len(edges)), bases)
+    return Matroid(ground, bases)
 
 
 FANO_LINES = (

@@ -26,8 +26,9 @@ once per poset and kept on it.  Each check takes a shortcut that is exact:
 - Connectivity absorbs atoms.  Every element of an open interval (K, L)
   lies above an atom of [K, L], the upper covers of K below L.  The
   elements above the atoms absorbed so far form a set closed under
-  comparability once no further atom's up-set meets it, so (K, L) is
-  connected iff absorbing every atom whose up-set meets it takes all.
+  comparability once no further atom's up-set meets it, and connected, so
+  absorbing atoms from the first one gives its comparability component,
+  and (K, L) is connected iff that takes all.
 - Mobius rows come on demand: `mobius(P)` computes the row of a when
   mu(a, .) is first asked, so the characteristic polynomial pays for the
   bottom row only.  The table keeps P's order data, not P, so P, which
@@ -235,7 +236,8 @@ def _once_per_poset(predicate):
 
 class MobiusTable:
     """mu(a, b) for every comparable pair a <= b of a finite poset, one row
-    mu(a, .) at a time, each computed when first asked for."""
+    mu(a, .) at a time, each computed when first asked for.  Built from
+    the poset by `mobius(P)`."""
 
     def __init__(self, P):
         self._elements, self._index = P.elements, P._index
@@ -348,52 +350,43 @@ def is_interval_connected(P):
     for k, above in enumerate(P._up):
         height = P._rank[k]
         for top in subsets.elements(above):
-            if height[top] - height[k] >= 3 and not _atoms_absorbed(P, k, top):
-                return False
-    return True
-
-
-def _atoms_absorbed(P, k, top):
-    """Whether the open interval (k, top) is connected: the component
-    grows from the first atom of [k, top] by absorbing every atom whose
-    up-set meets it, until all are in or none joins (see the module
-    docstring)."""
-    up, below = P._up, P._down[top]
-    mids = up[k] & below & ~(1 << k) & ~(1 << top)
-    first, *left = [a for a in P._upper_covers[k] if (below >> a) & 1]
-    component = up[first] & mids
-    while left:
-        grown, stay = component, []
-        for a in left:
-            if up[a] & component:
-                grown |= up[a] & mids
-            else:
-                stay.append(a)
-        if len(stay) == len(left):
-            return False
-        component, left = grown, stay
+            if height[top] - height[k] >= 3:
+                mids = above & P._down[top] & ~(1 << k) & ~(1 << top)
+                if _comparability_split(P, k, mids)[1]:
+                    return False
     return True
 
 
 def disconnection_witness(P, K, L):
     """Two comparability components of (K, L), or None if connected."""
-    component, rest = _first_component(P, K, L)
+    mids = P._open_mask(K, L)
+    component, rest = _comparability_split(P, P.index(K), mids)
     if not rest:
         return None
     return P._members(component), P._members(rest)
 
 
-def _first_component(P, K, L):
+def _comparability_split(P, k, mids):
     """Comparability component of the first element of the open interval
-    (K, L), and the rest of it, as index bitsets."""
-    mids = P._open_mask(K, L)
-    component = frontier = mids & -mids
-    while frontier:
-        j = (frontier & -frontier).bit_length() - 1
-        frontier &= frontier - 1
-        new = (P._up[j] | P._down[j]) & mids & ~component
-        component |= new
-        frontier |= new
+    `mids` above element k, and the rest of it, as index bitsets; (0, 0)
+    when the interval is empty.  That first element is the first atom, and
+    the component grows from its up-set by absorbing every atom whose
+    up-set meets it, until none joins (see the module docstring)."""
+    if not mids:
+        return 0, 0
+    up = P._up
+    first, *left = [a for a in P._upper_covers[k] if (mids >> a) & 1]
+    component = up[first] & mids
+    joined = True
+    while joined:
+        joined, stay = False, []
+        for a in left:
+            if up[a] & component:
+                component |= up[a] & mids
+                joined = True
+            else:
+                stay.append(a)
+        left = stay
     return component, mids & ~component
 
 
@@ -421,7 +414,7 @@ def is_semimodular_lattice(P):
         top |= a
     if top not in index:
         return False
-    if not _intersection_closed(P):
+    if not _intersection_closed(P, (1 << len(els)) - 1):
         down = P._down
         for i, a in enumerate(els):
             for b in els[i + 1:]:
@@ -440,8 +433,13 @@ def is_semimodular_lattice(P):
     return True
 
 
-def _closed_under_intersection(members, inside):
-    """a & b lies in `inside` for every two of `members`."""
+@_once_per_poset
+def _intersection_closed(P, mask):
+    """The elements whose indices are the set bits of `mask` are closed
+    under intersection; the pass over all of P is shared by the flats
+    axioms and the lattice test."""
+    members = P._members(mask)
+    inside = set(members)
     for i, a in enumerate(members):
         for b in members[i + 1:]:
             if a & b not in inside:
@@ -449,27 +447,14 @@ def _closed_under_intersection(members, inside):
     return True
 
 
-@_once_per_poset
-def _intersection_closed(P):
-    """P is closed under intersection: one pairwise pass, shared by the
-    flats axioms and the lattice test."""
-    return _closed_under_intersection(P.elements, P._index)
-
-
 def _flats_axioms(P, mask, top):
     """Flats axioms on the elements whose indices are the set bits of
     `mask`, relative to `top`: top is one of them, they are closed under
     intersection, and for each of them, F, the gains of its upper covers
     inside the mask partition top minus F."""
-    members = P._members(mask)
-    inside = set(members)
-    if top not in inside:
+    if top not in P or not (mask >> P._index[top]) & 1:
         return False
-    if mask == (1 << len(P)) - 1:
-        closed = _intersection_closed(P)
-    else:
-        closed = _closed_under_intersection(members, inside)
-    if not closed:
+    if not _intersection_closed(P, mask):
         return False
     els = P.elements
     for i in subsets.elements(mask):

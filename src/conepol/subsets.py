@@ -5,16 +5,9 @@ int arithmetic, which keeps every operation O(1) at desk scale.  Ground
 sets are capped at 64 elements.
 """
 
-from .errors import InvalidParams, MalformedInput, SizeLimitExceeded
+from .errors import InvalidParams, MalformedInput
 
 MAX_GROUND = 64
-
-
-def check_ground_cap(n):
-    """Refuse a ground set of n elements above the cap, before any work
-    that grows with it."""
-    if n > MAX_GROUND:
-        raise SizeLimitExceeded(f"ground set of {n} elements exceeds the cap of {MAX_GROUND}")
 
 
 def from_elements(elements):
