@@ -1,20 +1,25 @@
 """Matroids given by their bases, and the lattice of flats.
 
-Rank, closure and flats are all derived from the basis family by direct
-search, which is exact and fast enough for desk-scale ground sets.  The
-closure of S is one pass over the bases: an element outside S stays out
-of it iff some basis meeting S in rank(S) elements contains it.  The
-lattice of flats is searched cover by cover: one scan per flat F keeps the
-bases meeting F in rank(F) elements, each cover cl(F + e) is read off
-those that hold e, and the elements it adds to F are not tried again.
-The basis-exchange axiom is validated exhaustively at construction time
-over int bitsets of basis indices: for each basis B1 and x in B1, the
-bases B2 that hold neither x nor any y with B1 - x + y a basis are one
-mask, and the first violation is reported as a pair-by-pair walk would.
+One basis-incidence table answers every basis query: `_holding[y]` is an
+int bitset, over basis indices in the iteration order of `bases`, of the
+bases that contain y.  Adding `_holding[y]` up over the y in S as
+bit-sliced per-basis counters (a ripple-carry add over O(log r) bit
+planes) gives every |B & S| at once; reading the planes from the top down
+gives rank(S) and the mask of the bases meeting S in rank(S) elements, and
+cl(S) is S plus every y whose `_holding[y]` misses that mask.  The lattice
+of flats is searched cover by cover from one such mask per flat (see
+`flats_lattice`).  The exchange axiom is validated exhaustively over the
+same table: for each basis B1 and x in B1, the bases B2 that hold neither
+x nor any y with B1 - x + y a basis are one mask, and the first violation
+is reported as a pair-by-pair walk would.  Graphic bases are the maximal
+spanning forests, found by backtracking over the edges.  A family of more
+than `MAX_BASES` bases is refused: a uniform one before it is listed, a
+graphic one as soon as the walk passes the cap.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 from . import poset, subsets
@@ -30,6 +35,8 @@ from .errors import (
     UnequalBasisSizes,
 )
 from .unipoly import UniPoly
+
+MAX_BASES = 20_000
 
 
 @dataclass(frozen=True)
@@ -54,16 +61,20 @@ class GroundSet:
 
 
 class Matroid:
-    """Immutable matroid on {0,...,n-1} stored as a family of basis bitsets."""
+    """Immutable matroid on {0,...,n-1} stored as a family of basis bitsets
+    and its basis-incidence table."""
 
     def __init__(self, ground, bases):
         self.ground = ground
         self.bases = frozenset(bases)
-        self._validate()
+        _check_basis_count(len(self.bases))
+        self._holding = self._validate()
+        self._everyone = (1 << len(self.bases)) - 1
         self.rank_total = next(iter(self.bases)).bit_count()
         self._lattice = None
 
     def _validate(self):
+        """Check the basis family and return its incidence table."""
         if not self.bases:
             raise EmptyBases("a matroid needs at least one basis")
         full = self.ground.full_mask
@@ -74,8 +85,6 @@ class Matroid:
             sizes.add(B.bit_count())
         if len(sizes) != 1:
             raise UnequalBasisSizes(f"basis cardinalities differ: {sorted(sizes)}")
-        # holding[y]: the bases that contain y, as a bitset over their
-        # indices in iteration order
         bases = self.bases
         order = list(bases)
         everyone = (1 << len(order)) - 1
@@ -106,29 +115,42 @@ class Matroid:
                         subsets.format_elements(order[low.bit_length() - 1]),
                     )
                 )
+        return holding
+
+    def _spanning(self, S):
+        """rank(S), and the bases meeting S in rank(S) elements as a bitset
+        over basis indices, from bit-sliced counts of |B & S|: plane j
+        holds bit j of every basis's count."""
+        holding = self._holding
+        planes = []
+        for y in subsets.elements(S):
+            carry = holding[y]
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        rank, kept = 0, self._everyone
+        for j in range(len(planes) - 1, -1, -1):
+            if kept & planes[j]:
+                kept &= planes[j]
+                rank |= 1 << j
+        return rank, kept
 
     def rank(self, S):
-        return max((S & B).bit_count() for B in self.bases)
-
-    def _spanning_bases(self, S):
-        """The bases meeting S in rank(S) elements, which are the bases
-        that contain a basis of S, from one pass over the bases."""
-        best, kept = -1, []
-        for B in self.bases:
-            k = (S & B).bit_count()
-            if k > best:
-                best, kept = k, [B]
-            elif k == best:
-                kept.append(B)
-        return kept
+        return self._spanning(S)[0]
 
     def closure(self, S):
-        # e outside S escapes the closure iff it lies in a basis B with
+        # y outside S escapes the closure iff it lies in a basis B with
         # |B & S| = rank(S)
-        escape = 0
-        for B in self._spanning_bases(S):
-            escape |= B
-        return S | (self.ground.full_mask & ~escape)
+        kept = self._spanning(S)[1]
+        for y, holders in enumerate(self._holding):
+            if not holders & kept:
+                S |= 1 << y
+        return S
 
     def loops(self):
         return self.closure(0)
@@ -138,6 +160,11 @@ class Matroid:
 
     def __repr__(self):
         return f"Matroid(n={self.ground.n}, rank={self.rank_total}, bases={len(self.bases)})"
+
+
+def _check_basis_count(count, found=""):
+    if count > MAX_BASES:
+        raise SizeLimitExceeded(f"{count} bases{found} exceed the cap of {MAX_BASES}")
 
 
 def matroid_from_bases(ground, bases):
@@ -158,6 +185,7 @@ def uniform_matroid(r, n):
     if n < 1 or r < 0 or r > n:
         raise InvalidParams(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
     ground = GroundSet(n)
+    _check_basis_count(comb(n, r))
     bases = {subsets.from_elements(c) for c in combinations(range(n), r)}
     return Matroid(ground, bases)
 
@@ -174,33 +202,47 @@ def graphic_matroid(edges):
     ground = GroundSet(len(edges))
     vertices = sorted({v for e in edges for v in e})
     v_index = {v: i for i, v in enumerate(vertices)}
+    ends = [(v_index[u], v_index[v]) for u, v in edges]
+    return Matroid(ground, _spanning_forests(len(vertices), ends))
 
-    def forest_rank(subset_mask):
-        parent = list(range(len(vertices)))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+def _spanning_forests(order, ends):
+    """Maximal spanning forests of the multigraph on vertices 0..order-1
+    with edges `ends`, as edge bitsets."""
+    label = list(range(order))
+    r = 0  # vertices minus components
+    for u, v in ends:
+        a, b = label[u], label[v]
+        if a != b:
+            label = [a if c == b else c for c in label]
+            r += 1
+    forests = []
+    _grow_forests(ends, r, 0, list(range(order)), 0, 0, forests)
+    return forests
 
-        count = 0
-        for i in subsets.elements(subset_mask):
-            u, v = edges[i]
-            ru, rv = find(v_index[u]), find(v_index[v])
-            if ru != rv:
-                parent[ru] = rv
-                count += 1
-        return count
 
-    full = (1 << len(edges)) - 1
-    r = forest_rank(full)
-    bases = set()
-    for combo in combinations(range(len(edges)), r):
-        mask = subsets.from_elements(combo)
-        if forest_rank(mask) == r:
-            bases.add(mask)
-    return Matroid(ground, bases)
+def _grow_forests(ends, r, i, label, size, mask, forests):
+    """Backtracking over the edges from index i on, with `mask` holding
+    `size` edges already taken and `label[v]` the component of vertex v
+    under them: an edge joining two components may be taken (relabelling
+    one of them, and undoing that after), and a state with fewer edges
+    left than the forest still lacks is dropped."""
+    if size == r:
+        forests.append(mask)
+        _check_basis_count(len(forests), " found so far")
+        return
+    if len(ends) - i < r - size:
+        return
+    u, v = ends[i]
+    a, b = label[u], label[v]
+    if a != b:
+        moved = [w for w, c in enumerate(label) if c == b]
+        for w in moved:
+            label[w] = a
+        _grow_forests(ends, r, i + 1, label, size + 1, mask | 1 << i, forests)
+        for w in moved:
+            label[w] = b
+    _grow_forests(ends, r, i + 1, label, size, mask, forests)
 
 
 FANO_LINES = (
@@ -252,27 +294,29 @@ def flats_lattice(M):
 
     The upper covers of a flat F are the cl(F + e), e outside F, and
     cl(F + e) = cl(F + e') for every e' in cl(F + e) - F, so each cover is
-    closed once.  Of the bases spanning F, found in one scan, those that
-    also hold e are the bases meeting F + e in its rank r(F) + 1, so
-    cl(F + e) is F + e plus everything outside their union.
+    closed once, and the covers' gains partition the elements outside F.
+    Of the bases spanning F, found once per flat, those that also hold e
+    are the bases meeting F + e in its rank r(F) + 1, so cl(F + e) is
+    F + e plus every untried y that none of them holds.
     """
     if M._lattice is not None:
         return M._lattice
+    holding = M._holding
     bottom = M.closure(0)
     found = {bottom}
     frontier = [bottom]
     full = M.ground.full_mask
     while frontier:
         F = frontier.pop()
-        kept = M._spanning_bases(F)
+        kept = M._spanning(F)[1]
         untried = full & ~F
         while untried:
             bit = untried & -untried
-            escape = 0
-            for B in kept:
-                if B & bit:
-                    escape |= B
-            G = F | bit | (full & ~escape)
+            spanning = kept & holding[bit.bit_length() - 1]
+            G = F | bit
+            for y in subsets.elements(untried & ~bit):
+                if not holding[y] & spanning:
+                    G |= 1 << y
             untried &= ~G
             if G not in found:
                 found.add(G)

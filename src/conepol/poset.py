@@ -87,7 +87,7 @@ class GradedSubposet:
                 self._lower_covers[j].append(i)
         # _rank[i][k] - _rank[i][i] is the rank of [i, k]; raises NotGraded
         self._rank = self._grade_all_intervals()
-        self._proved = {}  # predicate results, keyed by (function, *args)
+        self._proved = {}  # predicate results, keyed by (name, *args)
 
     # -- basic order queries ------------------------------------------------
 
@@ -223,7 +223,7 @@ def _once_per_poset(predicate):
 
     @functools.wraps(predicate)
     def proved(P, *args):
-        key = (predicate, *args)
+        key = (predicate.__name__, *args)
         if key not in P._proved:
             P._proved[key] = predicate(P, *args)
         return P._proved[key]
@@ -314,7 +314,10 @@ def _rank2_middles(P):
 @_once_per_poset
 def is_balanced(P):
     """Every element of L \\ K is hit by equally many middles of each
-    rank-2 interval [K, L]."""
+    rank-2 interval [K, L].  Once P is proved 1-balanced the middles
+    partition L \\ K, so every element is hit exactly once."""
+    if P._proved.get(("is_one_balanced",)):
+        return True
     els = P.elements
     for k, top, mids in _rank2_middles(P):
         K = els[k]

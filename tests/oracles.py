@@ -1,9 +1,10 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here works on frozensets and dense coefficient lists,
-deliberately sharing no code or data layout with the package under test;
-the polynomial and Lorentzian oracles at the end are the exceptions, see
-there.
+deliberately sharing no code or data layout with the package under test.
+The exceptions are the basis scans the package replaced, which work on
+int bitsets as it did, and the polynomial and Lorentzian oracles at the
+end; see there.
 """
 
 from fractions import Fraction
@@ -487,6 +488,63 @@ def comparability_components(mids):
         components.append([m for m in left if m in component])
         left = [m for m in left if m not in component]
     return components
+
+
+def spanning_bases_scan(bases, S):
+    """The bases meeting S in rank(S) elements, from one pass over the
+    bases (int bitsets, as is S)."""
+    best, kept = -1, []
+    for B in bases:
+        k = (S & B).bit_count()
+        if k > best:
+            best, kept = k, [B]
+        elif k == best:
+            kept.append(B)
+    return kept
+
+
+def rank_by_scan(bases, S):
+    return max((S & B).bit_count() for B in bases)
+
+
+def closure_by_scan(full, bases, S):
+    """S plus every element outside the union of the bases spanning S."""
+    escape = 0
+    for B in spanning_bases_scan(bases, S):
+        escape |= B
+    return S | (full & ~escape)
+
+
+def graphic_bases_by_combinations(edges):
+    """Bases of the cycle matroid as edge bitsets: every r-subset of the
+    edges that a fresh union-find finds acyclic, r the rank of all edges."""
+    vertices = sorted({v for e in edges for v in e})
+    v_index = {v: i for i, v in enumerate(vertices)}
+
+    def forest_rank(combo):
+        parent = list(range(len(vertices)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        count = 0
+        for i in combo:
+            u, v = edges[i]
+            ru, rv = find(v_index[u]), find(v_index[v])
+            if ru != rv:
+                parent[ru] = rv
+                count += 1
+        return count
+
+    r = forest_rank(range(len(edges)))
+    return {
+        sum(1 << i for i in combo)
+        for combo in combinations(range(len(edges)), r)
+        if forest_rank(combo) == r
+    }
 
 
 def first_exchange_violation(bases):

@@ -340,3 +340,24 @@ def test_empty_ground_stays_invalid_input(capsys):
     assert err.splitlines() == [
         "InvalidParams: uniform matroid needs 0 <= r <= n, got r=0, n=0"
     ]
+
+
+def test_uniform_basis_cap_refuses_before_enumerating(capsys):
+    code, out, err = run(capsys, ["charpoly", "--uniform", "32", "64"])
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "SizeLimitExceeded: 1832624140942590534 bases exceed the cap of 20000"
+    ]
+
+
+def test_graphic_basis_cap_stops_the_forest_walk(capsys, tmp_path):
+    # K8 has 8^6 = 262,144 spanning trees
+    path = tmp_path / "k8.json"
+    path.write_text(json.dumps({"edges": [[u, v] for v in range(8) for u in range(v)]}))
+    code, out, err = run(capsys, ["poset-check", "--graphic", str(path)])
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "SizeLimitExceeded: 20001 bases found so far exceed the cap of 20000"
+    ]

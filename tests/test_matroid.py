@@ -14,6 +14,7 @@ from conepol import (
     fano,
     flats_lattice,
     graphic_matroid,
+    matroid,
     matroid_from_bases,
     rank,
     reduced_characteristic_polynomial,
@@ -25,6 +26,7 @@ from conepol.errors import (
     HasLoops,
     InvalidParams,
     LoopElement,
+    SizeLimitExceeded,
     UnequalBasisSizes,
 )
 from conepol.subsets import elements, format_elements, from_elements
@@ -371,3 +373,94 @@ def test_exchange_violation_names_oracle_witness():
     assert violations >= 30 and valid >= 30, (violations, valid)
     assert several_b2 >= 30 and several_x >= 30, (several_b2, several_x)
     assert wide >= 20 and high_b2 >= 3, (wide, high_b2)
+
+
+def wide_binary_matroids(rng, count):
+    """Seeded random binary matroids of rank up to 5 on 10 to 12 elements;
+    most have more than 64 bases, so the incidence bitsets span several
+    machine words."""
+    return [
+        random_binary_matroid(rng, rng.choice([4, 5]), rng.randint(10, 12))
+        for _ in range(count)
+    ]
+
+
+def test_spanning_rank_and_closure_match_basis_scan_oracle():
+    """Rank, the spanning bases and closure from the bit-sliced counts
+    agree with one scan of every basis: on every subset of small ground
+    sets, and on 300 seeded subsets of the wide ones."""
+    rng = random.Random(20261019)
+    wide = 0
+    for M in closure_cases() + wide_binary_matroids(rng, 16):
+        bases, full = list(M.bases), M.ground.full_mask
+        wide += len(bases) > 64
+        tested = range(full + 1) if M.ground.n <= 8 else [rng.randrange(full + 1) for _ in range(300)]
+        for S in tested:
+            r, kept = M._spanning(S)
+            assert r == rank(M, S) == oracles.rank_by_scan(bases, S), (M, S)
+            assert [bases[i] for i in elements(kept)] == oracles.spanning_bases_scan(bases, S)
+            assert closure(M, S) == oracles.closure_by_scan(full, bases, S), (M, S)
+    assert wide >= 10, wide
+
+
+def random_multigraph(rng):
+    """Edges on up to 6 vertex names with self-loops, parallel edges,
+    vertices touched only by a self-loop, and often several components."""
+    names = rng.sample(range(20), rng.randint(1, 6))
+    edges = []
+    for _ in range(rng.randint(1, 12)):
+        roll = rng.random()
+        if roll < 0.15:
+            v = rng.choice(names)
+            edges.append((v, v))
+        elif roll < 0.3 and edges:
+            edges.append(rng.choice(edges))
+        else:
+            edges.append(tuple(rng.sample(names, 2)) if len(names) > 1 else (names[0],) * 2)
+    return edges
+
+
+def components(edges):
+    vertices = {v for e in edges for v in e}
+    label = {v: v for v in vertices}
+    for u, v in edges:
+        a, b = label[u], label[v]
+        label = {x: a if c == b else c for x, c in label.items()}
+    return len(set(label.values()))
+
+
+def test_graphic_bases_match_combination_scan_oracle():
+    """Spanning forests by backtracking are exactly the r-subsets of edges
+    that a union-find finds acyclic."""
+    rng = random.Random(4242)
+    seen = {"self-loop": 0, "parallel": 0, "isolated": 0, "several components": 0}
+    for _ in range(300):
+        edges = random_multigraph(rng)
+        M = graphic_matroid(edges)
+        assert M.bases == oracles.graphic_bases_by_combinations(edges), edges
+        loops = [e for e in edges if e[0] == e[1]]
+        touched = {v for e in edges if e[0] != e[1] for v in e}
+        seen["self-loop"] += bool(loops)
+        seen["parallel"] += len({frozenset(e) for e in edges}) < len(edges)
+        seen["isolated"] += any(e[0] not in touched for e in loops)
+        seen["several components"] += components(edges) >= 2
+    assert min(seen.values()) >= 30, seen
+    for k in (5, 6):
+        edges = list(combinations(range(k), 2))
+        assert graphic_matroid(edges).bases == oracles.graphic_bases_by_combinations(edges)
+
+
+def test_basis_cap_refuses_before_or_while_enumerating(monkeypatch):
+    # the cap admits M(K7), with 7^5 spanning trees
+    assert matroid.MAX_BASES >= 7 ** 5
+    monkeypatch.setattr(matroid, "MAX_BASES", 15)
+    assert len(uniform_matroid(2, 6).bases) == 15
+    with pytest.raises(SizeLimitExceeded, match=r"^20 bases exceed the cap of 15$"):
+        uniform_matroid(3, 6)
+    # K4 has 16 spanning trees; the walk stops at the 16th
+    with pytest.raises(SizeLimitExceeded, match=r"^16 bases found so far exceed the cap of 15$"):
+        graphic_matroid(K4_EDGES)
+    with pytest.raises(SizeLimitExceeded, match=r"^20 bases exceed the cap of 15$"):
+        matroid_from_bases(6, combinations(range(6), 3))
+    monkeypatch.setattr(matroid, "MAX_BASES", 16)
+    assert len(graphic_matroid(K4_EDGES).bases) == 16

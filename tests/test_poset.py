@@ -436,3 +436,41 @@ def test_mobius_rows_are_computed_on_demand(lattices):
     with pytest.raises(NotAnInterval, match="non-comparable pair"):
         mobius(L).mu(L.top, L.bottom)
     assert list(table.items()) == oracles.mobius_items(P)
+
+
+def boolean_lattices_without_layers():
+    """B_3..B_5 with one or more inner rank layers removed: still graded,
+    and balanced but not 1-balanced whenever a rank-2 interval skips a
+    layer (its middles overlap)."""
+    for n in (3, 4, 5):
+        for drop in range(1, 1 << (n - 1)):
+            yield subposet_from_sets(n, [
+                s for s in range(1 << n)
+                if s.bit_count() in (0, n) or not (drop >> (s.bit_count() - 1)) & 1
+            ])
+
+
+def test_balanced_after_one_balanced_matches_per_pair_oracle(lattices):
+    """With 1-balancedness proved first, is_balanced reads it; otherwise it
+    counts.  Both agree with the per-pair oracle, also on posets that are
+    balanced but not 1-balanced."""
+    rng = random.Random(20261023)
+    posets = (random_graded_subposets(rng, 1500) + list(boolean_lattices_without_layers())
+              + list(lattices.values()))
+    seen = {"1-balanced": 0, "balanced, not 1-balanced": 0, "not balanced": 0}
+    for P in posets:
+        one = is_one_balanced(P)
+        assert one == oracles.is_one_balanced(P)
+        assert is_balanced(P) == oracles.is_balanced(P), P.elements
+        if one:
+            seen["1-balanced"] += 1
+        elif oracles.is_balanced(P):
+            seen["balanced, not 1-balanced"] += 1
+        else:
+            seen["not balanced"] += 1
+    assert min(seen.values()) >= 20, seen
+    # 1-balanced implies balanced with no counting at all
+    P = boolean_lattice(3)
+    assert is_one_balanced(P)
+    P._upper_covers = None
+    assert is_balanced(P)

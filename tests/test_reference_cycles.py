@@ -16,6 +16,10 @@ import weakref
 import pytest
 
 from conepol import cli, poset, subposet_from_sets
+from conepol.intervalpoly import IntervalPolynomials
+from conepol.matroid import Matroid
+from conepol.multipoly import MultiPoly
+from conepol.poset import GradedSubposet
 from conepol.subsets import from_elements
 
 JOBS = [
@@ -59,6 +63,36 @@ def test_cli_job_leaves_no_cyclic_garbage(argv):
         gc.collect()
     assert code == 0
     assert leaked == []
+
+
+JOB_OBJECTS = (Matroid, GradedSubposet, IntervalPolynomials, MultiPoly)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["charpoly", "--uniform", "3", "5"],
+        ["poset-check", "--fano"],
+        ["certify", "--uniform", "3", "4", "--samples", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_job_keeps_nothing_alive(argv):
+    """No matroid, poset, polynomial cache or polynomial outlives its job,
+    so nothing one invocation computes can serve the next."""
+    gc.collect()
+    before = [obj for obj in gc.get_objects() if isinstance(obj, JOB_OBJECTS)]
+    kept = {id(obj) for obj in before}
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    gc.collect()
+    alive = [
+        type(obj).__qualname__
+        for obj in gc.get_objects()
+        if isinstance(obj, JOB_OBJECTS) and id(obj) not in kept
+    ]
+    assert code == 0
+    assert alive == []
 
 
 def test_poset_and_its_mobius_table_are_freed_by_reference_counting():
