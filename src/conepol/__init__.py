@@ -11,40 +11,26 @@ from .cone import (
     beta_indicator,
     beta_vector,
     canonical_interior_point,
-    effective_decompose,
     is_modular,
     is_strictly_submodular,
     modular_basis,
     project,
 )
-from .chow import (
-    ChowRing,
-    build_chow,
-    degree_map,
-    tensor_degree_check,
-    verify_vol_eq_pol,
-    volume_polynomial,
-)
+from .chow import ChowRing
 from .intervalpoly import (
     IntervalPolynomials,
     alpha_beta_restriction,
-    derivative_factorization_holds,
-    evaluate_at,
     interval_polynomial,
     modular_shift_invariance,
     reduced_charpoly_via_interval_poly,
-    sum_of_squares_identity_holds,
 )
 from .lorentz import (
     InertiaTriple,
     LorentzianCertificate,
     certify_cone_lorentzian,
-    hessian_one_positive_equivalence,
     hypotheses_report,
     inertia,
     is_irreducible_nonneg_offdiag,
-    is_lorentzian_orthant,
-    product_check,
     sample_direction_tuples,
 )
 from .matroid import (
@@ -52,12 +38,10 @@ from .matroid import (
     GroundSet,
     Matroid,
     characteristic_polynomial,
-    closure,
     fano,
     flats_lattice,
     graphic_matroid,
     matroid_from_bases,
-    rank,
     reduced_characteristic_polynomial,
     uniform_matroid,
 )
@@ -78,8 +62,6 @@ from .poset import (
     is_one_balanced,
     is_semimodular_lattice,
     mobius,
-    subposet_from_sets,
-    weisner_check,
 )
 from .unipoly import UniPoly, is_log_concave
 

@@ -15,7 +15,6 @@ monomials in the same nonzero class; the induced functional normalizes
 them to 1 and generates the volume polynomial.
 """
 
-import random
 from fractions import Fraction
 from math import factorial, gcd, prod
 
@@ -238,24 +237,6 @@ class ChowRing:
         return MultiPoly(self.flats, terms, degree=d)
 
 
-def build_chow(P, K, L):
-    return ChowRing(P, K, L)
-
-
-def degree_map(ring, monomial):
-    return ring.degree_map(monomial)
-
-
-def volume_polynomial(ring):
-    return ring.volume_polynomial()
-
-
-def verify_vol_eq_pol(P, K, L):
-    """Exact symbolic equality of the volume polynomial and the recursively
-    built interval polynomial."""
-    return vol_pol_mismatch_witness(ChowRing(P, K, L)) is None
-
-
 def vol_pol_mismatch_witness(ring):
     """First term where the ring's volume polynomial differs from the
     recursively built interval polynomial, or None when they are equal.
@@ -273,32 +254,3 @@ def vol_pol_mismatch_witness(ring):
         if e
     }
     return {"monomial": monomial, "difference": str(coeff)}
-
-
-def tensor_degree_check(P, K, F, L, samples=20, seed=0):
-    """deg of (monomial below F) * x_F * (monomial above F) splits as the
-    product of the sub-interval degrees, on sampled monomial pairs."""
-    if not (P.lt(K, F) and P.lt(F, L)):
-        raise NotAnInterval("need K < F < L in the poset")
-    big = ChowRing(P, K, L)
-    low = ChowRing(P, K, F)
-    high = ChowRing(P, F, L)
-    rng = random.Random(seed)
-
-    def random_exponents(ring, degree):
-        # degree >= 1 implies the open interval is nonempty
-        exps = [0] * len(ring.flats)
-        for _ in range(degree):
-            exps[rng.randrange(len(ring.flats))] += 1
-        return tuple(exps)
-
-    for _ in range(samples):
-        xi = random_exponents(low, low.degree)
-        eta = random_exponents(high, high.degree)
-        # the open intervals below and above F are disjoint and miss F
-        combined = {F: 1, **dict(zip(low.flats, xi)), **dict(zip(high.flats, eta))}
-        lhs = big.degree_map(combined)
-        rhs = low.degree_map(xi) * high.degree_map(eta)
-        if lhs != rhs:
-            return False
-    return True

@@ -342,8 +342,9 @@ def build_parser():
     p = sub.add_parser("chow-verify", help="volume polynomial vs interval polynomial")
     _add_matroid_args(p)
     _add_common_args(p)
-    _add_interval_arg(p)
-    p.add_argument("--all-intervals", action="store_true")
+    group = p.add_mutually_exclusive_group()
+    _add_interval_arg(group)
+    group.add_argument("--all-intervals", action="store_true")
     p.add_argument("--max-degree", type=int, default=chow.MAX_DEGREE)
     p.set_defaults(func=cmd_chow_verify)
 

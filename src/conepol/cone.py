@@ -8,17 +8,14 @@ nested intervals.
 """
 
 from fractions import Fraction
-from math import factorial
 
 from . import subsets
 from .errors import (
     BadNesting,
     ElementOutsideInterval,
-    FeasibilityFailure,
     InvalidParams,
     MalformedInput,
     MissingCoordinate,
-    NotInCone,
     SizeLimitExceeded,
     TrivialInterval,
 )
@@ -275,60 +272,6 @@ def canonical_interior_point(coords):
         coords,
         [Fraction((S & ~K).bit_count() * (L & ~S).bit_count()) for S in coords.subsets],
     )
-
-
-def _shapley_value(v):
-    """Shapley value of the game T -> v(K + T) on the players L \\ K.
-
-    phi_i = sum over T not containing i of |T|! (n-|T|-1)! / n! times the
-    marginal value v(K + T + i) - v(K + T).
-    """
-    K, L = v.coords.K, v.coords.L
-    players = L & ~K
-    n = players.bit_count()
-    weights = [
-        Fraction(factorial(t) * factorial(n - t - 1), factorial(n)) for t in range(n)
-    ]
-    phi = {}
-    for i in subsets.elements(players):
-        bit = 1 << i
-        phi[i] = sum(
-            (
-                weights[T.bit_count()] * (v[K | T | bit] - v[K | T])
-                for T in subsets.submasks(players & ~bit)
-            ),
-            Fraction(0),
-        )
-    return phi
-
-
-def effective_decompose(v):
-    """Modular shift making a cone point coordinatewise positive.
-
-    Returns (w, epsilon) where w is modular with v + w > 0 in every
-    coordinate, and epsilon is the largest 1/2^k for which v minus epsilon
-    times the canonical interior point stays weakly submodular.  The shift
-    is minus the Shapley value of v: the Shapley value of a submodular game
-    lies in its anticore (Shapley, "Cores of convex games", 1971), and
-    strict submodularity makes every strict intermediate's slack positive.
-    The canonical point has every diamond margin equal to 2, so epsilon is
-    the largest 1/2^k with 2 epsilon at most the least diamond margin of v.
-    """
-    if not is_strictly_submodular(v):
-        raise NotInCone("vector is not strictly submodular")
-    coords = v.coords
-    if coords.m == 0:
-        return IntervalVector.zero(coords), Fraction(1)
-
-    least = min(_diamond_margins(v))
-    eps = Fraction(1)
-    while 2 * eps > least:
-        eps /= 2
-
-    w = modular_vector(coords, {i: -phi for i, phi in _shapley_value(v).items()})
-    if any(val <= 0 for val in (v + w).values):
-        raise FeasibilityFailure("the Shapley shift left a coordinate nonpositive")
-    return w, eps
 
 
 def project(t, F, G):

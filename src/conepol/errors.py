@@ -58,10 +58,6 @@ class NotGraded(ConepolError):
     pass
 
 
-class HypothesisViolation(ConepolError):
-    pass
-
-
 class NotAnInterval(ConepolError):
     pass
 
@@ -69,14 +65,6 @@ class NotAnInterval(ConepolError):
 # --- interval coordinates and cones ---------------------------------------
 
 class TrivialInterval(ConepolError):
-    pass
-
-
-class NotInCone(ConepolError):
-    pass
-
-
-class FeasibilityFailure(InternalCheckError):
     pass
 
 
@@ -124,15 +112,7 @@ class NotSymmetric(ConepolError):
     pass
 
 
-class NonpositiveValue(ConepolError):
-    pass
-
-
 class DirectionNotInCone(ConepolError):
-    pass
-
-
-class UnsupportedSupport(ConepolError):
     pass
 
 

@@ -16,6 +16,7 @@ from . import cone, matroid as matroid_mod, poset, subsets
 from .errors import (
     ElementOutsideInterval,
     HasLoops,
+    InvalidParams,
     MismatchWithDirectComputation,
     NotAnInterval,
     PrerequisiteNotBalanced,
@@ -104,12 +105,6 @@ def interval_polynomial(P, K, L):
     return cache_for(P).polynomial(K, L)
 
 
-def evaluate_at(P, K, L, point):
-    """Exact value of the interval polynomial at a point covering its variables."""
-    f = interval_polynomial(P, K, L)
-    return f.evaluate(point)
-
-
 def derivative_factorization_witness(P, K, L):
     """First middle element where d pol / d t_F differs from the product of
     the lifted sub-interval polynomials, or None."""
@@ -121,16 +116,14 @@ def derivative_factorization_witness(P, K, L):
     return None
 
 
-def derivative_factorization_holds(P, K, L):
-    return derivative_factorization_witness(P, K, L) is None
-
-
 def _random_fraction(rng, spread=60, max_den=6):
     return Fraction(rng.randint(-spread, spread), rng.randint(1, max_den))
 
 
 def modular_shift_invariance(P, K, L, trials=50, seed=0, require_balanced=True):
     """pol(x + w) == pol(x) for random rational x and random modular w."""
+    if trials < 1:
+        raise InvalidParams("need at least one trial")
     if require_balanced and not poset.is_balanced(P):
         raise PrerequisiteNotBalanced("poset is not balanced")
     f = interval_polynomial(P, K, L)
@@ -217,36 +210,6 @@ def reduced_charpoly_via_interval_poly(M):
             f"{recovered} vs {direct}"
         )
     return recovered
-
-
-def sum_of_squares_identity_holds(P, K, L):
-    """For a rank-3 interval: twice the polynomial equals the square of the
-    rank-1 variable sum minus one square per rank-2 element."""
-    if P.interval_rank(K, L) != 3:
-        raise NotAnInterval("identity applies to rank-3 intervals")
-    f = interval_polynomial(P, K, L)
-    flats = f.vars
-    rank1 = [F for F in flats if P.interval_rank(K, F) == 1]
-    rank2 = [G for G in flats if P.interval_rank(K, G) == 2]
-    total = MultiPoly.zero(flats, degree=1)
-    for F in rank1:
-        total = total + MultiPoly.variable(flats, F)
-    rhs = total * total
-    for G in rank2:
-        diff = MultiPoly.variable(flats, G)
-        for F in rank1:
-            if subsets.is_proper_subset(F, G):
-                diff = diff - MultiPoly.variable(flats, F)
-        rhs = rhs - diff * diff
-    return 2 * f == rhs
-
-
-def euler_identity_holds(f):
-    """Sum of t_F times the F-partial equals deg(f) times f, exactly."""
-    acc = MultiPoly.zero(f.vars, degree=f.degree)
-    for var in f.vars:
-        acc = acc + MultiPoly.variable(f.vars, var) * partial(f, var)
-    return acc == f.degree * f
 
 
 def full_contraction(f, directions):

@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional
 
 from . import cone, poset, subsets
@@ -21,8 +20,6 @@ from .errors import (
     DimensionMismatch,
     InternalCheckError,
     InvalidParams,
-    NonpositiveValue,
-    UnsupportedSupport,
 )
 from .intervalpoly import (
     cache_for,
@@ -282,71 +279,6 @@ def certify_cone_lorentzian(P, K, L, samples=20, seed=0, directions=None):
     return LorentzianCertificate(K, L, d, recorded_seed, results, verdict)
 
 
-# -- orthant Lorentzian test ---------------------------------------------------
-
-
-def is_lorentzian_orthant(f):
-    """Lorentzian test on the positive orthant for full-simplex supports.
-
-    Checks positive coefficients and that the Hessian of every (d-2)-fold
-    partial derivative has at most one positive eigenvalue.  Inputs whose
-    Hessians pass but whose support misses part of the degree-d simplex are
-    rejected as unsupported rather than judged, since deciding those would
-    need the general support condition this package does not implement.
-    """
-    if f.is_zero():
-        return True
-    if any(c < 0 for c in f.terms.values()):
-        return False
-    d = f.degree
-    if d >= 2:
-        # a partial derivative is a contraction along a unit vector; the
-        # first two directions only enter the unused full contraction
-        units = [{v: int(v == w) for v in f.vars} for w in f.vars]
-        for combo in combinations_with_replacement(units, d - 2):
-            H, _ = _contracted(f, (units[0], units[0]) + combo)
-            if inertia(H).n_plus > 1:
-                return False
-    # the keys are distinct points of the simplex, so they fill it iff there
-    # are C(n + d - 1, d) of them; a nonzero constant always does
-    if d and len(f.terms) != math.comb(len(f.vars) + d - 1, d):
-        raise UnsupportedSupport(
-            "support is not the full degree simplex; cannot decide"
-        )
-    return True
-
-
-def product_check(f, g, sample_tuples):
-    """The product passes the same sampled contraction and inertia checks."""
-    h = f * g
-    return h.is_zero() or all(_tuple_result(h, tup)[2] for tup in sample_tuples)
-
-
-def hessian_one_positive_equivalence(g, point):
-    """At a point where g is positive: the Hessian having exactly one
-    positive eigenvalue must coincide with negative semidefiniteness of
-    d*g*H - (d-1)*grad*grad^T.  Returns whether the two sides agree.
-
-    With Q contracted along p = point d - 2 times, Euler's identity gives
-    Q = (d-2)! H, Q p = (d-1)! grad and p^T Q p = d! g, so that matrix is a
-    positive multiple of (p^T Q p) Q - (Q p)(Q p)^T and has its inertia.
-    Below degree 2 the Hessian is zero, so the sides disagree.
-    """
-    value = g.evaluate(point)
-    if value <= 0:
-        raise NonpositiveValue(f"g(point) = {value} is not positive")
-    d = g.degree
-    if d < 2:
-        return False
-    Q, top = _contracted(g, (point,) * d)
-    p = [_coordinate(point, var) for var in g.vars]
-    Qp = [sum(q * x for q, x in zip(row, p)) for row in Q.rows]
-    side_a = inertia(Q).n_plus == 1
-    rows = [[top * q - a * b for q, b in zip(row, Qp)] for row, a in zip(Q.rows, Qp)]
-    side_c = inertia(SymMatrix(rows)).n_plus == 0
-    return side_a == side_c
-
-
 # -- hypothesis ladder ----------------------------------------------------------
 
 
@@ -393,6 +325,8 @@ def hypotheses_report(P, K, L, samples=10, seed=0):
     `_contracted`, with the first d - 2 directions of a tuple put last; each
     hypothesis names the first tuple that fails it.
     """
+    if samples < 1:
+        raise InvalidParams("need at least one sample")
     d = P.interval_degree(K, L)
     coords = cone.IntervalCoords(K, L)
     cache = cache_for(P)

@@ -261,14 +261,6 @@ def fano():
     return Matroid(GroundSet(7), bases)
 
 
-def rank(M, S):
-    return M.rank(S)
-
-
-def closure(M, S):
-    return M.closure(S)
-
-
 class FlatLattice(poset.GradedSubposet):
     """Lattice of flats of a matroid, validated against the flats axioms."""
 

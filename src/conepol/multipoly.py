@@ -242,10 +242,6 @@ def hessian_of_quadratic(f):
     return SymMatrix(rows)
 
 
-def gradient_at(f, point):
-    return [partial(f, v).evaluate(point) for v in f.vars]
-
-
 def substitute_affine(f, matrix, new_variables):
     """Compose f with a linear map: old variable i becomes the linear form
     with coefficients matrix[i] over the new variables.

@@ -39,12 +39,7 @@ once per poset and kept on it.  Each check takes a shortcut that is exact:
 import functools
 
 from . import subsets
-from .errors import (
-    HypothesisViolation,
-    InvalidParams,
-    NotAnInterval,
-    NotGraded,
-)
+from .errors import InvalidParams, NotAnInterval, NotGraded
 
 
 class GradedSubposet:
@@ -213,11 +208,6 @@ class GradedSubposet:
         return [heights[(d & -d).bit_length() - 1] for d in self._down]
 
 
-def subposet_from_sets(n, element_sets):
-    """Validated graded sub-poset from explicit subsets of the ground set."""
-    return GradedSubposet(n, element_sets)
-
-
 def _once_per_poset(predicate):
     """predicate(P, *args), computed once per poset and kept on P."""
 
@@ -275,24 +265,6 @@ class MobiusTable:
 def mobius(P):
     """Mobius table of P; rows are computed as they are asked for."""
     return MobiusTable(P)
-
-
-def weisner_check(P, x, a, y, table=None):
-    """Coatom recursion for mu on a semimodular lattice.
-
-    With a covering x and a < y, checks that mu(x, y) equals minus the sum
-    of mu(x, b) over coatoms b of [x, y] that do not lie above a.
-    """
-    if a not in P.upper_covers(x):
-        raise HypothesisViolation("second argument must cover the first")
-    if a == y or not P.lt(a, y):
-        raise HypothesisViolation("third argument must lie strictly above the atom")
-    tbl = table if table is not None else mobius(P)
-    total = 0
-    for b in P.open_interval(x, y):
-        if y in P.upper_covers(b) and not subsets.is_subset(a, b):
-            total += tbl.mu(x, b)
-    return tbl.mu(x, y) == -total
 
 
 # -- structural predicates -----------------------------------------------------

@@ -10,15 +10,15 @@ end; see there.
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 
-from conepol.errors import NonpositiveValue, UnsupportedSupport
 from conepol.intervalpoly import full_contraction
 from conepol.lorentz import is_irreducible_nonneg_offdiag
 from conepol.multipoly import (
     dir_derivative,
-    gradient_at,
     hessian_of_quadratic,
     partial,
 )
+
+from side_checks import NonpositiveValue, UnsupportedSupport
 
 
 def powerset(universe):
@@ -71,21 +71,6 @@ def charpoly_coeffs_ascending(universe, bases):
     for F in flats:
         coeffs[top_rank - rank_of(bases, F)] += table[(bottom, F)]
     return coeffs
-
-
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def poly_trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def reduced_coeffs_ascending(universe, bases):
@@ -438,7 +423,7 @@ def graded_order(n, sets):
     """Upper covers and interval ranks of a family of subsets of range(n)
     under inclusion, walking every closed interval on its own.
 
-    `sets` holds int bitsets, as `subposet_from_sets` takes them; they are
+    `sets` holds int bitsets, as `GradedSubposet` takes them; they are
     turned into frozensets first.  Returns (upper, ranks, None) where
     `upper` maps each set to its upper covers and `ranks` maps each
     comparable (bottom, top), bottom == top included, to its rank, both in
@@ -689,6 +674,11 @@ def first_reducible_hessian(f, tuples):
         if not is_irreducible_nonneg_offdiag(hessian_of_quadratic(g)):
             return idx
     return None
+
+
+def gradient_at(f, point):
+    """First partials of f evaluated at a point, in variable order."""
+    return [partial(f, v).evaluate(point) for v in f.vars]
 
 
 def hessian_at(f, point):

@@ -1,0 +1,234 @@
+"""Checks that only the tests run: side identities and neighbouring notions
+(the Shapley-value effective decomposition, Weisner's recursion, two
+identities of interval polynomials, the Chow tensor split, the Branden-Huh
+orthant notion), each error class next to the code that raises it."""
+
+import math
+import random
+from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial
+
+from conepol import subsets
+from conepol.chow import ChowRing
+from conepol.cone import (
+    IntervalVector, _diamond_margins, is_strictly_submodular, modular_vector
+)
+from conepol.errors import ConepolError, InternalCheckError, NotAnInterval
+from conepol.intervalpoly import interval_polynomial
+from conepol.lorentz import _contracted, _tuple_result, inertia
+from conepol.multipoly import MultiPoly, SymMatrix, _coordinate, partial
+from conepol.poset import mobius
+
+
+class NotInCone(ConepolError):
+    pass
+
+
+class FeasibilityFailure(InternalCheckError):
+    pass
+
+
+def _shapley_value(v):
+    """Shapley value of the game T -> v(K + T) on the players L \\ K.
+
+    phi_i = sum over T not containing i of |T|! (n-|T|-1)! / n! times the
+    marginal value v(K + T + i) - v(K + T).
+    """
+    K, L = v.coords.K, v.coords.L
+    players = L & ~K
+    n = players.bit_count()
+    weights = [
+        Fraction(factorial(t) * factorial(n - t - 1), factorial(n)) for t in range(n)
+    ]
+    phi = {}
+    for i in subsets.elements(players):
+        bit = 1 << i
+        phi[i] = sum(
+            (
+                weights[T.bit_count()] * (v[K | T | bit] - v[K | T])
+                for T in subsets.submasks(players & ~bit)
+            ),
+            Fraction(0),
+        )
+    return phi
+
+
+def effective_decompose(v):
+    """Modular shift making a cone point coordinatewise positive.
+
+    Returns (w, epsilon) where w is modular with v + w > 0 in every
+    coordinate, and epsilon is the largest 1/2^k for which v minus epsilon
+    times the canonical interior point stays weakly submodular.  The shift
+    is minus the Shapley value of v: the Shapley value of a submodular game
+    lies in its anticore (Shapley, "Cores of convex games", 1971), and
+    strict submodularity makes every strict intermediate's slack positive.
+    The canonical point has every diamond margin equal to 2, so epsilon is
+    the largest 1/2^k with 2 epsilon at most the least diamond margin of v.
+    """
+    if not is_strictly_submodular(v):
+        raise NotInCone("vector is not strictly submodular")
+    coords = v.coords
+    if coords.m == 0:
+        return IntervalVector.zero(coords), Fraction(1)
+
+    least = min(_diamond_margins(v))
+    eps = Fraction(1)
+    while 2 * eps > least:
+        eps /= 2
+
+    w = modular_vector(coords, {i: -phi for i, phi in _shapley_value(v).items()})
+    if any(val <= 0 for val in (v + w).values):
+        raise FeasibilityFailure("the Shapley shift left a coordinate nonpositive")
+    return w, eps
+
+
+class HypothesisViolation(ConepolError):
+    pass
+
+
+def weisner_check(P, x, a, y, table=None):
+    """Coatom recursion for mu on a semimodular lattice.
+
+    With a covering x and a < y, checks that mu(x, y) equals minus the sum
+    of mu(x, b) over coatoms b of [x, y] that do not lie above a.
+    """
+    if a not in P.upper_covers(x):
+        raise HypothesisViolation("second argument must cover the first")
+    if a == y or not P.lt(a, y):
+        raise HypothesisViolation("third argument must lie strictly above the atom")
+    tbl = table if table is not None else mobius(P)
+    total = 0
+    for b in P.open_interval(x, y):
+        if y in P.upper_covers(b) and not subsets.is_subset(a, b):
+            total += tbl.mu(x, b)
+    return tbl.mu(x, y) == -total
+
+
+def sum_of_squares_identity_holds(P, K, L):
+    """For a rank-3 interval: twice the polynomial equals the square of the
+    rank-1 variable sum minus one square per rank-2 element."""
+    if P.interval_rank(K, L) != 3:
+        raise NotAnInterval("identity applies to rank-3 intervals")
+    f = interval_polynomial(P, K, L)
+    flats = f.vars
+    rank1 = [F for F in flats if P.interval_rank(K, F) == 1]
+    rank2 = [G for G in flats if P.interval_rank(K, G) == 2]
+    total = MultiPoly.zero(flats, degree=1)
+    for F in rank1:
+        total = total + MultiPoly.variable(flats, F)
+    rhs = total * total
+    for G in rank2:
+        diff = MultiPoly.variable(flats, G)
+        for F in rank1:
+            if subsets.is_proper_subset(F, G):
+                diff = diff - MultiPoly.variable(flats, F)
+        rhs = rhs - diff * diff
+    return 2 * f == rhs
+
+
+def euler_identity_holds(f):
+    """Sum of t_F times the F-partial equals deg(f) times f, exactly."""
+    acc = MultiPoly.zero(f.vars, degree=f.degree)
+    for var in f.vars:
+        acc = acc + MultiPoly.variable(f.vars, var) * partial(f, var)
+    return acc == f.degree * f
+
+
+def tensor_degree_check(P, K, F, L, samples=20, seed=0):
+    """deg of (monomial below F) * x_F * (monomial above F) splits as the
+    product of the sub-interval degrees, on sampled monomial pairs."""
+    if not (P.lt(K, F) and P.lt(F, L)):
+        raise NotAnInterval("need K < F < L in the poset")
+    big = ChowRing(P, K, L)
+    low = ChowRing(P, K, F)
+    high = ChowRing(P, F, L)
+    rng = random.Random(seed)
+
+    def random_exponents(ring, degree):
+        # degree >= 1 implies the open interval is nonempty
+        exps = [0] * len(ring.flats)
+        for _ in range(degree):
+            exps[rng.randrange(len(ring.flats))] += 1
+        return tuple(exps)
+
+    for _ in range(samples):
+        xi = random_exponents(low, low.degree)
+        eta = random_exponents(high, high.degree)
+        # the open intervals below and above F are disjoint and miss F
+        combined = {F: 1, **dict(zip(low.flats, xi)), **dict(zip(high.flats, eta))}
+        lhs = big.degree_map(combined)
+        rhs = low.degree_map(xi) * high.degree_map(eta)
+        if lhs != rhs:
+            return False
+    return True
+
+
+class NonpositiveValue(ConepolError):
+    pass
+
+
+class UnsupportedSupport(ConepolError):
+    pass
+
+
+def is_lorentzian_orthant(f):
+    """Lorentzian test on the positive orthant for full-simplex supports.
+
+    Checks positive coefficients and that the Hessian of every (d-2)-fold
+    partial derivative has at most one positive eigenvalue.  Inputs whose
+    Hessians pass but whose support misses part of the degree-d simplex are
+    rejected as unsupported rather than judged, since deciding those would
+    need the general support condition this package does not implement.
+    """
+    if f.is_zero():
+        return True
+    if any(c < 0 for c in f.terms.values()):
+        return False
+    d = f.degree
+    if d >= 2:
+        # a partial derivative is a contraction along a unit vector; the
+        # first two directions only enter the unused full contraction
+        units = [{v: int(v == w) for v in f.vars} for w in f.vars]
+        for combo in combinations_with_replacement(units, d - 2):
+            H, _ = _contracted(f, (units[0], units[0]) + combo)
+            if inertia(H).n_plus > 1:
+                return False
+    # the keys are distinct points of the simplex, so they fill it iff there
+    # are C(n + d - 1, d) of them; a nonzero constant always does
+    if d and len(f.terms) != math.comb(len(f.vars) + d - 1, d):
+        raise UnsupportedSupport(
+            "support is not the full degree simplex; cannot decide"
+        )
+    return True
+
+
+def product_check(f, g, sample_tuples):
+    """The product passes the same sampled contraction and inertia checks."""
+    h = f * g
+    return h.is_zero() or all(_tuple_result(h, tup)[2] for tup in sample_tuples)
+
+
+def hessian_one_positive_equivalence(g, point):
+    """At a point where g is positive: the Hessian having exactly one
+    positive eigenvalue must coincide with negative semidefiniteness of
+    d*g*H - (d-1)*grad*grad^T.  Returns whether the two sides agree.
+
+    With Q contracted along p = point d - 2 times, Euler's identity gives
+    Q = (d-2)! H, Q p = (d-1)! grad and p^T Q p = d! g, so that matrix is a
+    positive multiple of (p^T Q p) Q - (Q p)(Q p)^T and has its inertia.
+    Below degree 2 the Hessian is zero, so the sides disagree.
+    """
+    value = g.evaluate(point)
+    if value <= 0:
+        raise NonpositiveValue(f"g(point) = {value} is not positive")
+    d = g.degree
+    if d < 2:
+        return False
+    Q, top = _contracted(g, (point,) * d)
+    p = [_coordinate(point, var) for var in g.vars]
+    Qp = [sum(q * x for q, x in zip(row, p)) for row in Q.rows]
+    side_a = inertia(Q).n_plus == 1
+    rows = [[top * q - a * b for q, b in zip(row, Qp)] for row, a in zip(Q.rows, Qp)]
+    side_c = inertia(SymMatrix(rows)).n_plus == 0
+    return side_a == side_c

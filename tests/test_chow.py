@@ -4,18 +4,15 @@ from fractions import Fraction
 import pytest
 
 from conepol import (
+    ChowRing,
     IntervalCoords,
     MultiPoly,
-    build_chow,
-    degree_map,
     flats_lattice,
     interval_polynomial,
     modular_basis,
-    tensor_degree_check,
     uniform_matroid,
-    verify_vol_eq_pol,
-    volume_polynomial,
 )
+from conepol.chow import vol_pol_mismatch_witness
 from conepol.errors import (
     DimensionMismatch,
     InvalidParams,
@@ -24,16 +21,18 @@ from conepol.errors import (
     WrongDegree,
 )
 
+from side_checks import tensor_degree_check
+
 
 def test_u23_degree_one_quotient_is_a_line(lattices):
     L = lattices["u23"]
-    ring = build_chow(L, L.bottom, L.top)
+    ring = ChowRing(L, L.bottom, L.top)
     assert ring.graded_dims == [1, 1]
 
 
 def test_u33_graded_dims(lattices):
     L = lattices["u33"]
-    ring = build_chow(L, L.bottom, L.top)
+    ring = ChowRing(L, L.bottom, L.top)
     assert ring.graded_dims[0] == 1
     assert ring.graded_dims[-1] == 1
 
@@ -41,53 +40,53 @@ def test_u33_graded_dims(lattices):
 def test_rank_one_interval_is_scalar_ring(lattices):
     L = lattices["u23"]
     atom = L.elements[1]
-    ring = build_chow(L, L.bottom, atom)
+    ring = ChowRing(L, L.bottom, atom)
     assert ring.degree == 0
     assert ring.graded_dims == [1]
-    assert degree_map(ring, ()) == 1
-    assert volume_polynomial(ring) == MultiPoly.constant((), 1)
+    assert ring.degree_map(()) == 1
+    assert ring.volume_polynomial() == MultiPoly.constant((), 1)
 
 
 def test_flag_monomials_have_degree_one(lattices):
     for name in ("u33", "k4"):
         L = lattices[name]
-        ring = build_chow(L, L.bottom, L.top)
+        ring = ChowRing(L, L.bottom, L.top)
         for chain in L.maximal_chains(L.bottom, L.top):
             mono = {F: 1 for F in chain[1:-1]}
-            assert degree_map(ring, mono) == 1
+            assert ring.degree_map(mono) == 1
 
 
 def test_incomparable_monomials_have_degree_zero(lattices):
     L = lattices["u33"]
-    ring = build_chow(L, L.bottom, L.top)
+    ring = ChowRing(L, L.bottom, L.top)
     a, b = ring.flats[0], ring.flats[1]  # two singletons, incomparable
-    assert degree_map(ring, {a: 1, b: 1}) == 0
+    assert ring.degree_map({a: 1, b: 1}) == 0
 
 
 def test_square_of_singleton_has_degree_minus_one(lattices):
     L = lattices["u33"]
-    ring = build_chow(L, L.bottom, L.top)
-    assert degree_map(ring, {ring.flats[0]: 2}) == -1
+    ring = ChowRing(L, L.bottom, L.top)
+    assert ring.degree_map({ring.flats[0]: 2}) == -1
 
 
 def test_degree_map_rejects_wrong_degree(lattices):
     L = lattices["u33"]
-    ring = build_chow(L, L.bottom, L.top)
+    ring = ChowRing(L, L.bottom, L.top)
     with pytest.raises(WrongDegree):
-        degree_map(ring, {ring.flats[0]: 1})
+        ring.degree_map({ring.flats[0]: 1})
 
 
 def test_volume_polynomial_u23(lattices):
     L = lattices["u23"]
-    ring = build_chow(L, L.bottom, L.top)
-    vol = volume_polynomial(ring)
+    ring = ChowRing(L, L.bottom, L.top)
+    vol = ring.volume_polynomial()
     assert vol == interval_polynomial(L, L.bottom, L.top)
 
 
 def test_volume_modular_invariance(lattices):
     L = lattices["u34"]
-    ring = build_chow(L, L.bottom, L.top)
-    vol = volume_polynomial(ring)
+    ring = ChowRing(L, L.bottom, L.top)
+    vol = ring.volume_polynomial()
     coords = IntervalCoords(L.bottom, L.top)
     rng = random.Random(17)
     for w in modular_basis(coords).vectors:
@@ -99,7 +98,7 @@ def test_volume_modular_invariance(lattices):
 
 def test_vol_equals_pol_on_catalog_full_intervals(lattices):
     for L in lattices.values():
-        assert verify_vol_eq_pol(L, L.bottom, L.top)
+        assert vol_pol_mismatch_witness(ChowRing(L, L.bottom, L.top)) is None
 
 
 def test_vol_equals_pol_on_fano_subintervals(lattices):
@@ -107,7 +106,7 @@ def test_vol_equals_pol_on_fano_subintervals(lattices):
     for K, top in L.comparable_pairs():
         if (K, top) == (L.bottom, L.top):
             continue
-        assert verify_vol_eq_pol(L, K, top)
+        assert vol_pol_mismatch_witness(ChowRing(L, K, top)) is None
 
 
 def test_tensor_degree_check(lattices):
@@ -120,37 +119,37 @@ def test_tensor_degree_check(lattices):
 def test_tensor_degree_flag_and_incomparable_cases(lattices):
     L = lattices["fano"]
     point = L.elements[1]
-    big = build_chow(L, L.bottom, L.top)
-    low = build_chow(L, L.bottom, point)
-    high = build_chow(L, point, L.top)
+    big = ChowRing(L, L.bottom, L.top)
+    low = ChowRing(L, L.bottom, point)
+    high = ChowRing(L, point, L.top)
     # flags: xi = 1, eta = a line through the point
     line = high.flats[0]
     combined = {point: 1, line: 1}
-    assert degree_map(big, combined) == degree_map(low, ()) * degree_map(
-        high, {line: 1}
+    assert big.degree_map(combined) == low.degree_map(()) * high.degree_map(
+        {line: 1}
     )
     # incomparable support vanishes in the big ring
     l2, l3 = [G for G in big.flats if L.interval_rank(L.bottom, G) == 2][:2]
-    assert degree_map(big, {l2: 1, l3: 1}) == 0
+    assert big.degree_map({l2: 1, l3: 1}) == 0
 
 
 def test_size_guard():
     M = uniform_matroid(4, 5)
     L = flats_lattice(M)
     with pytest.raises(SizeLimitExceeded):
-        build_chow(L, L.bottom, L.top)
+        ChowRing(L, L.bottom, L.top)
 
 
 def u33_ring(lattices):
     L = lattices["u33"]
-    return L, build_chow(L, L.bottom, L.top)
+    return L, ChowRing(L, L.bottom, L.top)
 
 
 def test_degree_map_rejects_a_flat_outside_the_ring(lattices):
     L, ring = u33_ring(lattices)
     for F in (L.bottom, L.top, ring.flats[0] | 1 << 5):
         with pytest.raises(UnknownVariable):
-            degree_map(ring, {F: 1, ring.flats[0]: 1})
+            ring.degree_map({F: 1, ring.flats[0]: 1})
 
 
 def test_degree_map_rejects_a_tuple_of_the_wrong_length(lattices):
@@ -158,7 +157,7 @@ def test_degree_map_rejects_a_tuple_of_the_wrong_length(lattices):
     assert len(ring.flats) == 6
     for exps in ((1, 1), (1, 0, 0, 1), (0, 0, 0, 1, 0, 0, 1)):
         with pytest.raises(DimensionMismatch):
-            degree_map(ring, exps)
+            ring.degree_map(exps)
 
 
 def test_degree_map_rejects_a_negative_exponent(lattices):
@@ -166,11 +165,11 @@ def test_degree_map_rejects_a_negative_exponent(lattices):
     a, b = ring.flats[0], ring.flats[3]
     for mono in ({a: -1, b: 3}, (3, 0, 0, -1, 0, 0)):
         with pytest.raises(InvalidParams):
-            degree_map(ring, mono)
+            ring.degree_map(mono)
 
 
 def test_degree_map_rejects_a_dense_tuple_of_the_wrong_degree(lattices):
     _, ring = u33_ring(lattices)
     for exps in ((0,) * 6, (1, 0, 0, 0, 0, 0), (1, 0, 0, 2, 0, 0)):
         with pytest.raises(WrongDegree):
-            degree_map(ring, exps)
+            ring.degree_map(exps)

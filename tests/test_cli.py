@@ -206,6 +206,16 @@ def test_chow_verify_empty_selection_exit_1(capsys):
     assert "no interval" in err
 
 
+def test_chow_verify_interval_with_all_intervals_exit_1(capsys):
+    code, out, err = run(
+        capsys,
+        ["chow-verify", "--fano", "--all-intervals", "--interval", "empty", "0,1,2"],
+    )
+    assert code == 1
+    assert out == ""
+    assert "not allowed with argument --all-intervals" in err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_certify_nonpositive_samples_exit_1(capsys, samples):
     code, out, err = run(capsys, ["certify", "--uniform", "3", "3", "--samples", samples])

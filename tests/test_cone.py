@@ -11,7 +11,6 @@ from conepol import (
     beta_indicator,
     beta_vector,
     canonical_interior_point,
-    effective_decompose,
     is_modular,
     is_strictly_submodular,
     modular_basis,
@@ -27,12 +26,12 @@ from conepol.errors import (
     BadNesting,
     ElementOutsideInterval,
     InvalidParams,
-    NotInCone,
     TrivialInterval,
 )
 from conepol.subsets import elements, from_elements
 
 import oracles
+from side_checks import NotInCone, effective_decompose
 
 
 def coords_on(k_els, l_els):

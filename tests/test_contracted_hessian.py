@@ -10,23 +10,23 @@ import pytest
 
 import oracles
 from conepol import (
+    GradedSubposet,
     IntervalCoords,
     MultiPoly,
     canonical_interior_point,
     fano,
     flats_lattice,
     graphic_matroid,
-    hessian_one_positive_equivalence,
     hypotheses_report,
-    is_lorentzian_orthant,
     lorentz,
     sample_direction_tuples,
-    subposet_from_sets,
     uniform_matroid,
 )
 from conepol.errors import ConepolError
 from conepol.intervalpoly import cache_for
 from conepol.subsets import from_elements
+
+from side_checks import hessian_one_positive_equivalence, is_lorentzian_orthant
 
 TOP4 = from_elements([0, 1, 2, 3])
 
@@ -35,7 +35,7 @@ def two_towers():
     """Two chains {0} < {0,1} and {2} < {2,3} between 0 and {0,1,2,3}."""
     sets = [0, from_elements([0]), from_elements([0, 1]), from_elements([2]),
             from_elements([2, 3]), TOP4]
-    return subposet_from_sets(4, sets), 0, TOP4
+    return GradedSubposet(4, sets), 0, TOP4
 
 
 def full_interval(M):

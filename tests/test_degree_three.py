@@ -6,12 +6,12 @@ ladder, degree-3 quotient rings)."""
 from fractions import Fraction
 
 from conepol import (
+    ChowRing,
     IntervalCoords,
     UniPoly,
     alpha_vector,
     beta_vector,
     certify_cone_lorentzian,
-    derivative_factorization_holds,
     flats_lattice,
     hypotheses_report,
     interval_polynomial,
@@ -19,9 +19,11 @@ from conepol import (
     modular_shift_invariance,
     reduced_charpoly_via_interval_poly,
     uniform_matroid,
-    verify_vol_eq_pol,
 )
-from conepol.intervalpoly import euler_identity_holds, normalized_profile
+from conepol.chow import vol_pol_mismatch_witness
+from conepol.intervalpoly import derivative_factorization_witness, normalized_profile
+
+from side_checks import euler_identity_holds
 
 
 def test_free_matroid_rank_four():
@@ -31,7 +33,7 @@ def test_free_matroid_rank_four():
     f = interval_polynomial(L, L.bottom, L.top)
     assert f.degree == 3
     assert euler_identity_holds(f)
-    assert derivative_factorization_holds(L, L.bottom, L.top)
+    assert derivative_factorization_witness(L, L.bottom, L.top) is None
     coords = IntervalCoords(L.bottom, L.top)
     assert f.evaluate(alpha_vector(coords)) == Fraction(1, 6)
     assert f.evaluate(beta_vector(coords)) == Fraction(1, 6)  # |mu(B_4)| = 1
@@ -51,7 +53,7 @@ def test_free_matroid_rank_four_certification():
 
 def test_free_matroid_rank_four_chow():
     L = flats_lattice(uniform_matroid(4, 4))
-    assert verify_vol_eq_pol(L, L.bottom, L.top)
+    assert vol_pol_mismatch_witness(ChowRing(L, L.bottom, L.top)) is None
 
 
 def test_uniform_4_5():
@@ -59,7 +61,7 @@ def test_uniform_4_5():
     L = flats_lattice(M)
     assert len(L) == 27
     f = interval_polynomial(L, L.bottom, L.top)
-    assert derivative_factorization_holds(L, L.bottom, L.top)
+    assert derivative_factorization_witness(L, L.bottom, L.top) is None
     assert modular_shift_invariance(L, L.bottom, L.top, trials=10, seed=2)
     coords = IntervalCoords(L.bottom, L.top)
     assert f.evaluate(alpha_vector(coords)) == Fraction(1, 6)

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from conepol import (
+    GradedSubposet,
     IntervalCoords,
     IntervalVector,
     MultiPoly,
@@ -14,8 +15,6 @@ from conepol import (
     alpha_vector,
     beta_vector,
     canonical_interior_point,
-    derivative_factorization_holds,
-    evaluate_at,
     flats_lattice,
     graphic_matroid,
     interval_polynomial,
@@ -24,20 +23,20 @@ from conepol import (
     modular_shift_invariance,
     reduced_charpoly_via_interval_poly,
     restrict_to_directions,
-    subposet_from_sets,
-    sum_of_squares_identity_holds,
     uniform_matroid,
 )
 from conepol.errors import (
     ElementOutsideInterval,
+    InvalidParams,
     NotAnInterval,
     PrerequisiteNotBalanced,
 )
-from conepol.intervalpoly import euler_identity_holds, full_contraction
+from conepol.intervalpoly import derivative_factorization_witness, full_contraction
 from conepol.multipoly import partial
 from conepol.subsets import from_elements, is_proper_subset
 
 from conftest import K4_EDGES
+from side_checks import euler_identity_holds, sum_of_squares_identity_holds
 
 
 def test_rank_one_interval_gives_constant_one(lattices):
@@ -92,7 +91,7 @@ def test_interval_polynomial_requires_strict_interval(lattices):
 def test_derivative_factorization(lattices):
     for name in ("u23", "u33", "k4"):
         L = lattices[name]
-        assert derivative_factorization_holds(L, L.bottom, L.top)
+        assert derivative_factorization_witness(L, L.bottom, L.top) is None
 
 
 def test_incomparable_second_partials_vanish(lattices):
@@ -113,6 +112,13 @@ def test_euler_consistency(lattices):
 def test_modular_shift_invariance(lattices):
     for L in lattices.values():
         assert modular_shift_invariance(L, L.bottom, L.top, trials=20, seed=3)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_modular_shift_invariance_rejects_zero_trials(lattices, trials):
+    L = lattices["fano"]
+    with pytest.raises(InvalidParams):
+        modular_shift_invariance(L, L.bottom, L.top, trials=trials)
 
 
 def test_polynomial_vanishes_on_modular_vectors(lattices):
@@ -136,7 +142,7 @@ def test_invariance_under_alpha_indicator_shift(lattices):
 
 
 def test_invariance_requires_balanced():
-    towers = subposet_from_sets(
+    towers = GradedSubposet(
         4,
         [0, from_elements([0]), from_elements([0, 1]), from_elements([2]),
          from_elements([2, 3]), from_elements([0, 1, 2, 3])],
@@ -151,12 +157,12 @@ def test_alpha_beta_evaluations_on_all_intervals(lattices):
         for K, top in L.comparable_pairs():
             d = L.interval_degree(K, top)
             coords = IntervalCoords(K, top)
-            assert evaluate_at(L, K, top, alpha_vector(coords)) == Fraction(
-                1, factorial(d)
-            )
-            assert evaluate_at(L, K, top, beta_vector(coords)) == Fraction(
-                abs(table.mu(K, top)), factorial(d)
-            )
+            assert interval_polynomial(L, K, top).evaluate(
+                alpha_vector(coords)
+            ) == Fraction(1, factorial(d))
+            assert interval_polynomial(L, K, top).evaluate(
+                beta_vector(coords)
+            ) == Fraction(abs(table.mu(K, top)), factorial(d))
 
 
 def test_alpha_beta_restriction_frozen_examples(lattices):
@@ -230,7 +236,7 @@ def test_full_contraction_order_independent(lattices):
 
 def test_graphic_k4_derivative_identity_every_flat(lattices):
     L = flats_lattice(graphic_matroid(K4_EDGES))
-    assert derivative_factorization_holds(L, L.bottom, L.top)
+    assert derivative_factorization_witness(L, L.bottom, L.top) is None
 
 
 def test_uniform_interval_polynomial_is_memoized():

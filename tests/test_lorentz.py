@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conepol import (
+    GradedSubposet,
     IntervalCoords,
     MultiPoly,
     beta_vector,
@@ -12,32 +13,32 @@ from conepol import (
     certify_cone_lorentzian,
     dir_derivative,
     flats_lattice,
-    hessian_one_positive_equivalence,
     hessian_of_quadratic,
     hypotheses_report,
     inertia,
     interval_polynomial,
     is_irreducible_nonneg_offdiag,
-    is_lorentzian_orthant,
-    product_check,
     restrict_to_directions,
     sample_direction_tuples,
-    subposet_from_sets,
     uniform_matroid,
 )
 from conepol.errors import (
     DirectionNotInCone,
     InvalidParams,
-    NonpositiveValue,
     NotSymmetric,
-    UnsupportedSupport,
 )
 from conepol.intervalpoly import cache_for, full_contraction
 from conepol.lorentz import _tuple_result
-from conepol.multipoly import gradient_at
 from conepol.subsets import from_elements
 
 import oracles
+from side_checks import (
+    NonpositiveValue,
+    UnsupportedSupport,
+    hessian_one_positive_equivalence,
+    is_lorentzian_orthant,
+    product_check,
+)
 
 
 def test_charpoly_descending_2x2():
@@ -163,7 +164,7 @@ def test_inertia_matches_descartes_oracle_on_sampled_hessians(
             # semidefinite and singular, so only an exact oracle can judge it
             point = tup[0]
             value = f.evaluate(point)
-            grad = gradient_at(f, point)
+            grad = oracles.gradient_at(f, point)
             rows = [
                 [2 * value * H[i, j] - gi * gj for j, gj in enumerate(grad)]
                 for i, gi in enumerate(grad)
@@ -367,7 +368,7 @@ def test_hypotheses_report_degenerate_degrees(lattices):
 
 
 def test_hypotheses_report_disconnection_witness():
-    towers = subposet_from_sets(
+    towers = GradedSubposet(
         4,
         [0, from_elements([0]), from_elements([0, 1]), from_elements([2]),
          from_elements([2, 3]), from_elements([0, 1, 2, 3])],
@@ -391,3 +392,10 @@ def test_certify_rejects_zero_tuples(lattices, kwargs):
     L = lattices["u33"]
     with pytest.raises(InvalidParams):
         certify_cone_lorentzian(L, L.bottom, L.top, **kwargs)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_hypotheses_report_rejects_zero_samples(lattices, samples):
+    L = lattices["fano"]
+    with pytest.raises(InvalidParams):
+        hypotheses_report(L, L.bottom, L.top, samples=samples)

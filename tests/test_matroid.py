@@ -10,13 +10,11 @@ from conepol import (
     Matroid,
     UniPoly,
     characteristic_polynomial,
-    closure,
     fano,
     flats_lattice,
     graphic_matroid,
     matroid,
     matroid_from_bases,
-    rank,
     reduced_characteristic_polynomial,
     uniform_matroid,
 )
@@ -106,11 +104,11 @@ def test_fano_counts():
 
 def test_rank_examples():
     M = uniform_matroid(2, 3)
-    assert rank(M, from_elements([0, 1, 2])) == 2
-    assert rank(M, 0) == 0
+    assert M.rank(from_elements([0, 1, 2])) == 2
+    assert M.rank(0) == 0
     K4 = graphic_matroid(K4_EDGES)
     # edges (0,1), (0,2), (1,2) form a triangle
-    assert rank(K4, from_elements([0, 1, 3])) == 2
+    assert K4.rank(from_elements([0, 1, 3])) == 2
 
 
 def test_rank_is_monotone_and_submodular():
@@ -120,14 +118,14 @@ def test_rank_is_monotone_and_submodular():
         for _ in range(200):
             S = rng.randrange(full + 1)
             T = rng.randrange(full + 1)
-            assert rank(M, S) <= rank(M, S | T)
-            assert rank(M, S) + rank(M, T) >= rank(M, S | T) + rank(M, S & T)
+            assert M.rank(S) <= M.rank(S | T)
+            assert M.rank(S) + M.rank(T) >= M.rank(S | T) + M.rank(S & T)
 
 
 def test_closure_examples():
     M = uniform_matroid(2, 3)
-    assert closure(M, from_elements([0])) == from_elements([0])
-    assert closure(M, from_elements([0, 1])) == from_elements([0, 1, 2])
+    assert M.closure(from_elements([0])) == from_elements([0])
+    assert M.closure(from_elements([0, 1])) == from_elements([0, 1, 2])
 
 
 def test_closure_idempotent():
@@ -136,8 +134,8 @@ def test_closure_idempotent():
         full = M.ground.full_mask
         for _ in range(100):
             S = rng.randrange(full + 1)
-            cl = closure(M, S)
-            assert closure(M, cl) == cl
+            cl = M.closure(S)
+            assert M.closure(cl) == cl
 
 
 def test_flat_counts():
@@ -230,7 +228,7 @@ def test_closure_matches_frozenset_oracle():
         bases = [frozenset(elements(B)) for B in M.bases]
         for S in range(M.ground.full_mask + 1):
             expected = oracles.closure_of(universe, bases, elements(S))
-            assert elements(closure(M, S)) == sorted(expected), (M, S)
+            assert elements(M.closure(S)) == sorted(expected), (M, S)
     loopy = cases[3]
     assert loopy.closure(0) == from_elements([3, 4]) == loopy.loops()
 
@@ -397,9 +395,9 @@ def test_spanning_rank_and_closure_match_basis_scan_oracle():
         tested = range(full + 1) if M.ground.n <= 8 else [rng.randrange(full + 1) for _ in range(300)]
         for S in tested:
             r, kept = M._spanning(S)
-            assert r == rank(M, S) == oracles.rank_by_scan(bases, S), (M, S)
+            assert r == M.rank(S) == oracles.rank_by_scan(bases, S), (M, S)
             assert [bases[i] for i in elements(kept)] == oracles.spanning_bases_scan(bases, S)
-            assert closure(M, S) == oracles.closure_by_scan(full, bases, S), (M, S)
+            assert M.closure(S) == oracles.closure_by_scan(full, bases, S), (M, S)
     assert wide >= 10, wide
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conepol import (
+    GradedSubposet,
     flats_lattice,
     graphic_matroid,
     is_balanced,
@@ -12,11 +13,9 @@ from conepol import (
     is_one_balanced,
     is_semimodular_lattice,
     mobius,
-    subposet_from_sets,
     uniform_matroid,
-    weisner_check,
 )
-from conepol.errors import HypothesisViolation, InvalidParams, NotAnInterval, NotGraded
+from conepol.errors import InvalidParams, NotAnInterval, NotGraded
 from conepol.matroid import characteristic_polynomial
 from conepol.poset import (
     disconnection_witness,
@@ -24,6 +23,8 @@ from conepol.poset import (
     interval_flats_axioms_hold,
 )
 from conepol.subsets import elements, from_elements
+
+from side_checks import HypothesisViolation, weisner_check
 
 
 def boolean_lattice(n):
@@ -33,7 +34,7 @@ def boolean_lattice(n):
             combinations(range(n), r) for r in range(n + 1)
         )
     ]
-    return subposet_from_sets(n, sets)
+    return GradedSubposet(n, sets)
 
 
 def two_tower_poset():
@@ -41,7 +42,7 @@ def two_tower_poset():
     not semimodular."""
     sets = [0, from_elements([0]), from_elements([0, 1]), from_elements([2]),
             from_elements([2, 3]), from_elements([0, 1, 2, 3])]
-    return subposet_from_sets(4, sets)
+    return GradedSubposet(4, sets)
 
 
 def test_boolean_lattice_is_graded():
@@ -59,12 +60,12 @@ def test_not_graded_counterexample():
     sets = [0, from_elements([0]), from_elements([0, 1]), from_elements([2]),
             from_elements([0, 1, 2])]
     with pytest.raises(NotGraded):
-        subposet_from_sets(3, sets)
+        GradedSubposet(3, sets)
 
 
 def test_duplicate_elements_rejected():
     with pytest.raises(InvalidParams):
-        subposet_from_sets(2, [0, 0])
+        GradedSubposet(2, [0, 0])
 
 
 def test_mobius_values(lattices):
@@ -132,7 +133,7 @@ def test_balanced_predicates(lattices):
 
 
 def test_unbalanced_counterexample():
-    P = subposet_from_sets(2, [0, from_elements([0]), from_elements([0, 1])])
+    P = GradedSubposet(2, [0, from_elements([0]), from_elements([0, 1])])
     assert not is_balanced(P)
     assert not is_one_balanced(P)
 
@@ -180,7 +181,7 @@ def test_reextracted_interval_passes_flats_axioms(lattices):
     # relative to its own top
     L = lattices["fano"]
     for K, top in L.comparable_pairs():
-        sub = subposet_from_sets(L.n, L.interval(K, top))
+        sub = GradedSubposet(L.n, L.interval(K, top))
         assert flats_axioms_hold(sub, top)
         assert is_one_balanced(sub)
 
@@ -206,7 +207,7 @@ def random_graded_subposets(rng, count):
     while len(out) < count:
         n, sets = next(families)
         try:
-            out.append(subposet_from_sets(n, sets))
+            out.append(GradedSubposet(n, sets))
         except NotGraded:
             continue
     return out
@@ -229,10 +230,10 @@ def test_semimodular_lattice_matches_pairwise_oracle():
 
 def test_non_lattices_are_not_semimodular_lattices():
     # {0} and {1} lie under both {0,1,2} and {0,1,3}: graded, but no meet
-    graded_non_lattice = subposet_from_sets(4, [
+    graded_non_lattice = GradedSubposet(4, [
         0, from_elements([0]), from_elements([1]), from_elements([0, 1, 2]),
         from_elements([0, 1, 3]), from_elements([0, 1, 2, 3])])
-    two_maximal = subposet_from_sets(2, [0, from_elements([0]), from_elements([1])])
+    two_maximal = GradedSubposet(2, [0, from_elements([0]), from_elements([1])])
     for P in (graded_non_lattice, two_maximal):
         assert not is_semimodular_lattice(P)
         assert not oracles.semimodular_lattice(P)
@@ -290,11 +291,11 @@ def test_order_table_matches_interval_walk_oracle():
         if len(minima) >= 2:
             several_minima["graded" if failure is None else "not graded"] += 1
         if failure is None:
-            assert_order_matches_oracle(subposet_from_sets(n, sets))
+            assert_order_matches_oracle(GradedSubposet(n, sets))
             counts["graded"] += 1
             continue
         with pytest.raises(NotGraded) as caught:
-            subposet_from_sets(n, sets)
+            GradedSubposet(n, sets)
         bottom, top = failure
         assert str(caught.value) == (
             f"interval [{braces(bottom)}, {braces(top)}] has maximal chains of different lengths"
@@ -444,7 +445,7 @@ def boolean_lattices_without_layers():
     layer (its middles overlap)."""
     for n in (3, 4, 5):
         for drop in range(1, 1 << (n - 1)):
-            yield subposet_from_sets(n, [
+            yield GradedSubposet(n, [
                 s for s in range(1 << n)
                 if s.bit_count() in (0, n) or not (drop >> (s.bit_count() - 1)) & 1
             ])

@@ -11,11 +11,11 @@ from itertools import combinations
 from math import factorial
 
 from conepol import (
+    ChowRing,
     IntervalCoords,
     alpha_vector,
     beta_vector,
     certify_cone_lorentzian,
-    derivative_factorization_holds,
     flats_lattice,
     interval_polynomial,
     is_interval_connected,
@@ -24,8 +24,9 @@ from conepol import (
     matroid_from_bases,
     mobius,
     modular_shift_invariance,
-    verify_vol_eq_pol,
 )
+from conepol.chow import vol_pol_mismatch_witness
+from conepol.intervalpoly import derivative_factorization_witness
 from conepol.poset import flats_axioms_hold
 
 
@@ -80,8 +81,8 @@ def test_random_binary_matroids_full_net():
             assert f.evaluate(beta_vector(coords)) == Fraction(
                 abs(table.mu(K, top)), factorial(d)
             )
-            assert derivative_factorization_holds(L, K, top)
-            assert verify_vol_eq_pol(L, K, top)
+            assert derivative_factorization_witness(L, K, top) is None
+            assert vol_pol_mismatch_witness(ChowRing(L, K, top)) is None
         assert modular_shift_invariance(L, L.bottom, L.top, trials=10, seed=7)
         cert = certify_cone_lorentzian(L, L.bottom, L.top, samples=3, seed=5)
         assert cert.verdict

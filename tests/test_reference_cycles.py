@@ -15,7 +15,7 @@ import weakref
 
 import pytest
 
-from conepol import cli, poset, subposet_from_sets
+from conepol import cli, poset
 from conepol.intervalpoly import IntervalPolynomials
 from conepol.matroid import Matroid
 from conepol.multipoly import MultiPoly
@@ -100,7 +100,7 @@ def test_poset_and_its_mobius_table_are_freed_by_reference_counting():
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        P = subposet_from_sets(2, sets)
+        P = GradedSubposet(2, sets)
         table = poset.mobius(P)
         assert table.mu(0, from_elements([0, 1])) == 1
         poset_ref, table_ref = weakref.ref(P), weakref.ref(table)
@@ -117,6 +117,6 @@ def test_poset_and_its_mobius_table_are_freed_by_reference_counting():
 
 def test_mobius_table_answers_after_its_poset_is_gone():
     sets = [0, from_elements([0]), from_elements([1]), from_elements([0, 1])]
-    table = poset.mobius(subposet_from_sets(2, sets))
+    table = poset.mobius(GradedSubposet(2, sets))
     assert table.mu(from_elements([0]), from_elements([0, 1])) == -1
     assert [mu for _, mu in table.items()] == [1, -1, -1, 1, 1, -1, 1, -1, 1]

@@ -1,11 +1,13 @@
 """The package stays exact and dependency-free: no floats, stdlib imports
-only, and one exact inertia routine."""
+only, and one exact inertia routine; its public names are pinned."""
 
 import ast
 import pathlib
 import sys
 
 import pytest
+
+import conepol
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "conepol"
 MODULES = sorted(SRC.glob("*.py"))
@@ -102,3 +104,28 @@ def test_every_error_class_is_raised_or_subclassed():
             elif isinstance(node, ast.ClassDef):
                 used.update(_error_name(base) for base in node.bases)
     assert declared and [name for name in declared if name not in used] == []
+
+
+PUBLIC_API = [
+    "ChowRing", "FlatLattice", "GradedSubposet", "GroundSet", "InertiaTriple",
+    "IntervalCoords", "IntervalPolynomials", "IntervalVector",
+    "LorentzianCertificate", "Matroid", "MobiusTable", "ModularBasis", "MultiPoly",
+    "SymMatrix", "UniPoly", "alpha_beta_restriction", "alpha_indicator",
+    "alpha_vector", "beta_indicator", "beta_vector", "canonical_interior_point",
+    "certify_cone_lorentzian", "characteristic_polynomial", "chow", "cone",
+    "dir_derivative", "errors", "fano", "flats_lattice", "graphic_matroid",
+    "hessian_of_quadratic", "hypotheses_report", "inertia", "interval_polynomial",
+    "intervalpoly", "is_balanced", "is_interval_connected",
+    "is_irreducible_nonneg_offdiag", "is_log_concave", "is_modular",
+    "is_one_balanced", "is_semimodular_lattice", "is_strictly_submodular",
+    "lorentz", "matroid", "matroid_from_bases", "mobius", "modular_basis",
+    "modular_shift_invariance", "multipoly", "partial", "poset", "project",
+    "reduced_characteristic_polynomial", "reduced_charpoly_via_interval_poly",
+    "restrict_to_directions", "sample_direction_tuples", "subsets",
+    "substitute_affine", "uniform_matroid", "unipoly",
+]
+
+
+def test_public_api_is_pinned():
+    """The package's public names; an addition or removal shows up here."""
+    assert sorted(conepol.__all__) == PUBLIC_API
