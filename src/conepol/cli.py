@@ -251,16 +251,19 @@ def cmd_certify(args):
 
 
 def cmd_chow_verify(args):
+    if args.max_degree is not None and not args.all_intervals:
+        raise UsageError("argument --max-degree: only allowed with --all-intervals")
     M = load_matroid(args)
     lattice = matroid.flats_lattice(M)
     if args.all_intervals:
+        limit = chow.MAX_DEGREE if args.max_degree is None else args.max_degree
         pairs = [
             (K, L)
             for K, L in lattice.comparable_pairs()
-            if lattice.interval_degree(K, L) <= args.max_degree
+            if lattice.interval_degree(K, L) <= limit
         ]
         if not pairs:
-            raise UsageError(f"no interval has degree at most {args.max_degree}")
+            raise UsageError(f"no interval has degree at most {limit}")
     else:
         pairs = [resolve_interval(args, lattice)]
     results = []
@@ -345,7 +348,7 @@ def build_parser():
     group = p.add_mutually_exclusive_group()
     _add_interval_arg(group)
     group.add_argument("--all-intervals", action="store_true")
-    p.add_argument("--max-degree", type=int, default=chow.MAX_DEGREE)
+    p.add_argument("--max-degree", type=int)
     p.set_defaults(func=cmd_chow_verify)
 
     p = sub.add_parser("poset-check", help="lattice-of-flats predicates")

@@ -29,6 +29,22 @@ once per poset and kept on it.  Each check takes a shortcut that is exact:
   comparability once no further atom's up-set meets it, and connected, so
   absorbing atoms from the first one gives its comparability component,
   and (K, L) is connected iff that takes all.
+- Connectivity follows from semimodularity.  In a semimodular lattice
+  two atoms a, b of [K, L] meet in K, so a \\/ b covers both, has rank 2
+  above K and, when [K, L] has rank >= 3, lies in (K, L); every element
+  of (K, L) lies above an atom, so (K, L) is connected.
+  `is_interval_connected` returns True, with no walk, once
+  `is_semimodular_lattice` is proved on P.
+- 1-balancedness follows from the flats axioms.  If they hold for a ground
+  set G, every element X lies inside G: else X & G is in P, below X, and
+  an upper cover of it inside X would gain points outside G.  So for a
+  rank-2 interval [K, L] and e in L \\ K, exactly one upper cover A of K
+  gains e; A & L is in P, holds e and lies in [K, A], so it is A, and A
+  is a middle of [K, L].  The gains of the covers of K are disjoint, so
+  the middles' gains partition L \\ K.  `is_one_balanced`
+  returns True, with no walk, once `flats_axioms_hold` is proved on P.
+  Neither shortcut computes its premise; each only reads a result already
+  kept on P, as `is_balanced` reads 1-balancedness.
 - Mobius rows come on demand: `mobius(P)` computes the row of a when
   mu(a, .) is first asked, so the characteristic polynomial pays for the
   bottom row only.  The table keeps P's order data, not P, so P, which
@@ -304,7 +320,11 @@ def is_balanced(P):
 
 @_once_per_poset
 def is_one_balanced(P):
-    """Middles of each rank-2 interval partition L \\ K."""
+    """Middles of each rank-2 interval partition L \\ K.  True without a
+    walk once the flats axioms are proved on P for any ground set (see the
+    module docstring)."""
+    if any(ok for (name, *_), ok in P._proved.items() if name == "flats_axioms_hold"):
+        return True
     els = P.elements
     for k, top, mids in _rank2_middles(P):
         K = els[k]
@@ -321,7 +341,11 @@ def is_one_balanced(P):
 
 @_once_per_poset
 def is_interval_connected(P):
-    """Comparability graph of every open interval with d >= 2 is connected."""
+    """Comparability graph of every open interval with d >= 2 is connected.
+    True without a walk once P is proved a semimodular lattice (see the
+    module docstring)."""
+    if P._proved.get(("is_semimodular_lattice",)):
+        return True
     for k, above in enumerate(P._up):
         height = P._rank[k]
         for top in subsets.elements(above):

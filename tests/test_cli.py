@@ -216,6 +216,14 @@ def test_chow_verify_interval_with_all_intervals_exit_1(capsys):
     assert "not allowed with argument --all-intervals" in err
 
 
+def test_chow_verify_max_degree_without_all_intervals_exit_1(capsys):
+    code, out, err = run(capsys, ["chow-verify", "--fano", "--max-degree", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == ("conepol chow-verify: error: argument --max-degree: "
+                   "only allowed with --all-intervals\n")
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_certify_nonpositive_samples_exit_1(capsys, samples):
     code, out, err = run(capsys, ["certify", "--uniform", "3", "3", "--samples", samples])

@@ -6,6 +6,7 @@ import pytest
 from conepol import (
     GradedSubposet,
     IntervalCoords,
+    IntervalVector,
     MultiPoly,
     beta_vector,
     alpha_vector,
@@ -18,17 +19,21 @@ from conepol import (
     inertia,
     interval_polynomial,
     is_irreducible_nonneg_offdiag,
+    is_strictly_submodular,
     restrict_to_directions,
     sample_direction_tuples,
     uniform_matroid,
 )
+from conepol import lorentz
+from conepol.cone import diamonds, submodularity_margin
 from conepol.errors import (
     DirectionNotInCone,
+    InternalCheckError,
     InvalidParams,
     NotSymmetric,
 )
 from conepol.intervalpoly import cache_for, full_contraction
-from conepol.lorentz import _tuple_result
+from conepol.lorentz import _perturbed_direction, _tuple_result
 from conepol.subsets import from_elements
 
 import oracles
@@ -399,3 +404,69 @@ def test_hypotheses_report_rejects_zero_samples(lattices, samples):
     L = lattices["fano"]
     with pytest.raises(InvalidParams):
         hypotheses_report(L, L.bottom, L.top, samples=samples)
+
+
+def _min_diamond_margin(v):
+    return min(submodularity_margin(v, S, T) for S, T in diamonds(v.coords))
+
+
+@pytest.mark.parametrize("span", range(2, 9))
+def test_sampled_directions_pass_the_diamond_scan(span):
+    """Each draw is certified by |delta| <= 1/4 alone; the exhaustive
+    diamond scan agrees, also for draws with every |delta| at 1/4."""
+    L = (1 << span) - 1
+    coords = IntervalCoords(0, L)
+    base = canonical_interior_point(coords)
+    at_bound = False
+    for tup in sample_direction_tuples(coords, 3, 4, seed=span):
+        for v in tup:
+            assert is_strictly_submodular(v)
+            at_bound |= any(abs(x) == Fraction(1, 4) for x in (v - base).values)
+    assert at_bound
+
+    class Extreme(random.Random):
+        def randint(self, a, b):
+            return self.choice((a, b))
+
+    rng = Extreme(span)
+    margins = []
+    for _ in range(3):
+        v = _perturbed_direction(base, coords, rng)
+        assert all(abs(x) == Fraction(1, 4) for x in (v - base).values)
+        assert is_strictly_submodular(v)
+        margins.append(_min_diamond_margin(v))
+    # a margin falls from 2 by at most 4 * 1/4, and these draws reach that
+    # wherever a diamond has four inner corners, which needs span >= 4
+    assert min(margins) == {2: Fraction(3, 2), 3: Fraction(5, 4)}.get(span, 1)
+
+
+def test_draws_past_the_margin_bound_raise(monkeypatch):
+    """Mutation: draws with |delta| up to 1/2 fail the bound, and such draws
+    can leave the cone, which the diamond scan confirms."""
+    span = 5
+    coords = IntervalCoords(0, (1 << span) - 1)
+    base = canonical_interior_point(coords)
+
+    class Wide(random.Random):
+        def randint(self, a, b):
+            return super().randint(2 * a, 2 * b)
+
+    monkeypatch.setattr(lorentz.random, "Random", Wide)
+    for seed in range(20):
+        with pytest.raises(InternalCheckError, match="left the cone"):
+            sample_direction_tuples(coords, 3, 2, seed=seed)
+
+    class Replay:
+        def __init__(self, draws):
+            self._draws = iter(draws)
+
+        def randint(self, a, b):
+            return next(self._draws)
+
+    # +1/2 on subsets of even size, -1/2 on odd ones
+    draws = [32 if S.bit_count() % 2 == 0 else -32 for S in coords.subsets]
+    wide = base + IntervalVector(coords, [Fraction(d, 64) for d in draws])
+    assert _min_diamond_margin(wide) == 0
+    assert not is_strictly_submodular(wide)
+    with pytest.raises(InternalCheckError, match="left the cone"):
+        _perturbed_direction(base, coords, Replay(draws))

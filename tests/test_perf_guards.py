@@ -1,0 +1,94 @@
+"""Guards against re-introducing scans that a proof already replaces, and
+pinned CLI output for the commands those proofs sit under.
+
+Sampled directions are certified by their margin bound, so a sampled
+`certify` scans no diamond; supplied directions are scanned once each.  A
+lattice of flats is built with semimodularity and the flats axioms
+proved, so its connectivity and 1-balancedness walks never run.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+
+import pytest
+
+from conepol import cone, flats_lattice, poset, uniform_matroid
+from conepol.cli import main
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def run_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", "json"])
+    return code, out.getvalue()
+
+
+def test_sampled_certify_scans_no_direction(monkeypatch):
+    scans = counting(monkeypatch, cone, "is_strictly_submodular")
+    code, out = run_json(["certify", "--fano", "--samples", "3"])
+    assert code == 0 and len(json.loads(out)["samples"]) == 3
+    assert scans == []
+
+
+def test_supplied_directions_are_scanned_once_each(monkeypatch, tmp_path):
+    coords = cone.IntervalCoords(0, 0b111)
+    point = cone.canonical_interior_point(coords).to_json_obj()
+    tuples = [[point, point] for _ in range(3)]
+    path = tmp_path / "dirs.json"
+    path.write_text(json.dumps({"tuples": tuples}))
+    scans = counting(monkeypatch, cone, "is_strictly_submodular")
+    code, _ = run_json(["certify", "--uniform", "3", "3", "--directions", str(path)])
+    assert code == 0
+    assert len(scans) == 6
+
+
+def test_flats_lattice_runs_no_connectivity_or_balance_walk(monkeypatch):
+    splits = counting(monkeypatch, poset, "_comparability_split")
+    middles = counting(monkeypatch, poset, "_rank2_middles")
+    L = flats_lattice(uniform_matroid(6, 12))
+    assert len(L) == 1587
+    assert poset.is_interval_connected(L) and poset.is_one_balanced(L)
+    assert poset.is_balanced(L)
+    assert splits == [] and middles == []
+
+
+# sha256 of `--format json` stdout, recorded before the proofs replaced the
+# scans; certify runs `--samples 2` with the default seed 0
+PINNED = {
+    ("certify", "fano"): "45a4c040ea032fb0d8a86cf9cd097ff44234330c8e3c032ee6af8224b600905a",
+    ("certify", "u45"): "1b9fb984a3d2dafeab87f2bed1df7397ba705b7d173eda414e0a78586eb49ea9",
+    ("certify", "k5"): "593e569352420788a6f3e126511cbaddbeceafe81504f0517b6b355109232316",
+    ("charpoly", "fano"): "e5adc774a647ae6234ce9881010325dce54d19e1479e15ca2314216dea905e1a",
+    ("charpoly", "u45"): "550bfea81ac0b6e85e004ead5d5e6a11477592a42f87a937c2c01108f6f03d4a",
+    ("charpoly", "k5"): "4eefce4922ba88280bf82a4137fc28770b0275411663274578c78daa227dee74",
+    ("poset-check", "fano"): "9f5b67d9926a6bfbcb47a8d93d41b15a2d63cae3917bc7b374ac55292c8fab74",
+    ("poset-check", "u45"): "8162179243a701571d2433c660db022dfd007ec3c1324dd5d925a9f3db67e2a7",
+    ("poset-check", "k5"): "f06c4d3ae5461d032aedb6e22190ddd181fced37ab9fcd5977d2061b2c3f9080",
+}
+
+
+@pytest.mark.parametrize("command, matroid", sorted(PINNED))
+def test_json_output_is_pinned(tmp_path, command, matroid):
+    k5 = tmp_path / "k5.json"
+    k5.write_text(json.dumps({"edges": [list(e) for e in itertools.combinations(range(5), 2)]}))
+    source = {"fano": ["--fano"], "u45": ["--uniform", "4", "5"],
+              "k5": ["--graphic", str(k5)]}[matroid]
+    extra = ["--samples", "2"] if command == "certify" else []
+    code, out = run_json([command, *source, *extra])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command, matroid]

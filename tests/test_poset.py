@@ -15,6 +15,7 @@ from conepol import (
     mobius,
     uniform_matroid,
 )
+from conepol import poset
 from conepol.errors import InvalidParams, NotAnInterval, NotGraded
 from conepol.matroid import characteristic_polynomial
 from conepol.poset import (
@@ -475,3 +476,71 @@ def test_balanced_after_one_balanced_matches_per_pair_oracle(lattices):
     assert is_one_balanced(P)
     P._upper_covers = None
     assert is_balanced(P)
+
+
+def _disable_walks(m):
+    def walk(*args):
+        raise AssertionError("walk ran although its premise was proved")
+
+    m.setattr(poset, "_comparability_split", walk)
+    m.setattr(poset, "_rank2_middles", walk)
+
+
+def test_predicates_read_off_proved_premises_match_oracles(lattices, monkeypatch):
+    """With a semimodular lattice and the flats axioms proved and both walks
+    disabled, is_interval_connected and is_one_balanced equal the per-pair
+    oracle, and the walk on a fresh copy.  U(6,12) is compared with the
+    walk only: the per-pair oracle takes about 14 s there on a 2-vCPU host."""
+    k4 = list(combinations(range(4), 2))
+    bowtie = k4 + [(a + 3, b + 3) for a, b in k4]  # M(K4.K4), 225 flats
+    larger = {"k4.k4": graphic_matroid(bowtie), "u6_12": uniform_matroid(6, 12)}
+    for name, L in {**lattices, **{k: flats_lattice(M) for k, M in larger.items()}}.items():
+        walked = GradedSubposet(L.n, L.elements)
+        expected = (is_interval_connected(walked), is_one_balanced(walked))
+        if name != "u6_12":
+            assert expected == (oracles.is_interval_connected(L), oracles.is_one_balanced(L))
+        proved = GradedSubposet(L.n, L.elements)
+        assert is_semimodular_lattice(proved) and flats_axioms_hold(proved, L.top)
+        with monkeypatch.context() as m:
+            _disable_walks(m)
+            assert (is_interval_connected(proved), is_one_balanced(proved)) == expected
+            # a lattice of flats is built with both premises proved
+            assert (is_interval_connected(L), is_one_balanced(L)) == expected
+
+
+def test_predicates_walk_without_their_premises(monkeypatch):
+    """Premise proved false, or not proved at all: the walk runs, and both
+    predicates still equal the per-pair oracle."""
+    rng = random.Random(20261024)
+    walks = {"split": 0, "rank2": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            walks[name] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(poset, "_comparability_split",
+                        counted("split", poset._comparability_split))
+    monkeypatch.setattr(poset, "_rank2_middles", counted("rank2", poset._rank2_middles))
+    seen = {}
+    posets = (random_graded_subposets(rng, 1200) + list(boolean_lattices_without_layers())
+              + [two_tower_poset()] + [boolean_lattice(n) for n in range(1, 5)])
+    for P in posets:
+        semimodular = is_semimodular_lattice(P) if rng.random() < 0.7 else None
+        flats = None
+        if rng.random() < 0.7:
+            grounds = {*P.elements[-1:], (1 << P.n) - 1, *rng.sample(P.elements, min(1, len(P)))}
+            flats = any([flats_axioms_hold(P, ground) for ground in grounds])
+        before = dict(walks)
+        got = (is_interval_connected(P), is_one_balanced(P))
+        assert got == (oracles.is_interval_connected(P), oracles.is_one_balanced(P)), P.elements
+        deep = any(P.interval_rank(K, L) >= 3 for K, L in P.comparable_pairs())
+        assert (walks["split"] > before["split"]) == (semimodular is not True and deep)
+        assert (walks["rank2"] > before["rank2"]) == (flats is not True)
+        for premise, holds, name in ((semimodular, got[0], "connected"),
+                                     (flats, got[1], "1-balanced")):
+            key = (name, {True: "read off", False: "premise false", None: "unproved"}[premise],
+                   holds)
+            seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == 10 and min(seen.values()) >= 10, seen
