@@ -87,6 +87,21 @@ def _kernel_basis(echelon, ncols):
     return basis
 
 
+def check_caps(P, K, L):
+    """The degree of [K, L] and its open flats as a bitset over P's element
+    indices, once the interval is within the open-flat and degree caps."""
+    d = P.interval_degree(K, L)
+    if d < 0:
+        raise NotAnInterval("need K <= L in the poset")
+    mask = P._open_mask(K, L)
+    count = mask.bit_count()
+    if count > MAX_OPEN_FLATS:
+        raise SizeLimitExceeded(f"{count} open flats exceeds the cap of {MAX_OPEN_FLATS}")
+    if d > MAX_DEGREE:
+        raise SizeLimitExceeded(f"degree {d} exceeds the cap of {MAX_DEGREE}")
+    return d, mask
+
+
 class ChowRing:
     """Graded data of the quotient ring of one interval.
 
@@ -95,17 +110,8 @@ class ChowRing:
     """
 
     def __init__(self, P, K, L):
-        d = P.interval_degree(K, L)
-        if d < 0:
-            raise NotAnInterval("need K <= L in the poset")
-        mask = P._open_mask(K, L)
+        d, mask = check_caps(P, K, L)
         index = subsets.elements(mask)
-        if len(index) > MAX_OPEN_FLATS:
-            raise SizeLimitExceeded(
-                f"{len(index)} open flats exceeds the cap of {MAX_OPEN_FLATS}"
-            )
-        if d > MAX_DEGREE:
-            raise SizeLimitExceeded(f"degree {d} exceeds the cap of {MAX_DEGREE}")
         self.poset = P
         self.K = K
         self.L = L

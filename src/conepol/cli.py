@@ -266,6 +266,8 @@ def cmd_chow_verify(args):
             raise UsageError(f"no interval has degree at most {limit}")
     else:
         pairs = [resolve_interval(args, lattice)]
+    for K, L in pairs:
+        chow.check_caps(lattice, K, L)
     results = []
     lines = []
     all_ok = True

@@ -66,7 +66,7 @@ class IntervalVector:
     __slots__ = ("coords", "values")
 
     def __init__(self, coords, values):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if len(vals) != coords.m:
             raise InvalidParams("value count does not match the interval index")
         self.coords = coords

@@ -121,7 +121,8 @@ def is_irreducible_nonneg_offdiag(A):
 # -- sampling ---------------------------------------------------------------
 
 
-_MAX_PERTURBATION = Fraction(1, 4)
+_DENOMINATOR = 64  # perturbations are drawn as k / 64
+_MAX_NUMERATOR = _DENOMINATOR // 4  # the margin bound |delta| <= 1/4
 
 
 def _perturbed_direction(base, coords, rng):
@@ -130,15 +131,21 @@ def _perturbed_direction(base, coords, rng):
     The canonical point has margin exactly 2 on every diamond, and each
     diamond margin touches at most four coordinates, the endpoints pinned
     at 0, so a perturbation of at most 1/4 per coordinate moves it by at
-    most 1 and stays strictly submodular.  That bound, checked in O(m),
-    certifies the draw; no diamond is scanned.
+    most 1 and stays strictly submodular.  That bound, checked in O(m) on
+    the drawn numerators over 64, certifies the draw; no diamond is
+    scanned.  Each coordinate is then built as one `Fraction`.
     """
-    delta = cone.IntervalVector(
-        coords, [Fraction(rng.randint(-16, 16), 64) for _ in range(coords.m)]
-    )
-    if any(abs(x) > _MAX_PERTURBATION for x in delta.values):
+    draws = [rng.randint(-16, 16) for _ in range(coords.m)]
+    if any(abs(k) > _MAX_NUMERATOR for k in draws):
         raise InternalCheckError("perturbed direction left the cone")
-    return base + delta
+    q = _DENOMINATOR
+    return cone.IntervalVector(
+        coords,
+        [
+            Fraction(b.numerator * q + k * b.denominator, b.denominator * q)
+            for b, k in zip(base.values, draws)
+        ],
+    )
 
 
 def sample_direction_tuples(coords, d, count, seed):

@@ -9,12 +9,15 @@ gives rank(S) and the mask of the bases meeting S in rank(S) elements, and
 cl(S) is S plus every y whose `_holding[y]` misses that mask.  The lattice
 of flats is searched cover by cover from one such mask per flat (see
 `flats_lattice`).  The exchange axiom is validated exhaustively over the
-same table: for each basis B1 and x in B1, the bases B2 that hold neither
-x nor any y with B1 - x + y a basis are one mask, and the first violation
-is reported as a pair-by-pair walk would.  Graphic bases are the maximal
-spanning forests, found by backtracking over the edges.  A family of more
-than `MAX_BASES` bases is refused: a uniform one before it is listed, a
-graphic one as soon as the walk passes the cap.
+same table, once per cocircuit: each B - z is mapped to the mask of the
+elements that complete it to a basis (for B1 - x, the fundamental
+cocircuit of x in B1), and the bases holding one of them are ORed once
+per distinct mask, giving the bases B2 that hold x or admit an exchange
+for it.  When some mask misses a basis, one lookup per basis B1 and x in
+B1 finds the first violation as a pair-by-pair walk would.  Graphic bases
+are the maximal spanning forests, found by backtracking over the edges.  A
+family of more than `MAX_BASES` bases is refused: a uniform one before it
+is listed, a graphic one as soon as the walk passes the cap.
 """
 
 from dataclasses import dataclass
@@ -85,22 +88,28 @@ class Matroid:
             sizes.add(B.bit_count())
         if len(sizes) != 1:
             raise UnequalBasisSizes(f"basis cardinalities differ: {sorted(sizes)}")
-        bases = self.bases
-        order = list(bases)
+        order = list(self.bases)
         everyone = (1 << len(order)) - 1
         holding = [0] * self.ground.n
+        completing = {}  # B - z: the elements y with B - z + y a basis
         for i, B in enumerate(order):
             for y in subsets.elements(B):
                 holding[y] |= 1 << i
+                stripped = B & ~(1 << y)
+                completing[stripped] = completing.get(stripped, 0) | 1 << y
+        reached = {}  # completing mask: the bases holding one of its elements
+        for mask in completing.values():
+            if mask not in reached:
+                ok = 0
+                for y in subsets.elements(mask):
+                    ok |= holding[y]
+                reached[mask] = ok
+        if all(ok == everyone for ok in reached.values()):
+            return holding
         for B1 in order:
-            outside = subsets.elements(full & ~B1)
             failing = {}
             for x in subsets.elements(B1):
-                stripped = B1 & ~(1 << x)
-                ok = holding[x]
-                for y in outside:
-                    if stripped | (1 << y) in bases:
-                        ok |= holding[y]
+                ok = reached[completing[B1 & ~(1 << x)]]
                 if ok != everyone:
                     failing[x] = everyone & ~ok
             if failing:
@@ -262,7 +271,15 @@ def fano():
 
 
 class FlatLattice(poset.GradedSubposet):
-    """Lattice of flats of a matroid, validated against the flats axioms."""
+    """Lattice of flats of a matroid, validated against the flats axioms.
+
+    `flats` maps each set to its rank, or to None where it is not closed,
+    as `flats_lattice` finds them.  When every set is closed and every
+    upper cover lies one rank above the set it covers, that is recorded on
+    the poset, which then proves intersection closure without a pass over
+    pairs (see `poset`); `Matroid` has validated the exchange axiom, so
+    its closure is a matroid closure.
+    """
 
     def __init__(self, matroid, flats):
         try:
@@ -271,6 +288,13 @@ class FlatLattice(poset.GradedSubposet):
             raise InternalAxiomFailure(f"flats failed gradedness: {exc}") from exc
         self.bottom = self.elements[0]
         self.top = matroid.ground.full_mask
+        rank = [flats[F] for F in self.elements]
+        if None not in rank and all(
+            rank[j] == rank[i] + 1
+            for i, ups in enumerate(self._upper_covers)
+            for j in ups
+        ):
+            self._proved[("covers_are_closures",)] = True
         if not poset.flats_axioms_hold(self, self.top):
             raise InternalAxiomFailure("flats violate the closure axioms")
         if not poset.is_semimodular_lattice(self):
@@ -289,30 +313,43 @@ def flats_lattice(M):
     closed once, and the covers' gains partition the elements outside F.
     Of the bases spanning F, found once per flat, those that also hold e
     are the bases meeting F + e in its rank r(F) + 1, so cl(F + e) is
-    F + e plus every untried y that none of them holds.
+    F + e plus every untried y that none of them holds.  The same bases
+    show that F is closed: each y outside F lies in one of them.  A y in
+    none of them is the first e tried or joins the first cover, so only
+    that cover's gain is checked.
     """
     if M._lattice is not None:
         return M._lattice
     holding = M._holding
     bottom = M.closure(0)
-    found = {bottom}
+    found = {bottom: None}  # rank, once the set is seen to be closed
     frontier = [bottom]
     full = M.ground.full_mask
     while frontier:
         F = frontier.pop()
-        kept = M._spanning(F)[1]
-        untried = full & ~F
+        rank, kept = M._spanning(F)
+        untried = subsets.elements(full & ~F)
+        first, closed = True, True
         while untried:
-            bit = untried & -untried
-            spanning = kept & holding[bit.bit_length() - 1]
-            G = F | bit
-            for y in subsets.elements(untried & ~bit):
-                if not holding[y] & spanning:
+            e, *others = untried
+            spanning = kept & holding[e]
+            G = F | 1 << e
+            untried = []
+            for y in others:
+                if holding[y] & spanning:
+                    untried.append(y)
+                else:
                     G |= 1 << y
-            untried &= ~G
+                    if first and not holding[y] & kept:
+                        closed = False
+            if first and not spanning:
+                closed = False
+            first = False
             if G not in found:
-                found.add(G)
+                found[G] = None
                 frontier.append(G)
+        if closed:
+            found[F] = rank
     lattice = FlatLattice(M, found)
     M._lattice = lattice
     return lattice

@@ -45,6 +45,22 @@ once per poset and kept on it.  Each check takes a shortcut that is exact:
   returns True, with no walk, once `flats_axioms_hold` is proved on P.
   Neither shortcut computes its premise; each only reads a result already
   kept on P, as `is_balanced` reads 1-balancedness.
+- Intersection closure follows from covers that are matroid closures.
+  Suppose `P._proved` records ("covers_are_closures",): each element is
+  closed under a matroid closure cl and each upper cover of F has rank
+  r(F) + 1 (`FlatLattice` checks both against its matroid, whose exchange
+  axiom is validated).  Suppose also that P has a least and a greatest
+  element T, and that the gains of each F's upper covers partition
+  T \\ F.  For A, C in P, A & C is closed; take F maximal among the
+  elements of P inside it (the least element is one).  For e in
+  (A & C) \\ F, the cover G of F gaining e is closed and holds F + e, so
+  it contains cl(F + e), which has rank r(F) + 1 = r(G); so G = cl(F + e)
+  lies in A & C above F, a contradiction, and A & C = F is in P.  For a
+  lattice of flats the first premise is the search's own check that each
+  set it found is closed.  `_intersection_closed` returns True for all of
+  P, with no pass over pairs, under these premises; it checks the last
+  two itself, and the pass over pairs stays for every other poset and for
+  interval masks.
 - Mobius rows come on demand: `mobius(P)` computes the row of a when
   mu(a, .) is first asked, so the characteristic polynomial pays for the
   bottom row only.  The table keeps P's order data, not P, so P, which
@@ -435,8 +451,22 @@ def is_semimodular_lattice(P):
 @_once_per_poset
 def _intersection_closed(P, mask):
     """The elements whose indices are the set bits of `mask` are closed
-    under intersection; the pass over all of P is shared by the flats
-    axioms and the lattice test."""
+    under intersection; the answer for all of P is shared by the flats
+    axioms and the lattice test.  For all of P it needs no pass over pairs
+    once P's covers are proved to be matroid closures (see the module
+    docstring)."""
+    everyone = (1 << len(P)) - 1
+    if (
+        mask == everyone
+        and P._proved.get(("covers_are_closures",))
+        and P._up[0] == everyone == P._down[-1]
+        and _gains_partition(P, mask, P.elements[-1])
+    ):
+        return True
+    return _pairwise_intersection_closed(P, mask)
+
+
+def _pairwise_intersection_closed(P, mask):
     members = P._members(mask)
     inside = set(members)
     for i, a in enumerate(members):
@@ -446,15 +476,10 @@ def _intersection_closed(P, mask):
     return True
 
 
-def _flats_axioms(P, mask, top):
-    """Flats axioms on the elements whose indices are the set bits of
-    `mask`, relative to `top`: top is one of them, they are closed under
-    intersection, and for each of them, F, the gains of its upper covers
-    inside the mask partition top minus F."""
-    if top not in P or not (mask >> P._index[top]) & 1:
-        return False
-    if not _intersection_closed(P, mask):
-        return False
+@_once_per_poset
+def _gains_partition(P, mask, top):
+    """For each element F whose index is a set bit of `mask`, the gains of
+    its upper covers inside the mask partition top minus F."""
     els = P.elements
     for i in subsets.elements(mask):
         F = els[i]
@@ -468,6 +493,16 @@ def _flats_axioms(P, mask, top):
         if seen != top & ~F:
             return False
     return True
+
+
+def _flats_axioms(P, mask, top):
+    """Flats axioms on the elements whose indices are the set bits of
+    `mask`, relative to `top`: top is one of them, they are closed under
+    intersection, and for each of them, F, the gains of its upper covers
+    inside the mask partition top minus F."""
+    if top not in P or not (mask >> P._index[top]) & 1:
+        return False
+    return _intersection_closed(P, mask) and _gains_partition(P, mask, top)
 
 
 @_once_per_poset

@@ -32,7 +32,17 @@ def is_json_int(x):
 
 
 def elements(s):
+    """Set bits of s, ascending.  A mask wider than 64 bits (a set of poset
+    elements, say) is read in one pass over its binary digits, lowest
+    first; clearing one bit at a time would cost its full width per bit."""
     out = []
+    if s >> 64:
+        digits = bin(s)[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return out
     while s:
         out.append((s & -s).bit_length() - 1)
         s &= s - 1

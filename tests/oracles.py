@@ -297,6 +297,14 @@ def semimodular_lattice(P):
     return True
 
 
+def intersection_closed(sets):
+    """Every two of `sets` (int bitsets) meet in one of them, tested pair
+    by pair: the pass `poset` keeps for posets whose closure it cannot
+    prove."""
+    inside = set(sets)
+    return all(a & b in inside for a, b in combinations(sets, 2))
+
+
 def flats_axioms_failure(P, inside, top):
     """First flats axiom that the elements `inside` of P (a list) break
     relative to `top`, or None: "missing top", then "intersection not
@@ -473,6 +481,16 @@ def comparability_components(mids):
         components.append([m for m in left if m in component])
         left = [m for m in left if m not in component]
     return components
+
+
+def elements_by_bit_loop(s):
+    """Set bits of the int s, ascending, clearing the lowest one at a time:
+    the walk `subsets.elements` keeps for masks of at most 64 bits."""
+    out = []
+    while s:
+        out.append((s & -s).bit_length() - 1)
+        s &= s - 1
+    return out
 
 
 def spanning_bases_scan(bases, S):

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from conepol import (
+    FlatLattice,
     GroundSet,
     Matroid,
     UniPoly,
@@ -15,6 +16,7 @@ from conepol import (
     graphic_matroid,
     matroid,
     matroid_from_bases,
+    poset,
     reduced_characteristic_polynomial,
     uniform_matroid,
 )
@@ -22,6 +24,7 @@ from conepol.errors import (
     EmptyBases,
     ExchangeAxiomViolation,
     HasLoops,
+    InternalAxiomFailure,
     InvalidParams,
     LoopElement,
     SizeLimitExceeded,
@@ -281,6 +284,55 @@ def test_flats_search_closes_each_cover_once(monkeypatch):
     assert len(flats_lattice(cases[0])) == 52  # partitions of a 5-set
 
 
+def closure_evidence(M, sets):
+    """{S: rank(S) if S is closed, else None}, as `flats_lattice` records
+    the sets it finds."""
+    return {S: M.rank(S) if M.closure(S) == S else None for S in sets}
+
+
+def test_tampered_flat_families_fall_back_to_the_pairwise_pass(monkeypatch):
+    """Intersection closure is read off the matroid only when every set is
+    closed, every cover lies one rank up, there is a least element and the
+    cover gains partition; a family with a flat (or the bottom) removed, a
+    non-closed set added or a cover two ranks up gets the pairwise pass
+    and is still refused."""
+    pairwise = []
+    original = poset._pairwise_intersection_closed
+
+    def counted(*args):
+        pairwise.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(poset, "_pairwise_intersection_closed", counted)
+    u34 = uniform_matroid(3, 4)
+    flats = flats_lattice(u34).elements
+    atoms = [F for F in flats if F.bit_count() == 1]
+    cases = [  # (matroid, family, whether its covers are closures)
+        (u34, [F for F in flats if F != atoms[0]], True),  # a flat removed
+        (uniform_matroid(2, 2), [0b01, 0b10, 0b11], True),  # the bottom removed
+        (u34, [F for F in flats if F not in atoms], False),  # covers two ranks up
+        (uniform_matroid(1, 2), [0, 0b01, 0b11], False),  # {0} is not closed
+        (uniform_matroid(1, 3), [0, 0b011, 0b111], False),  # nor is {0, 1}
+    ]
+    for M in (uniform_matroid(2, 3), u34, graphic_matroid(K4_EDGES), fano()):
+        found = set(flats_lattice(M).elements)
+        for S in range(1, M.ground.full_mask):
+            if S not in found:
+                cases.append((M, [*found, S], False))
+    graded = 0
+    for i, (M, family, premise) in enumerate(cases):
+        pairwise.clear()
+        with pytest.raises(InternalAxiomFailure) as exc:
+            FlatLattice(M, closure_evidence(M, family))
+        if i >= 5 and "gradedness" in str(exc.value):
+            continue
+        graded += 1
+        assert pairwise, family
+        P = pairwise[0][0]
+        assert P._proved.get(("covers_are_closures",), False) == premise, family
+    assert graded >= 40, graded
+
+
 def random_equal_size_family(rng):
     """Bases of a random binary matroid, sometimes with one basis dropped
     or one equal-size set added, or else a random family of r-subsets."""
@@ -383,6 +435,35 @@ def wide_binary_matroids(rng, count):
     ]
 
 
+def test_exchange_check_per_cocircuit_names_oracle_witness():
+    """Binary matroids of rank 4 or 5 with one basis dropped or one
+    r-subset added, most with more than 64 bases: read per completing mask
+    of B - z, the first violation is still the pairwise walk's."""
+    rng = random.Random(31337)
+    violations = 0
+    for M in wide_binary_matroids(rng, 40):
+        n, r = M.ground.n, M.rank_total
+        family = set(M.bases)
+        if rng.random() < 0.5 and len(family) > 1:
+            family.discard(rng.choice(sorted(family)))
+        else:
+            family.add(from_elements(rng.sample(range(n), r)))
+        bases = frozenset(family)
+        witness = oracles.first_exchange_violation(bases)
+        if witness is None:
+            assert Matroid(GroundSet(n), bases).bases == bases
+            continue
+        violations += 1
+        x, B1, B2 = witness
+        with pytest.raises(ExchangeAxiomViolation) as exc:
+            Matroid(GroundSet(n), bases)
+        assert str(exc.value) == (
+            f"no exchange for element {x} between bases "
+            f"{{{format_elements(B1)}}} and {{{format_elements(B2)}}}"
+        )
+    assert violations >= 25, violations
+
+
 def test_spanning_rank_and_closure_match_basis_scan_oracle():
     """Rank, the spanning bases and closure from the bit-sliced counts
     agree with one scan of every basis: on every subset of small ground
@@ -462,3 +543,36 @@ def test_basis_cap_refuses_before_or_while_enumerating(monkeypatch):
         matroid_from_bases(6, combinations(range(6), 3))
     monkeypatch.setattr(matroid, "MAX_BASES", 16)
     assert len(graphic_matroid(K4_EDGES).bases) == 16
+
+
+@pytest.mark.parametrize("edges, loops", [
+    ([(0, 1), (1, 1), (1, 2), (0, 2), (2, 2)], 0b10010),  # loops join the first cover
+    ([(1, 1), (0, 1), (1, 2), (0, 2)], 0b1),  # the first element tried is a loop
+])
+def test_flats_search_records_a_non_closed_start(monkeypatch, edges, loops):
+    """Started from the empty set of a matroid with loops, the search
+    records that set as not closed, so the lattice gets no closure proof
+    and its pairwise pass runs."""
+    M = graphic_matroid(edges)
+    assert M.loops() == loops
+    monkeypatch.setattr(Matroid, "closure", lambda self, S: S)
+    built, pairwise = [], []
+    lattice_class, pass_over_pairs = matroid.FlatLattice, poset._pairwise_intersection_closed
+
+    def spy_lattice(M, found):
+        built.append(dict(found))
+        return lattice_class(M, found)
+
+    def spy_pairs(P, mask):
+        pairwise.append(P._proved.get(("covers_are_closures",)))
+        return pass_over_pairs(P, mask)
+
+    monkeypatch.setattr(matroid, "FlatLattice", spy_lattice)
+    monkeypatch.setattr(poset, "_pairwise_intersection_closed", spy_pairs)
+    flats_lattice(M)
+    (found,) = built
+    bases, full = list(M.bases), M.ground.full_mask
+    closed = {S for S in found if oracles.closure_by_scan(full, bases, S) == S}
+    assert 0 not in closed and closed
+    assert {S for S, rank in found.items() if rank is not None} == closed
+    assert pairwise == [None]

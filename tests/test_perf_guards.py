@@ -4,7 +4,9 @@ pinned CLI output for the commands those proofs sit under.
 Sampled directions are certified by their margin bound, so a sampled
 `certify` scans no diamond; supplied directions are scanned once each.  A
 lattice of flats is built with semimodularity and the flats axioms
-proved, so its connectivity and 1-balancedness walks never run.
+proved, so its connectivity and 1-balancedness walks never run, and with
+its covers proved to be matroid closures, so no pair of flats is
+intersected.  A size guard refuses before any quotient ring is built.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ import json
 
 import pytest
 
-from conepol import cone, flats_lattice, poset, uniform_matroid
+from conepol import chow, cone, flats_lattice, graphic_matroid, poset, uniform_matroid
 from conepol.cli import main
 
 
@@ -36,6 +38,10 @@ def run_json(argv):
     with contextlib.redirect_stdout(out):
         code = main([*argv, "--format", "json"])
     return code, out.getvalue()
+
+
+K4 = list(itertools.combinations(range(4), 2))
+K4_K4 = K4 + [(a + 3, b + 3) for a, b in K4]  # two K4 sharing a vertex
 
 
 def test_sampled_certify_scans_no_direction(monkeypatch):
@@ -67,8 +73,24 @@ def test_flats_lattice_runs_no_connectivity_or_balance_walk(monkeypatch):
     assert splits == [] and middles == []
 
 
+def test_flats_lattice_intersects_no_pair_of_flats(monkeypatch):
+    pairwise = counting(monkeypatch, poset, "_pairwise_intersection_closed")
+    sizes = [len(flats_lattice(M)) for M in (uniform_matroid(6, 12), graphic_matroid(K4_K4))]
+    assert sizes == [1587, 225]
+    assert pairwise == []
+
+
+def test_all_intervals_refusal_builds_no_ring(monkeypatch, capsys):
+    rings = counting(monkeypatch, chow, "ChowRing")
+    code = main(["chow-verify", "--uniform", "4", "5", "--all-intervals", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (4, "", "SizeLimitExceeded: 25 open flats exceeds the cap of 16\n")
+    assert rings == []
+
+
 # sha256 of `--format json` stdout, recorded before the proofs replaced the
-# scans; certify runs `--samples 2` with the default seed 0
+# scans (U(7,14): before intersection closure was proved from the matroid);
+# certify runs `--samples 2` with the default seed 0
 PINNED = {
     ("certify", "fano"): "45a4c040ea032fb0d8a86cf9cd097ff44234330c8e3c032ee6af8224b600905a",
     ("certify", "u45"): "1b9fb984a3d2dafeab87f2bed1df7397ba705b7d173eda414e0a78586eb49ea9",
@@ -79,6 +101,8 @@ PINNED = {
     ("poset-check", "fano"): "9f5b67d9926a6bfbcb47a8d93d41b15a2d63cae3917bc7b374ac55292c8fab74",
     ("poset-check", "u45"): "8162179243a701571d2433c660db022dfd007ec3c1324dd5d925a9f3db67e2a7",
     ("poset-check", "k5"): "f06c4d3ae5461d032aedb6e22190ddd181fced37ab9fcd5977d2061b2c3f9080",
+    ("charpoly", "u7_14"): "6081f2d6d656c8c34394329f3adc092fa1e848217fe698331dce6d4b07498a13",
+    ("poset-check", "u7_14"): "27c537460dc6ad782e596dfb1000e90520b2a26977ac82c6f031172ac145bb4c",
 }
 
 
@@ -87,7 +111,7 @@ def test_json_output_is_pinned(tmp_path, command, matroid):
     k5 = tmp_path / "k5.json"
     k5.write_text(json.dumps({"edges": [list(e) for e in itertools.combinations(range(5), 2)]}))
     source = {"fano": ["--fano"], "u45": ["--uniform", "4", "5"],
-              "k5": ["--graphic", str(k5)]}[matroid]
+              "u7_14": ["--uniform", "7", "14"], "k5": ["--graphic", str(k5)]}[matroid]
     extra = ["--samples", "2"] if command == "certify" else []
     code, out = run_json([command, *source, *extra])
     assert code == 0

@@ -26,6 +26,7 @@ from conepol.poset import (
 from conepol.subsets import elements, from_elements
 
 from side_checks import HypothesisViolation, weisner_check
+from test_random_matroids import random_binary_matroid
 
 
 def boolean_lattice(n):
@@ -357,6 +358,21 @@ def test_elements_walks_set_bits():
         assert elements(s) == [i for i in range(s.bit_length()) if (s >> i) & 1]
 
 
+def test_wide_masks_match_the_bit_loop():
+    """Masks wider than 64 bits are read off their binary digits; the bit
+    loop kept for narrower ones agrees on widths of 1 to 30,000 bits, dense
+    and sparse, with the top and bottom bits set or not."""
+    rng = random.Random(20261019)
+    cases = [0, (1 << 64) - 1, 1 << 64, (1 << 65) - 1, 1 << 29_999, (1 << 30_000) - 1]
+    for _ in range(60):
+        width = rng.choice([rng.randint(1, 64), rng.randint(65, 30_000)])
+        density = rng.choice([0.001, 0.05, 0.5, 0.95])
+        cases.append(sum(1 << i for i in range(width) if rng.random() < density))
+    assert sum(s >> 64 != 0 for s in cases) >= 25
+    for s in cases:
+        assert elements(s) == oracles.elements_by_bit_loop(s)
+
+
 def test_predicates_are_proved_once_per_poset(monkeypatch):
     P = flats_lattice(uniform_matroid(3, 5))
     table = mobius(P)
@@ -544,3 +560,30 @@ def test_predicates_walk_without_their_premises(monkeypatch):
                    holds)
             seen[key] = seen.get(key, 0) + 1
     assert len(seen) == 10 and min(seen.values()) >= 10, seen
+
+
+def test_proved_intersection_closure_matches_pairwise_oracle(lattices, monkeypatch):
+    """A lattice of flats is proved closed under intersection from its
+    matroid, with no pass over pairs; the pairwise oracle agrees on the
+    catalog, seeded random binary matroids, M(K4.K4) and U(6,12), and so
+    does the pairwise pass on a copy that lacks the premise."""
+    rng = random.Random(20261019)
+    k4 = list(combinations(range(4), 2))
+    matroids = [random_binary_matroid(rng, rng.choice([3, 4]), rng.randint(4, 8))
+                for _ in range(20)]
+    matroids += [graphic_matroid(k4 + [(a + 3, b + 3) for a, b in k4]), uniform_matroid(6, 12)]
+
+    def pairwise(*args):
+        raise AssertionError("pairwise pass ran although closure was proved")
+
+    with monkeypatch.context() as m:
+        m.setattr(poset, "_pairwise_intersection_closed", pairwise)
+        built = list(lattices.values()) + [flats_lattice(M) for M in matroids]
+    assert len(built[-1]) == 1587
+    for L in built:
+        everyone = (1 << len(L)) - 1
+        assert L._proved[("covers_are_closures",)]
+        assert L._proved[("_intersection_closed", everyone)] is True
+        copy = GradedSubposet(L.n, L.elements)
+        assert poset._intersection_closed(copy, everyone) is True
+        assert oracles.intersection_closed(L.elements)
