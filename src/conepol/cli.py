@@ -264,10 +264,10 @@ def cmd_chow_verify(args):
         ]
         if not pairs:
             raise UsageError(f"no interval has degree at most {limit}")
+        for K, L in pairs:  # refuse before any ring is built
+            chow.check_caps(lattice, K, L)
     else:
         pairs = [resolve_interval(args, lattice)]
-    for K, L in pairs:
-        chow.check_caps(lattice, K, L)
     results = []
     lines = []
     all_ok = True

@@ -13,11 +13,12 @@ same table, once per cocircuit: each B - z is mapped to the mask of the
 elements that complete it to a basis (for B1 - x, the fundamental
 cocircuit of x in B1), and the bases holding one of them are ORed once
 per distinct mask, giving the bases B2 that hold x or admit an exchange
-for it.  When some mask misses a basis, one lookup per basis B1 and x in
-B1 finds the first violation as a pair-by-pair walk would.  Graphic bases
-are the maximal spanning forests, found by backtracking over the edges.  A
-family of more than `MAX_BASES` bases is refused: a uniform one before it
-is listed, a graphic one as soon as the walk passes the cap.
+for it; only a mask that misses some basis is kept.  When one does, one
+lookup per basis B1 and x in B1 finds the first violation as a
+pair-by-pair walk would.  Graphic bases are the maximal spanning forests,
+found by backtracking over the edges.  A family of more than `MAX_BASES`
+bases is refused: a uniform one before it is listed, a graphic one as
+soon as the walk passes the cap.
 """
 
 from dataclasses import dataclass
@@ -97,20 +98,23 @@ class Matroid:
                 holding[y] |= 1 << i
                 stripped = B & ~(1 << y)
                 completing[stripped] = completing.get(stripped, 0) | 1 << y
-        reached = {}  # completing mask: the bases holding one of its elements
+        seen = set()
+        short = {}  # completing mask missed by some basis: the bases it reaches
         for mask in completing.values():
-            if mask not in reached:
+            if mask not in seen:
+                seen.add(mask)
                 ok = 0
                 for y in subsets.elements(mask):
                     ok |= holding[y]
-                reached[mask] = ok
-        if all(ok == everyone for ok in reached.values()):
+                if ok != everyone:
+                    short[mask] = ok
+        if not short:
             return holding
         for B1 in order:
             failing = {}
             for x in subsets.elements(B1):
-                ok = reached[completing[B1 & ~(1 << x)]]
-                if ok != everyone:
+                ok = short.get(completing[B1 & ~(1 << x)])
+                if ok is not None:
                     failing[x] = everyone & ~ok
             if failing:
                 # the first B2, then the first x, as a walk over pairs meets them
@@ -273,22 +277,24 @@ def fano():
 class FlatLattice(poset.GradedSubposet):
     """Lattice of flats of a matroid, validated against the flats axioms.
 
-    `flats` maps each set to its rank, or to None where it is not closed,
-    as `flats_lattice` finds them.  When every set is closed and every
-    upper cover lies one rank above the set it covers, that is recorded on
-    the poset, which then proves intersection closure without a pass over
+    `flats` is any iterable of sets.  `flats_lattice` also passes
+    `_ranks`, its search's record of each set's rank, or None where the
+    search did not see the set closed; nothing else may, as the record is
+    not checked again.  When every set is recorded closed and every upper
+    cover lies one rank above the set it covers, that is recorded on the
+    poset, which then proves intersection closure without a pass over
     pairs (see `poset`); `Matroid` has validated the exchange axiom, so
     its closure is a matroid closure.
     """
 
-    def __init__(self, matroid, flats):
+    def __init__(self, matroid, flats, _ranks=None):
         try:
             super().__init__(matroid.ground.n, flats)
         except Exception as exc:
             raise InternalAxiomFailure(f"flats failed gradedness: {exc}") from exc
         self.bottom = self.elements[0]
         self.top = matroid.ground.full_mask
-        rank = [flats[F] for F in self.elements]
+        rank = [None if _ranks is None else _ranks.get(F) for F in self.elements]
         if None not in rank and all(
             rank[j] == rank[i] + 1
             for i, ups in enumerate(self._upper_covers)
@@ -350,7 +356,7 @@ def flats_lattice(M):
                 frontier.append(G)
         if closed:
             found[F] = rank
-    lattice = FlatLattice(M, found)
+    lattice = FlatLattice(M, found, _ranks=found)
     M._lattice = lattice
     return lattice
 

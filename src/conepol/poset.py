@@ -48,19 +48,19 @@ once per poset and kept on it.  Each check takes a shortcut that is exact:
 - Intersection closure follows from covers that are matroid closures.
   Suppose `P._proved` records ("covers_are_closures",): each element is
   closed under a matroid closure cl and each upper cover of F has rank
-  r(F) + 1 (`FlatLattice` checks both against its matroid, whose exchange
-  axiom is validated).  Suppose also that P has a least and a greatest
-  element T, and that the gains of each F's upper covers partition
-  T \\ F.  For A, C in P, A & C is closed; take F maximal among the
-  elements of P inside it (the least element is one).  For e in
-  (A & C) \\ F, the cover G of F gaining e is closed and holds F + e, so
-  it contains cl(F + e), which has rank r(F) + 1 = r(G); so G = cl(F + e)
-  lies in A & C above F, a contradiction, and A & C = F is in P.  For a
-  lattice of flats the first premise is the search's own check that each
-  set it found is closed.  `_intersection_closed` returns True for all of
-  P, with no pass over pairs, under these premises; it checks the last
-  two itself, and the pass over pairs stays for every other poset and for
-  interval masks.
+  r(F) + 1.  The search in `flats_lattice` sees each set it finds closed
+  under its matroid, whose exchange axiom is validated, and passes their
+  ranks; `FlatLattice` checks the cover ranks against them, and records
+  nothing for a family given any other way.  Suppose also that P has a
+  least and a greatest element T, and that the gains of each F's upper
+  covers partition T \\ F.  For A, C in P, A & C is closed; take F
+  maximal among the elements of P inside it (the least element is one).
+  For e in (A & C) \\ F, the cover G of F gaining e is closed and holds
+  F + e, so it contains cl(F + e), which has rank r(F) + 1 = r(G); so
+  G = cl(F + e) lies in A & C above F, a contradiction, and A & C = F is
+  in P.  `_intersection_closed` returns True for all of P, with no pass
+  over pairs, under these premises; it checks the last two itself, and
+  the pass over pairs stays for every other poset and for interval masks.
 - Mobius rows come on demand: `mobius(P)` computes the row of a when
   mu(a, .) is first asked, so the characteristic polynomial pays for the
   bottom row only.  The table keeps P's order data, not P, so P, which

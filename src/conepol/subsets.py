@@ -34,7 +34,10 @@ def is_json_int(x):
 def elements(s):
     """Set bits of s, ascending.  A mask wider than 64 bits (a set of poset
     elements, say) is read in one pass over its binary digits, lowest
-    first; clearing one bit at a time would cost its full width per bit."""
+    first; clearing one bit at a time would cost its full width per bit.
+    A narrower one, such as a set of ground elements, is read by clearing
+    bits: there the string walk's fixed cost loses, by about 2x on sets of
+    a few elements, and the two break even near 64 to 128 bits."""
     out = []
     if s >> 64:
         digits = bin(s)[:1:-1]

@@ -483,16 +483,6 @@ def comparability_components(mids):
     return components
 
 
-def elements_by_bit_loop(s):
-    """Set bits of the int s, ascending, clearing the lowest one at a time:
-    the walk `subsets.elements` keeps for masks of at most 64 bits."""
-    out = []
-    while s:
-        out.append((s & -s).bit_length() - 1)
-        s &= s - 1
-    return out
-
-
 def spanning_bases_scan(bases, S):
     """The bases meeting S in rank(S) elements, from one pass over the
     bases (int bitsets, as is S)."""

@@ -285,9 +285,38 @@ def test_flats_search_closes_each_cover_once(monkeypatch):
 
 
 def closure_evidence(M, sets):
-    """{S: rank(S) if S is closed, else None}, as `flats_lattice` records
-    the sets it finds."""
+    """{S: rank(S) if S is closed, else None}, as the search in
+    `flats_lattice` records the sets it finds."""
     return {S: M.rank(S) if M.closure(S) == S else None for S in sets}
+
+
+def test_flat_lattice_takes_any_iterable_and_trusts_no_given_ranks(monkeypatch):
+    """A family given by a caller, as a set, a list or a dict of ranks,
+    records no closure premise, even with every set mapped to its rank
+    and one set not closed; it gets the pairwise pass and is refused."""
+    pairwise = []
+    original = poset._pairwise_intersection_closed
+
+    def counted(P, mask):
+        pairwise.append(P._proved.get(("covers_are_closures",)))
+        return original(P, mask)
+
+    monkeypatch.setattr(poset, "_pairwise_intersection_closed", counted)
+    M = uniform_matroid(2, 3)
+    flats = flats_lattice(M).elements
+    for family in (set(flats), list(flats), {S: M.rank(S) for S in flats}):
+        pairwise.clear()
+        L = FlatLattice(M, family)
+        assert L.elements == flats and pairwise == [None]
+    # 0 and 1 parallel, 2 a coloop: {0} is not closed, yet every cover of
+    # the family lies one rank up
+    M = matroid_from_bases(3, [{0, 2}, {1, 2}])
+    family = {S: M.rank(S) for S in (0, 0b001, 0b100, 0b111)}
+    assert list(family.values()) == [0, 1, 1, 2] and M.closure(0b001) != 0b001
+    pairwise.clear()
+    with pytest.raises(InternalAxiomFailure):
+        FlatLattice(M, family)
+    assert pairwise == [None]
 
 
 def test_tampered_flat_families_fall_back_to_the_pairwise_pass(monkeypatch):
@@ -323,7 +352,7 @@ def test_tampered_flat_families_fall_back_to_the_pairwise_pass(monkeypatch):
     for i, (M, family, premise) in enumerate(cases):
         pairwise.clear()
         with pytest.raises(InternalAxiomFailure) as exc:
-            FlatLattice(M, closure_evidence(M, family))
+            FlatLattice(M, family, _ranks=closure_evidence(M, family))
         if i >= 5 and "gradedness" in str(exc.value):
             continue
         graded += 1
@@ -559,9 +588,9 @@ def test_flats_search_records_a_non_closed_start(monkeypatch, edges, loops):
     built, pairwise = [], []
     lattice_class, pass_over_pairs = matroid.FlatLattice, poset._pairwise_intersection_closed
 
-    def spy_lattice(M, found):
-        built.append(dict(found))
-        return lattice_class(M, found)
+    def spy_lattice(M, found, _ranks):
+        built.append(dict(_ranks))
+        return lattice_class(M, found, _ranks=_ranks)
 
     def spy_pairs(P, mask):
         pairwise.append(P._proved.get(("covers_are_closures",)))
