@@ -6,9 +6,7 @@ from .cone import (
     IntervalCoords,
     IntervalVector,
     ModularBasis,
-    alpha_indicator,
     alpha_vector,
-    beta_indicator,
     beta_vector,
     canonical_interior_point,
     is_modular,
@@ -41,7 +39,6 @@ from .matroid import (
     fano,
     flats_lattice,
     graphic_matroid,
-    matroid_from_bases,
     reduced_characteristic_polynomial,
     uniform_matroid,
 )

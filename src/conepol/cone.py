@@ -130,9 +130,6 @@ class IntervalVector:
             and self.values == other.values
         )
 
-    def as_dict(self):
-        return dict(zip(self.coords.subsets, self.values))
-
     def to_json_obj(self):
         return {
             "K": subsets.elements(self.coords.K),
@@ -319,25 +316,4 @@ def beta_vector(coords):
     return IntervalVector(
         coords,
         [Fraction((coords.L & ~S).bit_count()) / span for S in coords.subsets],
-    )
-
-
-def _check_element(coords, i):
-    if not ((coords.L >> i) & 1) or ((coords.K >> i) & 1):
-        raise ElementOutsideInterval(f"element {i} is not in L \\ K")
-
-
-def alpha_indicator(coords, i):
-    """0/1 vector marking the subsets that contain element i."""
-    _check_element(coords, i)
-    return IntervalVector(
-        coords, [Fraction((S >> i) & 1) for S in coords.subsets]
-    )
-
-
-def beta_indicator(coords, i):
-    """0/1 vector marking the subsets that avoid element i."""
-    _check_element(coords, i)
-    return IntervalVector(
-        coords, [Fraction(1 - ((S >> i) & 1)) for S in coords.subsets]
     )

@@ -19,6 +19,26 @@ pair-by-pair walk would.  Graphic bases are the maximal spanning forests,
 found by backtracking over the edges.  A family of more than `MAX_BASES`
 bases is refused: a uniform one before it is listed, a graphic one as
 soon as the walk passes the cap.
+
+A lattice built by the search is proved closed under intersection
+without a pass over pairs.  The search vouches for one fact: each set it
+returns is closed under cl, a matroid closure since the exchange axiom
+is validated.  `FlatLattice` then checks that the ground set E is one of
+the sets, that h(E) = r(E) for the height h of E above the first set B
+in canonical order, and that the gains of each set's upper covers
+partition its complement in E.  Along a cover F < G of closed sets the
+rank grows, as r(G) = r(F) would put G inside cl(F) = F, so a maximal
+chain from B to E, of length h(E), has r(E) >= r(B) + h(E).  Then h(E) =
+r(E) forces r(B) = 0, so B is the closure of the empty set, which lies
+inside every closed set: B is the least element.  Every cover lies on
+such a chain, so each is a step of exactly one rank.  Now take A, C
+among the sets: A & C is closed, and some set F inside it is maximal
+among them (B is inside it).  For e in (A & C) - F, the upper cover G of
+F gaining e is closed and holds F + e, so it contains cl(F + e), whose
+rank r(F) + 1 is r(G); so G = cl(F + e) lies in A & C above F, a
+contradiction, and A & C = F is a set of the lattice.  A family that a
+caller passes to `FlatLattice` comes with no such fact and gets the pass
+over pairs.
 """
 
 from dataclasses import dataclass
@@ -180,19 +200,6 @@ def _check_basis_count(count, found=""):
         raise SizeLimitExceeded(f"{count} bases{found} exceed the cap of {MAX_BASES}")
 
 
-def matroid_from_bases(ground, bases):
-    """Validated matroid from an iterable of basis subsets.
-
-    Bases may be bitsets or iterables of 0-based elements.
-    """
-    if not isinstance(ground, GroundSet):
-        ground = GroundSet(int(ground))
-    encoded = set()
-    for B in bases:
-        encoded.add(B if isinstance(B, int) else subsets.from_elements(B))
-    return Matroid(ground, encoded)
-
-
 def uniform_matroid(r, n):
     """Bases are all r-subsets of an n-element ground set."""
     if n < 1 or r < 0 or r > n:
@@ -278,29 +285,29 @@ class FlatLattice(poset.GradedSubposet):
     """Lattice of flats of a matroid, validated against the flats axioms.
 
     `flats` is any iterable of sets.  `flats_lattice` also passes
-    `_ranks`, its search's record of each set's rank, or None where the
-    search did not see the set closed; nothing else may, as the record is
-    not checked again.  When every set is recorded closed and every upper
-    cover lies one rank above the set it covers, that is recorded on the
-    poset, which then proves intersection closure without a pass over
-    pairs (see `poset`); `Matroid` has validated the exchange axiom, so
-    its closure is a matroid closure.
+    `_closed=True`, as its search has seen every set closed; nothing else
+    may, as that is not checked again.  The premises of the proof of
+    intersection closure (see the module docstring) are then checked, and
+    a failing one is refused rather than left to the pass over pairs.
     """
 
-    def __init__(self, matroid, flats, _ranks=None):
+    def __init__(self, matroid, flats, _closed=False):
         try:
             super().__init__(matroid.ground.n, flats)
         except Exception as exc:
             raise InternalAxiomFailure(f"flats failed gradedness: {exc}") from exc
         self.bottom = self.elements[0]
         self.top = matroid.ground.full_mask
-        rank = [None if _ranks is None else _ranks.get(F) for F in self.elements]
-        if None not in rank and all(
-            rank[j] == rank[i] + 1
-            for i, ups in enumerate(self._upper_covers)
-            for j in ups
-        ):
-            self._proved[("covers_are_closures",)] = True
+        if _closed:
+            if not (
+                self.top in self
+                and self.interval_rank(self.bottom, self.top) == matroid.rank_total
+                and poset._gains_partition(self, self.top)
+            ):
+                raise InternalAxiomFailure(
+                    "closed sets from the search fail the premises of intersection closure"
+                )
+            self._proved[("_intersection_closed",)] = True
         if not poset.flats_axioms_hold(self, self.top):
             raise InternalAxiomFailure("flats violate the closure axioms")
         if not poset.is_semimodular_lattice(self):
@@ -322,18 +329,18 @@ def flats_lattice(M):
     F + e plus every untried y that none of them holds.  The same bases
     show that F is closed: each y outside F lies in one of them.  A y in
     none of them is the first e tried or joins the first cover, so only
-    that cover's gain is checked.
+    that cover's gain is checked, and a set that is not closed is refused.
     """
     if M._lattice is not None:
         return M._lattice
     holding = M._holding
     bottom = M.closure(0)
-    found = {bottom: None}  # rank, once the set is seen to be closed
+    found = {bottom}
     frontier = [bottom]
     full = M.ground.full_mask
     while frontier:
         F = frontier.pop()
-        rank, kept = M._spanning(F)
+        kept = M._spanning(F)[1]
         untried = subsets.elements(full & ~F)
         first, closed = True, True
         while untried:
@@ -352,11 +359,15 @@ def flats_lattice(M):
                 closed = False
             first = False
             if G not in found:
-                found[G] = None
+                found.add(G)
                 frontier.append(G)
-        if closed:
-            found[F] = rank
-    lattice = FlatLattice(M, found, _ranks=found)
+        if not closed:
+            raise InternalAxiomFailure(
+                "flats search found {{{}}}, which is not closed".format(
+                    subsets.format_elements(F)
+                )
+            )
+    lattice = FlatLattice(M, found, _closed=True)
     M._lattice = lattice
     return lattice
 

@@ -45,22 +45,13 @@ once per poset and kept on it.  Each check takes a shortcut that is exact:
   returns True, with no walk, once `flats_axioms_hold` is proved on P.
   Neither shortcut computes its premise; each only reads a result already
   kept on P, as `is_balanced` reads 1-balancedness.
-- Intersection closure follows from covers that are matroid closures.
-  Suppose `P._proved` records ("covers_are_closures",): each element is
-  closed under a matroid closure cl and each upper cover of F has rank
-  r(F) + 1.  The search in `flats_lattice` sees each set it finds closed
-  under its matroid, whose exchange axiom is validated, and passes their
-  ranks; `FlatLattice` checks the cover ranks against them, and records
-  nothing for a family given any other way.  Suppose also that P has a
-  least and a greatest element T, and that the gains of each F's upper
-  covers partition T \\ F.  For A, C in P, A & C is closed; take F
-  maximal among the elements of P inside it (the least element is one).
-  For e in (A & C) \\ F, the cover G of F gaining e is closed and holds
-  F + e, so it contains cl(F + e), which has rank r(F) + 1 = r(G); so
-  G = cl(F + e) lies in A & C above F, a contradiction, and A & C = F is
-  in P.  `_intersection_closed` returns True for all of P, with no pass
-  over pairs, under these premises; it checks the last two itself, and
-  the pass over pairs stays for every other poset and for interval masks.
+- Intersection closure is shared.  `flats_axioms_hold` and
+  `is_semimodular_lattice` read one answer, `_intersection_closed`, which
+  passes over all pairs of elements unless it is already kept on P;
+  `FlatLattice` keeps it for a lattice of flats, where the matroid proves
+  it (see `matroid`).  An interval [K, L] is convex, so its covers are
+  P's covers inside it, and `interval_flats_axioms_hold` checks it as a
+  poset of its own.
 - Mobius rows come on demand: `mobius(P)` computes the row of a when
   mu(a, .) is first asked, so the characteristic polynomial pays for the
   bottom row only.  The table keeps P's order data, not P, so P, which
@@ -138,9 +129,6 @@ class GradedSubposet:
 
     def upper_covers(self, s):
         return [self.elements[j] for j in self._upper_covers[self.index(s)]]
-
-    def lower_covers(self, s):
-        return [self.elements[j] for j in self._lower_covers[self.index(s)]]
 
     def interval(self, K, L):
         """Closed interval [K, L] in canonical order."""
@@ -429,7 +417,7 @@ def is_semimodular_lattice(P):
         top |= a
     if top not in index:
         return False
-    if not _intersection_closed(P, (1 << len(els)) - 1):
+    if not _intersection_closed(P):
         down = P._down
         for i, a in enumerate(els):
             for b in els[i + 1:]:
@@ -449,69 +437,46 @@ def is_semimodular_lattice(P):
 
 
 @_once_per_poset
-def _intersection_closed(P, mask):
-    """The elements whose indices are the set bits of `mask` are closed
-    under intersection; the answer for all of P is shared by the flats
-    axioms and the lattice test.  For all of P it needs no pass over pairs
-    once P's covers are proved to be matroid closures (see the module
-    docstring)."""
-    everyone = (1 << len(P)) - 1
-    if (
-        mask == everyone
-        and P._proved.get(("covers_are_closures",))
-        and P._up[0] == everyone == P._down[-1]
-        and _gains_partition(P, mask, P.elements[-1])
-    ):
-        return True
-    return _pairwise_intersection_closed(P, mask)
+def _intersection_closed(P):
+    """The elements of P are closed under intersection, by the pass over
+    pairs unless the answer is already kept on P."""
+    return _pairwise_intersection_closed(P)
 
 
-def _pairwise_intersection_closed(P, mask):
-    members = P._members(mask)
-    inside = set(members)
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
+def _pairwise_intersection_closed(P):
+    inside = P._index
+    els = P.elements
+    for i, a in enumerate(els):
+        for b in els[i + 1:]:
             if a & b not in inside:
                 return False
     return True
 
 
 @_once_per_poset
-def _gains_partition(P, mask, top):
-    """For each element F whose index is a set bit of `mask`, the gains of
-    its upper covers inside the mask partition top minus F."""
+def _gains_partition(P, top):
+    """For each element F, the gains of its upper covers partition top
+    minus F."""
     els = P.elements
-    for i in subsets.elements(mask):
-        F = els[i]
+    for i, F in enumerate(els):
         seen = 0
         for j in P._upper_covers[i]:
-            if (mask >> j) & 1:
-                gain = els[j] & ~F
-                if gain & seen:
-                    return False
-                seen |= gain
+            gain = els[j] & ~F
+            if gain & seen:
+                return False
+            seen |= gain
         if seen != top & ~F:
             return False
     return True
-
-
-def _flats_axioms(P, mask, top):
-    """Flats axioms on the elements whose indices are the set bits of
-    `mask`, relative to `top`: top is one of them, they are closed under
-    intersection, and for each of them, F, the gains of its upper covers
-    inside the mask partition top minus F."""
-    if top not in P or not (mask >> P._index[top]) & 1:
-        return False
-    return _intersection_closed(P, mask) and _gains_partition(P, mask, top)
 
 
 @_once_per_poset
 def flats_axioms_hold(P, ground):
     """The three closure axioms: ground membership, intersection closure,
     and cover gains partitioning the complement of each element."""
-    return _flats_axioms(P, (1 << len(P)) - 1, ground)
+    return ground in P and _intersection_closed(P) and _gains_partition(P, ground)
 
 
 def interval_flats_axioms_hold(P, K, L):
-    """Flats axioms for the closed interval [K, L] relative to its endpoints."""
-    return _flats_axioms(P, P._interval_mask(K, L), L)
+    """Flats axioms for the closed interval [K, L] relative to L."""
+    return flats_axioms_hold(GradedSubposet(P.n, P.interval(K, L)), L)

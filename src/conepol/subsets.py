@@ -52,10 +52,6 @@ def elements(s):
     return out
 
 
-def size(s):
-    return s.bit_count()
-
-
 def is_subset(a, b):
     return a & ~b == 0
 

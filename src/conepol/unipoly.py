@@ -14,20 +14,9 @@ class UniPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def monomial(cls, degree, coeff=1):
-        return cls([0] * degree + [coeff])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
 
     def coeff(self, k):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -37,17 +26,6 @@ class UniPoly:
 
     def abs_coeffs_descending(self):
         return [abs(c) for c in self.coeffs_descending()]
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(k) - other.coeff(k) for k in range(n)])
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):

@@ -1,5 +1,6 @@
 """Checks that only the tests run: side identities and neighbouring notions
-(the Shapley-value effective decomposition, Weisner's recursion, two
+(the Shapley-value effective decomposition, the alpha/beta indicator
+vectors, Weisner's recursion, two
 identities of interval polynomials, the Chow tensor split, the Branden-Huh
 orthant notion), each error class next to the code that raises it."""
 
@@ -14,7 +15,9 @@ from conepol.chow import ChowRing
 from conepol.cone import (
     IntervalVector, _diamond_margins, is_strictly_submodular, modular_vector
 )
-from conepol.errors import ConepolError, InternalCheckError, NotAnInterval
+from conepol.errors import (
+    ConepolError, ElementOutsideInterval, InternalCheckError, NotAnInterval
+)
 from conepol.intervalpoly import interval_polynomial
 from conepol.lorentz import _contracted, _tuple_result, inertia
 from conepol.multipoly import MultiPoly, SymMatrix, _coordinate, partial
@@ -81,6 +84,27 @@ def effective_decompose(v):
     if any(val <= 0 for val in (v + w).values):
         raise FeasibilityFailure("the Shapley shift left a coordinate nonpositive")
     return w, eps
+
+
+def _check_element(coords, i):
+    if not ((coords.L >> i) & 1) or ((coords.K >> i) & 1):
+        raise ElementOutsideInterval(f"element {i} is not in L \\ K")
+
+
+def alpha_indicator(coords, i):
+    """0/1 vector marking the subsets that contain element i."""
+    _check_element(coords, i)
+    return IntervalVector(
+        coords, [Fraction((S >> i) & 1) for S in coords.subsets]
+    )
+
+
+def beta_indicator(coords, i):
+    """0/1 vector marking the subsets that avoid element i."""
+    _check_element(coords, i)
+    return IntervalVector(
+        coords, [Fraction(1 - ((S >> i) & 1)) for S in coords.subsets]
+    )
 
 
 class HypothesisViolation(ConepolError):

@@ -6,9 +6,7 @@ import pytest
 from conepol import (
     IntervalCoords,
     IntervalVector,
-    alpha_indicator,
     alpha_vector,
-    beta_indicator,
     beta_vector,
     canonical_interior_point,
     is_modular,
@@ -31,7 +29,7 @@ from conepol.errors import (
 from conepol.subsets import elements, from_elements
 
 import oracles
-from side_checks import NotInCone, effective_decompose
+from side_checks import NotInCone, alpha_indicator, beta_indicator, effective_decompose
 
 
 def coords_on(k_els, l_els):
@@ -264,7 +262,7 @@ def test_diamond_predicates_match_pairwise_oracle():
                 margins = oracles.pairwise_submodularity_margins(
                     k_els,
                     elements(c.L),
-                    {frozenset(elements(S)): x for S, x in v.as_dict().items()},
+                    {frozenset(elements(S)): x for S, x in zip(c.subsets, v.values)},
                 )
                 strict = all(m > 0 for m in margins)
                 weak = all(m >= 0 for m in margins)

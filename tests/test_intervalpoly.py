@@ -11,7 +11,6 @@ from conepol import (
     MultiPoly,
     UniPoly,
     alpha_beta_restriction,
-    alpha_indicator,
     alpha_vector,
     beta_vector,
     canonical_interior_point,
@@ -36,7 +35,7 @@ from conepol.multipoly import partial
 from conepol.subsets import from_elements, is_proper_subset
 
 from conftest import K4_EDGES
-from side_checks import euler_identity_holds, sum_of_squares_identity_holds
+from side_checks import alpha_indicator, euler_identity_holds, sum_of_squares_identity_holds
 
 
 def test_rank_one_interval_gives_constant_one(lattices):

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conepol import (
     FlatLattice,
+    GradedSubposet,
     GroundSet,
     Matroid,
     UniPoly,
@@ -15,7 +16,6 @@ from conepol import (
     flats_lattice,
     graphic_matroid,
     matroid,
-    matroid_from_bases,
     poset,
     reduced_characteristic_polynomial,
     uniform_matroid,
@@ -32,7 +32,7 @@ from conepol.errors import (
 )
 from conepol.subsets import elements, format_elements, from_elements
 
-from conftest import K4_EDGES
+from conftest import K4_EDGES, matroid_from_bases
 from test_random_matroids import random_binary_matroid
 
 
@@ -284,30 +284,30 @@ def test_flats_search_closes_each_cover_once(monkeypatch):
     assert len(flats_lattice(cases[0])) == 52  # partitions of a 5-set
 
 
-def closure_evidence(M, sets):
-    """{S: rank(S) if S is closed, else None}, as the search in
-    `flats_lattice` records the sets it finds."""
-    return {S: M.rank(S) if M.closure(S) == S else None for S in sets}
+def counting_pairwise_passes(monkeypatch):
+    """Posets whose pass over pairs runs, in order."""
+    passes = []
+    original = poset._pairwise_intersection_closed
+
+    def counted(P):
+        passes.append(P)
+        return original(P)
+
+    monkeypatch.setattr(poset, "_pairwise_intersection_closed", counted)
+    return passes
 
 
 def test_flat_lattice_takes_any_iterable_and_trusts_no_given_ranks(monkeypatch):
     """A family given by a caller, as a set, a list or a dict of ranks,
-    records no closure premise, even with every set mapped to its rank
-    and one set not closed; it gets the pairwise pass and is refused."""
-    pairwise = []
-    original = poset._pairwise_intersection_closed
-
-    def counted(P, mask):
-        pairwise.append(P._proved.get(("covers_are_closures",)))
-        return original(P, mask)
-
-    monkeypatch.setattr(poset, "_pairwise_intersection_closed", counted)
+    gets the pass over pairs, even with every set mapped to its rank; one
+    set not closed is refused."""
+    pairwise = counting_pairwise_passes(monkeypatch)
     M = uniform_matroid(2, 3)
     flats = flats_lattice(M).elements
     for family in (set(flats), list(flats), {S: M.rank(S) for S in flats}):
         pairwise.clear()
         L = FlatLattice(M, family)
-        assert L.elements == flats and pairwise == [None]
+        assert L.elements == flats and pairwise == [L]
     # 0 and 1 parallel, 2 a coloop: {0} is not closed, yet every cover of
     # the family lies one rank up
     M = matroid_from_bases(3, [{0, 2}, {1, 2}])
@@ -316,30 +316,25 @@ def test_flat_lattice_takes_any_iterable_and_trusts_no_given_ranks(monkeypatch):
     pairwise.clear()
     with pytest.raises(InternalAxiomFailure):
         FlatLattice(M, family)
-    assert pairwise == [None]
+    assert len(pairwise) == 1
 
 
 def test_tampered_flat_families_fall_back_to_the_pairwise_pass(monkeypatch):
-    """Intersection closure is read off the matroid only when every set is
-    closed, every cover lies one rank up, there is a least element and the
-    cover gains partition; a family with a flat (or the bottom) removed, a
-    non-closed set added or a cover two ranks up gets the pairwise pass
-    and is still refused."""
-    pairwise = []
-    original = poset._pairwise_intersection_closed
-
-    def counted(*args):
-        pairwise.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(poset, "_pairwise_intersection_closed", counted)
+    """A family with a flat (or the bottom) removed, a non-closed set
+    added or a cover two ranks up gets the pairwise pass and is refused.
+    Passed as the search's closed sets, a family whose sets are all closed
+    but that lacks E, holds E at a height other than r(E) (as it does
+    without its least element) or has cover gains that fail to partition
+    is refused before any pass over pairs."""
+    pairwise = counting_pairwise_passes(monkeypatch)
     u34 = uniform_matroid(3, 4)
     flats = flats_lattice(u34).elements
     atoms = [F for F in flats if F.bit_count() == 1]
-    cases = [  # (matroid, family, whether its covers are closures)
+    cases = [  # (matroid, family, whether every set is closed)
         (u34, [F for F in flats if F != atoms[0]], True),  # a flat removed
         (uniform_matroid(2, 2), [0b01, 0b10, 0b11], True),  # the bottom removed
-        (u34, [F for F in flats if F not in atoms], False),  # covers two ranks up
+        (u34, [F for F in flats if F not in atoms], True),  # covers two ranks up
+        (u34, [F for F in flats if F != u34.ground.full_mask], True),  # no top
         (uniform_matroid(1, 2), [0, 0b01, 0b11], False),  # {0} is not closed
         (uniform_matroid(1, 3), [0, 0b011, 0b111], False),  # nor is {0, 1}
     ]
@@ -349,17 +344,39 @@ def test_tampered_flat_families_fall_back_to_the_pairwise_pass(monkeypatch):
             if S not in found:
                 cases.append((M, [*found, S], False))
     graded = 0
-    for i, (M, family, premise) in enumerate(cases):
+    for i, (M, family, closed) in enumerate(cases):
+        assert closed == all(M.closure(S) == S for S in family), family
         pairwise.clear()
         with pytest.raises(InternalAxiomFailure) as exc:
-            FlatLattice(M, family, _ranks=closure_evidence(M, family))
-        if i >= 5 and "gradedness" in str(exc.value):
+            FlatLattice(M, family)
+        if i >= 6 and "gradedness" in str(exc.value):
             continue
         graded += 1
-        assert pairwise, family
-        P = pairwise[0][0]
-        assert P._proved.get(("covers_are_closures",), False) == premise, family
+        assert len(pairwise) == (M.ground.full_mask in family), family  # else refused first
+        if closed:
+            pairwise.clear()
+            with pytest.raises(InternalAxiomFailure, match="premises of intersection"):
+                FlatLattice(M, family, _closed=True)
+            assert pairwise == [], family
     assert graded >= 40, graded
+
+
+def test_closed_flats_with_a_short_height_are_refused(monkeypatch):
+    """h(E) = r(E) is the premise that the top and the cover gains miss:
+    on {empty set, E} of a loopless matroid of rank at least 2, E is a
+    set, the cover gains partition and every flats axiom holds, but E lies
+    one cover above the bottom instead of r(E)."""
+    pairwise = counting_pairwise_passes(monkeypatch)
+    for M in (uniform_matroid(2, 2), uniform_matroid(2, 4), graphic_matroid(K4_EDGES)):
+        family = [0, M.ground.full_mask]
+        P = GradedSubposet(M.ground.n, family)
+        assert P.interval_rank(0, M.ground.full_mask) == 1 < M.rank_total
+        assert poset._gains_partition(P, M.ground.full_mask)
+        assert poset.flats_axioms_hold(P, M.ground.full_mask)
+        pairwise.clear()
+        with pytest.raises(InternalAxiomFailure, match="premises of intersection"):
+            FlatLattice(M, family, _closed=True)
+        assert pairwise == []
 
 
 def random_equal_size_family(rng):
@@ -580,28 +597,22 @@ def test_basis_cap_refuses_before_or_while_enumerating(monkeypatch):
 ])
 def test_flats_search_records_a_non_closed_start(monkeypatch, edges, loops):
     """Started from the empty set of a matroid with loops, the search
-    records that set as not closed, so the lattice gets no closure proof
-    and its pairwise pass runs."""
+    sees that set is not closed and refuses it by name, before any lattice
+    is built or any pair of sets is intersected."""
     M = graphic_matroid(edges)
     assert M.loops() == loops
+    bases, full = list(M.bases), M.ground.full_mask
+    assert oracles.closure_by_scan(full, bases, 0) != 0
     monkeypatch.setattr(Matroid, "closure", lambda self, S: S)
-    built, pairwise = [], []
-    lattice_class, pass_over_pairs = matroid.FlatLattice, poset._pairwise_intersection_closed
+    built = []
+    lattice_class = matroid.FlatLattice
 
-    def spy_lattice(M, found, _ranks):
-        built.append(dict(_ranks))
-        return lattice_class(M, found, _ranks=_ranks)
-
-    def spy_pairs(P, mask):
-        pairwise.append(P._proved.get(("covers_are_closures",)))
-        return pass_over_pairs(P, mask)
+    def spy_lattice(*args, **kwargs):
+        built.append(args)
+        return lattice_class(*args, **kwargs)
 
     monkeypatch.setattr(matroid, "FlatLattice", spy_lattice)
-    monkeypatch.setattr(poset, "_pairwise_intersection_closed", spy_pairs)
-    flats_lattice(M)
-    (found,) = built
-    bases, full = list(M.bases), M.ground.full_mask
-    closed = {S for S in found if oracles.closure_by_scan(full, bases, S) == S}
-    assert 0 not in closed and closed
-    assert {S for S, rank in found.items() if rank is not None} == closed
-    assert pairwise == [None]
+    pairwise = counting_pairwise_passes(monkeypatch)
+    with pytest.raises(InternalAxiomFailure, match=r"^flats search found \{\}, which is not closed$"):
+        flats_lattice(M)
+    assert built == [] and pairwise == []

@@ -5,8 +5,7 @@ Sampled directions are certified by their margin bound, so a sampled
 `certify` scans no diamond; supplied directions are scanned once each.  A
 lattice of flats is built with semimodularity and the flats axioms
 proved, so its connectivity and 1-balancedness walks never run, and with
-its covers proved to be matroid closures, so no pair of flats is
-intersected.  A size guard refuses before any quotient ring is built.
+every set seen closed by the search, so no pair of flats is intersected.  A size guard refuses before any quotient ring is built.
 """
 
 import contextlib
@@ -17,7 +16,9 @@ import json
 
 import pytest
 
-from conepol import chow, cone, flats_lattice, graphic_matroid, poset, uniform_matroid
+from conepol import (
+    FlatLattice, chow, cone, flats_lattice, graphic_matroid, poset, uniform_matroid
+)
 from conepol.cli import main
 
 
@@ -75,9 +76,14 @@ def test_flats_lattice_runs_no_connectivity_or_balance_walk(monkeypatch):
 
 def test_flats_lattice_intersects_no_pair_of_flats(monkeypatch):
     pairwise = counting(monkeypatch, poset, "_pairwise_intersection_closed")
-    sizes = [len(flats_lattice(M)) for M in (uniform_matroid(6, 12), graphic_matroid(K4_K4))]
-    assert sizes == [1587, 225]
+    matroids = (uniform_matroid(6, 12), graphic_matroid(K4_K4))
+    lattices = [flats_lattice(M) for M in matroids]
+    assert [len(L) for L in lattices] == [1587, 225]
     assert pairwise == []
+    # the same flats given by a caller get the pass over pairs, once each
+    for M, L in zip(matroids, lattices):
+        assert FlatLattice(M, L.elements).elements == L.elements
+    assert len(pairwise) == 2
 
 
 def test_all_intervals_refusal_builds_no_ring(monkeypatch, capsys):

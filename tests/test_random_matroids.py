@@ -21,13 +21,14 @@ from conepol import (
     is_interval_connected,
     is_one_balanced,
     is_semimodular_lattice,
-    matroid_from_bases,
     mobius,
     modular_shift_invariance,
 )
 from conepol.chow import vol_pol_mismatch_witness
 from conepol.intervalpoly import derivative_factorization_witness
 from conepol.poset import flats_axioms_hold
+
+from conftest import matroid_from_bases
 
 
 def gf2_rank(vectors):
