@@ -5,6 +5,14 @@ otherwise assembled recursively: each middle element contributes its
 variable times the polynomials of the two sub-intervals it splits off,
 composed with the linear projections onto those sub-intervals, and the sum
 is divided by the interval degree.  Everything is exact.
+
+A sub-interval of [K, L] split off at a middle F is [K, F] or [F, L].  K
+and L are endpoints of the outer interval, not variables of (K, L), so
+exactly one endpoint of the sub-interval, F, is.  The projection onto the
+sub-interval therefore sends each inner t_S to t_S - w_S t_F, and its
+composition with the sub-interval polynomial p is the finite Taylor series
+p(t - t_F w) = sum_k (-1)^k / k! * t_F^k * (D_w^k p)(t), with D_w the
+directional derivative along w on p's own variables.
 """
 
 import random
@@ -16,6 +24,7 @@ from . import cone, matroid as matroid_mod, poset, subsets
 from .errors import (
     ElementOutsideInterval,
     HasLoops,
+    InternalCheckError,
     InvalidParams,
     MismatchWithDirectComputation,
     NotAnInterval,
@@ -27,7 +36,6 @@ from .multipoly import (
     dir_derivative,
     partial,
     restrict_to_directions,
-    substitute_affine,
 )
 from .unipoly import UniPoly
 
@@ -69,21 +77,37 @@ class IntervalPolynomials:
         return result
 
     def _lift(self, G, H, big_vars):
-        """Polynomial of [G, H] composed with `cone.project` onto (G, H),
-        written in the variables of a larger open interval.  Endpoints of
-        the larger interval are not variables there (their t is 0), so for
-        [K, F] and [F, L] each row has at most two entries."""
+        """Polynomial p of [G, H] composed with `cone.project` onto (G, H),
+        in the variables of a larger open interval (K, L).  [G, H] is
+        [K, F] or [F, L], and K, L are not variables of (K, L), so exactly
+        one endpoint X = F is.  Each inner t_S becomes t_S - w_S t_X, with
+        w_S X's weight in `cone.projection_weights`, and the lift is the
+        Taylor series sum_k (-1)^k / k! * t_X^k * D_w^k p, whose terms for
+        different k differ in the exponent of t_X."""
         inner = self.polynomial(G, H)
-        col = {S: j for j, S in enumerate(big_vars)}
-        rows = []
-        for S in inner.vars:
-            wG, wH = cone.projection_weights(S, G, H)
-            row = {col[S]: 1}
-            for end, w in ((G, wG), (H, wH)):
-                if end in col:
-                    row[col[end]] = -w
-            rows.append(row)
-        return substitute_affine(inner, rows, big_vars)
+        pos = {S: j for j, S in enumerate(big_vars)}
+        ends = [end for end in (G, H) if end in pos]
+        if len(ends) != 1:
+            raise InternalCheckError(
+                f"{len(ends)} endpoints of a sub-interval are outer variables"
+            )
+        X = ends[0]
+        side = 0 if X == G else 1  # X's place in projection_weights' pair
+        w = {S: cone.projection_weights(S, G, H)[side] for S in inner.vars}
+        x, cols = pos[X], [pos[S] for S in inner.vars]
+        blank = [0] * len(big_vars)
+        out = {}
+        g = inner
+        for k in range(inner.degree + 1):  # g is (-1)^k / k! * D_w^k p
+            if k:
+                g = dir_derivative(g, {S: -v / k for S, v in w.items()})
+            for exps, c in g.terms.items():
+                key = blank.copy()
+                for j, e in zip(cols, exps):
+                    key[j] = e
+                key[x] = k
+                out[tuple(key)] = c
+        return MultiPoly._trusted(big_vars, out, inner.degree, pos)
 
     def derivative_factor(self, K, F, L):
         """Product of the lifted sub-interval polynomials at a middle F;
@@ -213,10 +237,13 @@ def reduced_charpoly_via_interval_poly(M):
 
 
 def full_contraction(f, directions):
-    """Value of the iterated directional derivative along a full tuple."""
+    """Value of the iterated directional derivative along a full tuple,
+    one direction per degree."""
+    if len(directions) != f.degree:
+        raise WrongDegree(
+            f"{len(directions)} directions for a degree-{f.degree} polynomial"
+        )
     g = f
     for v in directions:
         g = dir_derivative(g, v)
-    if g.degree != 0 and g.terms:
-        raise WrongDegree("direction tuple shorter than the degree")
     return g.constant_value()

@@ -289,6 +289,8 @@ class FlatLattice(poset.GradedSubposet):
     may, as that is not checked again.  The premises of the proof of
     intersection closure (see the module docstring) are then checked, and
     a failing one is refused rather than left to the pass over pairs.
+    Without the flag, a family that passes every check is last compared
+    with M's own closure, so that only M's lattice of flats is accepted.
     """
 
     def __init__(self, matroid, flats, _closed=False):
@@ -316,6 +318,35 @@ class FlatLattice(poset.GradedSubposet):
             raise InternalAxiomFailure("lattice of flats is not 1-balanced")
         if not poset.is_interval_connected(self):
             raise InternalAxiomFailure("lattice of flats is not interval connected")
+        if not _closed:
+            self._check_flats_of(matroid)
+
+    def _check_flats_of(self, M):
+        """Refuse a family that is not M's lattice of flats: it must hold
+        cl(empty set), every set in it closed, and cl(F + e) for each F and
+        e outside F.  For F closed and e' in cl(F + e) - F, cl(F + e') =
+        cl(F + e) by the exchange property, so one e per cover is tried."""
+        bottom = M.closure(0)
+        if bottom not in self:
+            raise InternalAxiomFailure(
+                f"flats lack {_named(bottom)}, the closure of the empty set"
+            )
+        for S in self.elements:
+            if M.closure(S) != S:
+                raise InternalAxiomFailure(f"flats hold {_named(S)}, which is not closed")
+        for F in self.elements:
+            untried = self.top & ~F
+            while untried:
+                G = M.closure(F | untried & -untried)
+                if G not in self:
+                    raise InternalAxiomFailure(
+                        f"flats lack {_named(G)}, a cover of {_named(F)}"
+                    )
+                untried &= ~G
+
+
+def _named(S):
+    return "{" + subsets.format_elements(S) + "}"
 
 
 def flats_lattice(M):

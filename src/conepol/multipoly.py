@@ -13,8 +13,9 @@ looking at it: `vars` a tuple, `terms` a dict from exponent tuples of
 length len(vars), each summing to `degree`, to nonzero Fractions, and
 `_pos` the index of each variable, shared with the operands rather than
 rebuilt.  Sums, negations, scalar and polynomial products, `partial`,
-`dir_derivative` and `substitute_affine` build their results with it;
-everything read from outside goes through the public one.
+`dir_derivative` and `substitute_affine` build their results with it, and
+so does the interval polynomials' Taylor-series lift; everything read
+from outside goes through the public one.
 """
 
 from fractions import Fraction

@@ -10,12 +10,14 @@ end; see there.
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 
+from conepol.cone import projection_weights
 from conepol.intervalpoly import full_contraction
 from conepol.lorentz import is_irreducible_nonneg_offdiag
 from conepol.multipoly import (
     dir_derivative,
     hessian_of_quadratic,
     partial,
+    substitute_affine,
 )
 
 from side_checks import NonpositiveValue, UnsupportedSupport
@@ -655,6 +657,26 @@ def substitute_affine_validated(f, matrix, new_variables):
                 term = poly_mul_validated(term, powers[i][e])
         out = poly_add_validated(out, term)
     return out
+
+
+def lift_by_substitution(cache, G, H, big_vars):
+    """`IntervalPolynomials._lift` as it was before the Taylor series: the
+    polynomial of [G, H] composed with `cone.project` by substituting the
+    linear form t_S - wG t_G - wH t_H for each inner t_S, every power of
+    it multiplied out over the larger interval's variables.  Endpoints of
+    the larger interval are not variables there, so a row has at most two
+    entries."""
+    inner = cache.polynomial(G, H)
+    col = {S: j for j, S in enumerate(big_vars)}
+    rows = []
+    for S in inner.vars:
+        wG, wH = projection_weights(S, G, H)
+        row = {col[S]: 1}
+        for end, w in ((G, wG), (H, wH)):
+            if end in col:
+                row[col[end]] = -w
+        rows.append(row)
+    return substitute_affine(inner, rows, big_vars)
 
 
 # The Lorentzian oracles below are the package's earlier per-check

@@ -26,11 +26,13 @@ from conepol import (
 )
 from conepol.errors import (
     ElementOutsideInterval,
+    InternalCheckError,
     InvalidParams,
     NotAnInterval,
     PrerequisiteNotBalanced,
+    WrongDegree,
 )
-from conepol.intervalpoly import derivative_factorization_witness, full_contraction
+from conepol.intervalpoly import cache_for, derivative_factorization_witness, full_contraction
 from conepol.multipoly import partial
 from conepol.subsets import from_elements, is_proper_subset
 
@@ -231,6 +233,30 @@ def test_full_contraction_order_independent(lattices):
     v = canonical_interior_point(coords)
     a = alpha_vector(coords)
     assert full_contraction(f, [v, a]) == full_contraction(f, [a, v])
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_full_contraction_rejects_a_tuple_of_the_wrong_length(lattices, count):
+    """Too few directions and too many are both refused, by their count."""
+    L = lattices["u33"]
+    f = interval_polynomial(L, L.bottom, L.top)
+    v = canonical_interior_point(IntervalCoords(L.bottom, L.top))
+    assert full_contraction(f, [v, v]) == 24
+    with pytest.raises(WrongDegree, match=f"^{count} directions for a degree-2 polynomial$"):
+        full_contraction(f, [v] * count)
+
+
+def test_lift_needs_exactly_one_outer_endpoint(lattices):
+    """A lift into (K, L) is of [K, F] or [F, L]; a sub-interval with both
+    or neither endpoint among the outer variables is a bug."""
+    L = lattices["u33"]
+    cache = cache_for(L)
+    flats = cache.polynomial(L.bottom, L.top).vars
+    F, G = 0b001, 0b011
+    assert F in flats and G in flats
+    for low, high, count in ((L.bottom, L.top, 0), (F, G, 2)):
+        with pytest.raises(InternalCheckError, match=f"^{count} endpoints of "):
+            cache._lift(low, high, flats)
 
 
 def test_graphic_k4_derivative_identity_every_flat(lattices):

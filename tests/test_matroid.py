@@ -379,6 +379,33 @@ def test_closed_flats_with_a_short_height_are_refused(monkeypatch):
         assert pairwise == []
 
 
+def test_a_caller_family_must_be_the_matroids_own_flats(monkeypatch):
+    """Without the search's flag, a family that passes every lattice check
+    is refused unless it is M's lattice of flats: {empty set, E} of a
+    loopless matroid of rank 2 or more lacks the atoms, the Boolean lattice
+    of U(1, 2) holds a set that is not closed, and {empty set, E} with a
+    loop lacks the closure of the empty set.  The pass over pairs has run
+    once before each refusal."""
+    pairwise = counting_pairwise_passes(monkeypatch)
+    cases = [
+        (M, [0, M.ground.full_mask], r"lack \{0\}, a cover of \{\}")
+        for M in (uniform_matroid(2, 2), uniform_matroid(2, 4), graphic_matroid(K4_EDGES))
+    ]
+    cases += [
+        (uniform_matroid(1, 2), [0, 0b01, 0b10, 0b11], r"hold \{0\}, which is not closed"),
+        (matroid_from_bases(2, [{0}]), [0, 0b11], r"lack \{1\}, the closure of the empty set"),
+    ]
+    for M, family, message in cases:
+        pairwise.clear()
+        with pytest.raises(InternalAxiomFailure, match=f"^flats {message}$"):
+            FlatLattice(M, family)
+        assert len(pairwise) == 1
+    # the search's own flats, given by a caller, pass the comparison
+    for M in (uniform_matroid(2, 4), graphic_matroid(K4_EDGES), fano()):
+        flats = flats_lattice(M).elements
+        assert FlatLattice(M, flats).elements == flats
+
+
 def random_equal_size_family(rng):
     """Bases of a random binary matroid, sometimes with one basis dropped
     or one equal-size set added, or else a random family of r-subsets."""

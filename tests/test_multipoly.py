@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import oracles
 from conepol import (
     IntervalCoords,
+    IntervalPolynomials,
     MultiPoly,
     SymMatrix,
     alpha_vector,
@@ -32,6 +34,8 @@ from conepol.errors import (
 )
 from conepol.intervalpoly import cache_for
 from conepol.multipoly import to_text
+
+from conftest import K4_EDGES
 
 
 def xy_poly(terms, degree=None):
@@ -262,17 +266,20 @@ def test_substitution_matches_validated_oracle():
     assert seen_zero >= 5
 
 
+MATROIDS = {
+    "fano": fano,
+    "k4": lambda: graphic_matroid(K4_EDGES),
+    "u45": lambda: uniform_matroid(4, 5),
+    "u55": lambda: uniform_matroid(5, 5),
+    "k5": lambda: graphic_matroid(list(combinations(range(5), 2))),
+}
+
+
 @pytest.mark.parametrize("name", ["fano", "k4", "u45", "u55"])
 def test_memoised_interval_polynomials_match_validated_oracle(name):
     """Rebuild every memoised sub-interval polynomial one recursion step at a
     time with the validated oracles and the dense projection rows."""
-    M = {
-        "fano": fano(),
-        "k4": graphic_matroid([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
-        "u45": uniform_matroid(4, 5),
-        "u55": uniform_matroid(5, 5),
-    }[name]
-    P = flats_lattice(M)
+    P = flats_lattice(MATROIDS[name]())
     cache = cache_for(P)
     cache.polynomial(P.bottom, P.top)
     memo = dict(cache._memo)
@@ -311,6 +318,37 @@ def test_memoised_interval_polynomials_match_validated_oracle(name):
         assert_same(f, expected)
         for F in flats[:3]:
             assert_contract(cache.derivative_factor(K, F, L))
+
+
+@pytest.mark.parametrize("name", sorted(MATROIDS))
+def test_taylor_lift_matches_substitution_oracle(monkeypatch, name):
+    """Every lift met while building the full interval, and the two behind
+    `derivative_factor` at each middle flat, equals the substitution it
+    replaced term for term: variables, keys, Fraction coefficients and
+    degree."""
+    P = flats_lattice(MATROIDS[name]())
+    cache = cache_for(P)
+    lifts = []
+    original = IntervalPolynomials._lift
+
+    def spy(self, G, H, big_vars):
+        out = original(self, G, H, big_vars)
+        lifts.append((G, H, big_vars, out))
+        return out
+
+    monkeypatch.setattr(IntervalPolynomials, "_lift", spy)
+    f = cache.polynomial(P.bottom, P.top)
+    built = len(lifts)
+    for F in f.vars:
+        product = cache.derivative_factor(P.bottom, F, P.top)
+        low, high = (oracles.lift_by_substitution(cache, *lifts[i][:3]) for i in (-2, -1))
+        assert lifts[-2][:2] == (P.bottom, F) and lifts[-1][:2] == (F, P.top)
+        assert_same(product, oracles.poly_mul_validated(low, high))
+    assert built > 2 * len(f.vars) and len(lifts) == built + 2 * len(f.vars)
+    for G, H, big_vars, out in lifts:
+        slow = oracles.lift_by_substitution(cache, G, H, big_vars)
+        assert_contract(slow)
+        assert_same(out, slow)
 
 
 def test_constructor_rejects_negative_exponent():

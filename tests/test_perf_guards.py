@@ -1,5 +1,6 @@
-"""Guards against re-introducing scans that a proof already replaces, and
-pinned CLI output for the commands those proofs sit under.
+"""Guards against re-introducing scans that a proof already replaces, or
+the substitution that the Taylor-series lift replaces, and pinned CLI
+output for the commands those changes sit under.
 
 Sampled directions are certified by their margin bound, so a sampled
 `certify` scans no diamond; supplied directions are scanned once each.  A
@@ -13,16 +14,20 @@ import hashlib
 import io
 import itertools
 import json
+import sys
 
 import pytest
 
 from conepol import (
-    FlatLattice, chow, cone, flats_lattice, graphic_matroid, poset, uniform_matroid
+    FlatLattice, chow, cone, flats_lattice, graphic_matroid, interval_polynomial,
+    multipoly, poset, uniform_matroid,
 )
 from conepol.cli import main
 
 
 def counting(monkeypatch, module, name):
+    """Record every call of `module.name`, through whichever conepol
+    namespace binds it (`from ... import` included)."""
     calls = []
     fn = getattr(module, name)
 
@@ -30,8 +35,20 @@ def counting(monkeypatch, module, name):
         calls.append(args)
         return fn(*args)
 
-    monkeypatch.setattr(module, name, spy)
+    for mod, attr in bindings(fn):
+        monkeypatch.setattr(mod, attr, spy)
     return calls
+
+
+def bindings(fn):
+    """Every (conepol module, name) that binds `fn`."""
+    return [
+        (mod, attr)
+        for mod_name, mod in list(sys.modules.items())
+        if mod_name.split(".")[0] == "conepol"
+        for attr, value in list(vars(mod).items())
+        if value is fn
+    ]
 
 
 def run_json(argv):
@@ -86,6 +103,18 @@ def test_flats_lattice_intersects_no_pair_of_flats(monkeypatch):
     assert len(pairwise) == 2
 
 
+def test_interval_polynomial_substitutes_nothing(monkeypatch):
+    """Sub-interval polynomials are lifted by their Taylor series along the
+    one outer variable, not by multiplying out powers of linear forms."""
+    original = multipoly.substitute_affine
+    substitutions = counting(monkeypatch, multipoly, "substitute_affine")
+    assert bindings(original) == []
+    L = flats_lattice(uniform_matroid(5, 5))
+    f = interval_polynomial(L, L.bottom, L.top)
+    assert (len(f.vars), f.degree, len(f.terms)) == (30, 4, 760)
+    assert substitutions == []
+
+
 def test_all_intervals_refusal_builds_no_ring(monkeypatch, capsys):
     rings = counting(monkeypatch, chow, "ChowRing")
     code = main(["chow-verify", "--uniform", "4", "5", "--all-intervals", "--format", "json"])
@@ -95,8 +124,9 @@ def test_all_intervals_refusal_builds_no_ring(monkeypatch, capsys):
 
 
 # sha256 of `--format json` stdout, recorded before the proofs replaced the
-# scans (U(7,14): before intersection closure was proved from the matroid);
-# certify runs `--samples 2` with the default seed 0
+# scans (U(7,14): before intersection closure was proved from the matroid;
+# `pol --eval beta`: before the Taylor-series lift); certify runs
+# `--samples 2` with the default seed 0
 PINNED = {
     ("certify", "fano"): "45a4c040ea032fb0d8a86cf9cd097ff44234330c8e3c032ee6af8224b600905a",
     ("certify", "u45"): "1b9fb984a3d2dafeab87f2bed1df7397ba705b7d173eda414e0a78586eb49ea9",
@@ -109,6 +139,9 @@ PINNED = {
     ("poset-check", "k5"): "f06c4d3ae5461d032aedb6e22190ddd181fced37ab9fcd5977d2061b2c3f9080",
     ("charpoly", "u7_14"): "6081f2d6d656c8c34394329f3adc092fa1e848217fe698331dce6d4b07498a13",
     ("poset-check", "u7_14"): "27c537460dc6ad782e596dfb1000e90520b2a26977ac82c6f031172ac145bb4c",
+    ("pol", "fano"): "70f57da9eef510e310927e29b2b3986c1dd33eda68f8f495bddb42b474010b60",
+    ("pol", "u45"): "f1b9e30b876c36b2bbe328eb3e82f0236bf141ce382be1340292dea300d97c68",
+    ("pol", "k5"): "e568f6a280f5884a77062a7507f2a6aa246ead2054b84886af16b40bba97b553",
 }
 
 
@@ -118,7 +151,7 @@ def test_json_output_is_pinned(tmp_path, command, matroid):
     k5.write_text(json.dumps({"edges": [list(e) for e in itertools.combinations(range(5), 2)]}))
     source = {"fano": ["--fano"], "u45": ["--uniform", "4", "5"],
               "u7_14": ["--uniform", "7", "14"], "k5": ["--graphic", str(k5)]}[matroid]
-    extra = ["--samples", "2"] if command == "certify" else []
+    extra = {"certify": ["--samples", "2"], "pol": ["--eval", "beta"]}.get(command, [])
     code, out = run_json([command, *source, *extra])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command, matroid]

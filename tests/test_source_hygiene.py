@@ -4,6 +4,7 @@ has a caller outside the tests."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 import types
 
@@ -48,6 +49,28 @@ def test_imports_are_stdlib_or_intra_package(path):
             assert top in sys.stdlib_module_names or top == "conepol", (
                 f"{path.name}:{node.lineno}: imports {top}"
             )
+
+
+# top-level modules that importing the CLI brings into a fresh CPython 3.11
+# interpreter; each one costs start-up time on every command
+CLI_IMPORTS = (
+    "_ast _decimal _json _opcode argparse ast conepol copy dataclasses decimal dis "
+    "fractions gettext importlib inspect json linecache numbers opcode token tokenize"
+).split()
+
+
+def test_cli_import_brings_in_no_new_module():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+        "import conepol.cli\n"
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == CLI_IMPORTS
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
