@@ -3,15 +3,19 @@
 A degree-d homogeneous polynomial is cone-Lorentzian when every d-fold
 directional derivative along cone directions is positive, and the Hessian
 of every (d-2)-fold derivative has exactly one positive eigenvalue.  Both
-conditions are decided here in exact arithmetic: the eigenvalue sign
-counts come from congruence elimination on the matrix scaled to integers
-(Sylvester's law of inertia).
+conditions are decided here in exact integer arithmetic: each sampled
+tuple scales the polynomial and each direction to integers, builds a
+positive integer multiple of the contracted Hessian, drops the kernel
+vectors that the atoms of the interval name (degree-one Hodge-Riemann) by
+a unimodular congruence, and counts eigenvalue signs by congruence
+elimination (Sylvester's law of inertia).
 """
 
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple, Optional
 
 from . import cone, poset, subsets
@@ -27,13 +31,7 @@ from .intervalpoly import (
     interval_polynomial,
     modular_shift_invariance,
 )
-from .multipoly import (
-    SymMatrix,
-    _coordinate,
-    dir_derivative,
-    hessian_of_quadratic,
-    partial,
-)
+from .multipoly import SymMatrix, _coordinate, partial
 
 
 class InertiaTriple(NamedTuple):
@@ -48,19 +46,22 @@ def inertia(A):
     """Exact eigenvalue sign counts of a symmetric rational matrix.
 
     Congruence elimination over the integers: by Sylvester's law of inertia
-    a congruence keeps the sign counts.  The matrix is scaled to integers by
-    the lcm of its denominators.  Each step takes a nonzero diagonal pivot
-    a; when the diagonal is all zero, adding row and column j to row and
-    column i for some nonzero entry (i, j) makes the diagonal entry
-    2 * M[i][j].  The sign of a is counted and the rest C is replaced by
-    sign(a) * (a*C - b*b^T), which is |a| times the Schur complement and so
-    has the same inertia, with its content gcd divided out.  The order of
+    a congruence keeps the sign counts, and so does a positive scale.  The
+    matrix is scaled to integers by the lcm of its denominators (by 1 for
+    the int matrices the sampled certificates pass).  Each step takes a
+    nonzero diagonal pivot a; when the diagonal is all zero, adding row and
+    column j to row and column i for some nonzero entry (i, j) makes the
+    diagonal entry 2 * M[i][j].  The sign of a is counted and the rest C is
+    replaced by sign(a) * (a*C - b*b^T), which is |a| times the Schur
+    complement and so has the same inertia, with its content gcd divided
+    out.  The order of
     what is left once no nonzero entry remains is the zero count.
     """
     if not isinstance(A, SymMatrix):
         A = SymMatrix(A)
-    scale = math.lcm(*(v.denominator for row in A.rows for v in row))
-    M = [[v.numerator * (scale // v.denominator) for v in row] for row in A.rows]
+    n = A.n
+    flat, _ = _scaled([v for row in A.rows for v in row])
+    M = [flat[i * n:(i + 1) * n] for i in range(n)]
     n_plus = n_minus = 0
     while M:
         m = len(M)
@@ -211,29 +212,105 @@ class LorentzianCertificate:
         }
 
 
+def _scaled(values):
+    """Integers n_i and the least positive integer s with values[i] = n_i / s."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def _contracted(f, directions):
-    """The Hessian H of f contracted along directions[2:], and the full
-    contraction v1^T H v2 of f along all of them.
+    """A positive integer multiple H of the Hessian of f contracted along
+    directions[2:], and the full contraction of f along all of them,
+    exactly.
+
+    f's coefficients are scaled to integers by their one common denominator
+    and each direction by its own.  The terms are rekeyed sparsely (the
+    sorted tuple of variable indices, one entry per power), contracted in
+    int arithmetic one direction at a time, and the quadratic left is read
+    into H.  H is the true Hessian times the product of the scales of f and
+    directions[2:], so it has the same inertia and the same sign pattern;
+    with v1, v2 the scaled first two directions, the full contraction is
+    v1^T H v2 over the product of all the scales.
 
     Every Lorentzian check reads this one quadratic form.  The full
     contraction is symmetric in the directions, so any d - 2 of them may be
     put last to get the Hessian contracted along those.
     """
-    g = f
-    for v in directions[2:]:
-        g = dir_derivative(g, v)
-    H = hessian_of_quadratic(g)
-    v1, v2 = ([_coordinate(v, var) for var in f.vars] for v in directions[:2])
+    coeffs, scale = _scaled(list(f.terms.values()))
+    indices = range(len(f.vars))
+    terms = {}
+    for exps, c in zip(f.terms, coeffs):
+        key = tuple(compress(indices, exps))
+        if len(key) < f.degree:  # a power above one
+            key = tuple(i for i in key for _ in range(exps[i]))
+        terms[key] = c
+    weights = []
+    for v in directions:
+        w, s = _scaled([_coordinate(v, var) for var in f.vars])
+        weights.append(w)
+        scale *= s
+    for w in weights[2:]:
+        out = {}
+        for key, c in terms.items():
+            for p, i in enumerate(key):
+                if w[i]:
+                    k = key[:p] + key[p + 1:]
+                    out[k] = out.get(k, 0) + c * w[i]
+        terms = out
+    n = len(f.vars)
+    H = [[0] * n for _ in range(n)]
+    for (i, j), c in terms.items():
+        H[i][j] += c
+        H[j][i] += c
+    v1, v2 = weights[:2]
     value = sum(
-        (x * sum(h * y for h, y in zip(row, v2) if h) for x, row in zip(v1, H.rows)),
-        Fraction(0),
+        x * sum(h * y for h, y in zip(row, v2) if h) for x, row in zip(v1, H) if x
     )
-    return H, value
+    return H, Fraction(value, scale)
+
+
+def _drop_atom_kernel(H, flats):
+    """H without the row and column of each atom a != a0 with H v_a = 0,
+    and the number of atoms dropped.
+
+    `flats` are the open interval's flats as int masks; its atoms are the
+    minimal ones, a0 the first of them, and v_a[F] = [F >= a0] - [F >= a].
+    These are the linear relations of the Chow ring, so on a lattice of
+    flats every contracted Hessian of the interval polynomial has them in
+    its kernel (degree-one Hodge-Riemann says they span it for directions
+    in the cone).  Nothing is
+    assumed: H v_a = 0 is checked exactly over the nonzeros of v_a, and an
+    atom that fails (a poset that is not a lattice of flats) stays.  Replacing e_a by v_a for every
+    dropped atom is a unimodular congruence: v_a is -1 at a and 0 at every
+    other dropped atom (atoms do not contain each other, and a0 is kept),
+    so the change of basis is triangular with diagonal +-1.  It turns H
+    into H' plus a zero block, so inertia(H) is inertia(H') with one more
+    zero per dropped atom.
+    """
+    atoms = [
+        i for i, F in enumerate(flats)
+        if not any(G != F and G & F == G for G in flats)
+    ]
+    a0 = flats[atoms[0]]
+    dropped = set()
+    for a in atoms[1:]:
+        A = flats[a]
+        support = [
+            (j, x) for j, F in enumerate(flats)
+            if (x := (F & a0 == a0) - (F & A == A))
+        ]
+        if all(sum(row[j] * x for j, x in support) == 0 for row in H):
+            dropped.add(a)
+    kept = [i for i in range(len(H)) if i not in dropped]
+    return [[H[i][j] for j in kept] for i in kept], len(dropped)
 
 
 def _tuple_result(f, directions):
     """Positivity of the full contraction, and when deg >= 2 the inertia of
-    the Hessian after contracting along all but the first two directions."""
+    the Hessian after contracting along all but the first two directions.
+
+    f's variables are the flats of an open interval; the inertia is read
+    on the Hessian with its verified atom kernel dropped."""
     d = f.degree
     if len(directions) != d:
         raise DimensionMismatch(f"need {d} directions, got {len(directions)}")
@@ -241,8 +318,10 @@ def _tuple_result(f, directions):
         value = full_contraction(f, directions)
         return value, None, value > 0
     H, value = _contracted(f, directions)
-    result_inertia = inertia(H)
-    return value, result_inertia, value > 0 and result_inertia.n_plus == 1
+    reduced, dropped = _drop_atom_kernel(H, f.vars)
+    n_plus, n_zero, n_minus = inertia(reduced)
+    result_inertia = InertiaTriple(n_plus, n_zero + dropped, n_minus)
+    return value, result_inertia, value > 0 and n_plus == 1
 
 
 def certify_cone_lorentzian(P, K, L, samples=20, seed=0, directions=None):

@@ -14,6 +14,7 @@ from conepol.cone import projection_weights
 from conepol.intervalpoly import full_contraction
 from conepol.lorentz import is_irreducible_nonneg_offdiag
 from conepol.multipoly import (
+    _coordinate,
     dir_derivative,
     hessian_of_quadratic,
     partial,
@@ -683,6 +684,22 @@ def lift_by_substitution(cache, G, H, big_vars):
 # routines.  Each builds its own Hessian from the package's polynomial
 # primitives, by its own chain of derivatives, where the package reads one
 # contracted form; inertia comes from `descartes_inertia`.
+
+def contracted_hessian(f, directions):
+    """The Hessian H of f contracted along directions[2:], and the full
+    contraction v1^T H v2, in `Fraction` arithmetic from the polynomial
+    primitives: the package's routine before it scaled to integers."""
+    g = f
+    for v in directions[2:]:
+        g = dir_derivative(g, v)
+    H = hessian_of_quadratic(g)
+    v1, v2 = ([_coordinate(v, var) for var in f.vars] for v in directions[:2])
+    value = sum(
+        (x * sum(h * y for h, y in zip(row, v2) if h) for x, row in zip(v1, H.rows)),
+        Fraction(0),
+    )
+    return H, value
+
 
 def first_nonpositive_contraction(f, tuples):
     """Index of the first tuple whose full contraction of f is not

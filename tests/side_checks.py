@@ -238,10 +238,12 @@ def hessian_one_positive_equivalence(g, point):
     positive eigenvalue must coincide with negative semidefiniteness of
     d*g*H - (d-1)*grad*grad^T.  Returns whether the two sides agree.
 
-    With Q contracted along p = point d - 2 times, Euler's identity gives
-    Q = (d-2)! H, Q p = (d-1)! grad and p^T Q p = d! g, so that matrix is a
-    positive multiple of (p^T Q p) Q - (Q p)(Q p)^T and has its inertia.
-    Below degree 2 the Hessian is zero, so the sides disagree.
+    With Q the Hessian contracted along p = point d - 2 times (up to the
+    positive factor `_contracted` leaves on it), Euler's identity gives
+    Q = (d-2)! H, Q p = (d-1)! grad and p^T Q p = d! g, each times that
+    factor, so that matrix is a positive multiple of
+    (p^T Q p) Q - (Q p)(Q p)^T and has its inertia.  Below degree 2 the
+    Hessian is zero, so the sides disagree.
     """
     value = g.evaluate(point)
     if value <= 0:
@@ -249,10 +251,11 @@ def hessian_one_positive_equivalence(g, point):
     d = g.degree
     if d < 2:
         return False
-    Q, top = _contracted(g, (point,) * d)
+    Q, _ = _contracted(g, (point,) * d)
     p = [_coordinate(point, var) for var in g.vars]
-    Qp = [sum(q * x for q, x in zip(row, p)) for row in Q.rows]
+    Qp = [sum(q * x for q, x in zip(row, p)) for row in Q]
+    top = sum(x * a for x, a in zip(p, Qp))
     side_a = inertia(Q).n_plus == 1
-    rows = [[top * q - a * b for q, b in zip(row, Qp)] for row, a in zip(Q.rows, Qp)]
+    rows = [[top * q - a * b for q, b in zip(row, Qp)] for row, a in zip(Q, Qp)]
     side_c = inertia(SymMatrix(rows)).n_plus == 0
     return side_a == side_c

@@ -97,7 +97,7 @@ def test_certify_failure_names_contraction_and_inertia(capsys, monkeypatch):
         calls.append(H)
         if len(calls) == 1:
             return real(H)
-        return lorentz.InertiaTriple(2, 0, H.n - 2)
+        return lorentz.InertiaTriple(2, 0, len(H) - 2)
 
     monkeypatch.setattr(lorentz, "inertia", two_positives_after_first)
     argv = ["certify", "--uniform", "3", "3", "--samples", "3", "--seed", "4"]
@@ -107,10 +107,11 @@ def test_certify_failure_names_contraction_and_inertia(capsys, monkeypatch):
     _, json_out, _ = run(capsys, argv + ["--format", "json"])
     samples = json.loads(json_out)["samples"]
     assert [s["passed"] for s in samples] == [True, False, False]
-    assert samples[1]["inertia"] == [2, 0, 4]
+    # U(3,3): inertia sees order 4, two of the three atoms' kernel vectors dropped
+    assert samples[1]["inertia"] == [2, 2, 2]
     assert out.splitlines()[-1] == (
         f"first failing tuple: 1 (contraction {samples[1]['contraction']}, "
-        "inertia 2 0 4)"
+        "inertia 2 2 2)"
     )
 
 

@@ -1,6 +1,9 @@
 """Every Lorentzian check reads one contracted Hessian; each must agree
-with the earlier routine that built its own (tests/oracles.py)."""
+with the earlier routine that built its own (tests/oracles.py), and the
+integer build with its atom-kernel reduction must agree with the
+`Fraction` build and dense inertia."""
 
+import itertools
 import random
 import types
 from fractions import Fraction
@@ -18,12 +21,13 @@ from conepol import (
     flats_lattice,
     graphic_matroid,
     hypotheses_report,
+    inertia,
     lorentz,
     sample_direction_tuples,
     uniform_matroid,
 )
 from conepol.errors import ConepolError
-from conepol.intervalpoly import cache_for
+from conepol.intervalpoly import cache_for, full_contraction
 from conepol.subsets import from_elements
 
 from side_checks import hessian_one_positive_equivalence, is_lorentzian_orthant
@@ -53,6 +57,88 @@ LADDER = {
     "u45": lambda: full_interval(uniform_matroid(4, 5)),
     "towers": two_towers,
 }
+
+
+def k5_interval(lower, upper):
+    """An interval of M(K5) between the flats spanned by the edges on which
+    `lower` and `upper` hold."""
+    edges = list(itertools.combinations(range(5), 2))
+    P = flats_lattice(graphic_matroid(edges))
+
+    def span(keep):
+        return from_elements([i for i, e in enumerate(edges) if keep(e)])
+    return P, span(lower), span(upper)
+
+
+def interval_above(M, elements):
+    """The interval of M's lattice of flats from the flat `elements` to E."""
+    P = flats_lattice(M)
+    return P, from_elements(elements), P.top
+
+
+PARITY = {
+    **LADDER,
+    "u55": lambda: full_interval(uniform_matroid(5, 5)),
+    "u56": lambda: full_interval(uniform_matroid(5, 6)),
+    "k5[empty,K4]": lambda: k5_interval(lambda e: False, lambda e: max(e) < 4),
+    "k5[edge,E]": lambda: k5_interval(lambda e: e == (0, 1), lambda e: True),
+    "u45[{0},E]": lambda: interval_above(uniform_matroid(4, 5), [0]),
+}
+
+
+def positive_multiple(H, H0):
+    """Whether the int rows H are c * H0 for one rational c > 0."""
+    n = H0.n
+    i, j = next((i, j) for i in range(n) for j in range(n) if H0[i, j])
+    c = Fraction(H[i][j]) / H0[i, j]
+    return c > 0 and all(H[r][s] == c * H0[r, s] for r in range(n) for s in range(n))
+
+
+@pytest.mark.parametrize("name", list(PARITY))
+def test_integer_contraction_matches_fraction_oracle(name):
+    """Value exact, Hessian a positive multiple, and the triple read on the
+    kernel-reduced matrix equal to dense inertia on the full rational one,
+    for canonical, perturbed and plain-dict directions."""
+    P, K, L = PARITY[name]()
+    f = cache_for(P).polynomial(K, L)
+    d = f.degree
+    tuples = sample_direction_tuples(IntervalCoords(K, L), d, 3, seed=11)
+    tuples.append(tuple({var: v[var] for var in f.vars} for v in tuples[-1]))
+    atoms = [F for F in f.vars if P.interval_degree(K, F) == 0]
+    for tup in tuples:
+        got = lorentz._tuple_result(f, tup)
+        if d < 2:
+            assert got == (full_contraction(f, tup), None, True), name
+            continue
+        H0, value0 = oracles.contracted_hessian(f, tup)
+        H, value = lorentz._contracted(f, tup)
+        assert value == value0 and positive_multiple(H, H0), name
+        triple = inertia(H0)
+        assert got == (value0, triple, value0 > 0 and triple.n_plus == 1), name
+        reduced, dropped = lorentz._drop_atom_kernel(H, f.vars)
+        if name != "towers":  # a lattice of flats: every atom's v_a is verified
+            assert dropped == len(atoms) - 1 and len(reduced) == len(f.vars) - dropped
+            assert got[1].n_zero >= dropped
+
+
+def test_failing_kernel_vector_keeps_its_atom(monkeypatch):
+    """On the two towers H v_{2} != 0 for every sampled tuple: the atom {2}
+    stays, inertia sees all four rows, and the triple is the dense one."""
+    P, K, L = two_towers()
+    f = cache_for(P).polynomial(K, L)
+    a0, a2 = from_elements([0]), from_elements([2])
+    v = [(F & a0 == a0) - (F & a2 == a2) for F in f.vars]
+    real = lorentz.inertia
+    orders = []
+    monkeypatch.setattr(lorentz, "inertia", lambda A: orders.append(len(A)) or real(A))
+    tuples = sample_direction_tuples(IntervalCoords(K, L), f.degree, 4, seed=0)
+    for tup in tuples:
+        H0, _ = oracles.contracted_hessian(f, tup)
+        assert any(sum(h * x for h, x in zip(row, v)) for row in H0.rows)
+        H, _ = lorentz._contracted(f, tup)
+        assert lorentz._drop_atom_kernel(H, f.vars) == (H, 0)
+        assert lorentz._tuple_result(f, tup)[1] == real(H0)
+    assert orders == [4] * len(tuples)
 
 
 def expected_ladder_steps(f, tuples, witness_of_reducible):

@@ -1,6 +1,7 @@
-"""Guards against re-introducing scans that a proof already replaces, or
-the substitution that the Taylor-series lift replaces, and pinned CLI
-output for the commands those changes sit under.
+"""Guards against re-introducing scans that a proof already replaces, the
+substitution that the Taylor-series lift replaces, or the `Fraction`
+Hessian and full-order inertia that the integer certificate replaces, and
+pinned CLI output for the commands those changes sit under.
 
 Sampled directions are certified by their margin bound, so a sampled
 `certify` scans no diamond; supplied directions are scanned once each.  A
@@ -20,7 +21,7 @@ import pytest
 
 from conepol import (
     FlatLattice, chow, cone, flats_lattice, graphic_matroid, interval_polynomial,
-    multipoly, poset, uniform_matroid,
+    lorentz, multipoly, poset, uniform_matroid,
 )
 from conepol.cli import main
 
@@ -113,6 +114,18 @@ def test_interval_polynomial_substitutes_nothing(monkeypatch):
     f = interval_polynomial(L, L.bottom, L.top)
     assert (len(f.vars), f.degree, len(f.terms)) == (30, 4, 760)
     assert substitutions == []
+
+
+def test_certify_reads_inertia_on_the_kernel_reduced_hessian(monkeypatch):
+    """Each tuple's Hessian is built in integers in one pass, and inertia
+    sees it without the rows of the atoms whose kernel vectors check out:
+    U(5,5) has 30 open flats and 5 atoms."""
+    inertias = counting(monkeypatch, lorentz, "inertia")
+    hessians = counting(monkeypatch, multipoly, "hessian_of_quadratic")
+    code, out = run_json(["certify", "--uniform", "5", "5", "--samples", "2"])
+    assert code == 0 and len(json.loads(out)["samples"]) == 2
+    assert [len(args[0]) for args in inertias] == [26, 26]
+    assert hessians == []
 
 
 def test_all_intervals_refusal_builds_no_ring(monkeypatch, capsys):
