@@ -5,14 +5,12 @@ and an independent volume-polynomial cross-check."""
 from .cone import (
     IntervalCoords,
     IntervalVector,
-    ModularBasis,
     alpha_vector,
     beta_vector,
     canonical_interior_point,
     is_modular,
     is_strictly_submodular,
     modular_basis,
-    project,
 )
 from .chow import ChowRing
 from .intervalpoly import (
@@ -44,7 +42,6 @@ from .matroid import (
 )
 from .multipoly import (
     MultiPoly,
-    SymMatrix,
     dir_derivative,
     hessian_of_quadratic,
     partial,

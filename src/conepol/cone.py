@@ -3,15 +3,14 @@
 For K < L, the ambient space assigns a rational to every strict
 intermediate subset K < S < L, with the endpoint convention that K and L
 carry the value 0.  Modular vectors span the lineality space of the open
-cone of strictly submodular vectors; projections move vectors between
-nested intervals.
+cone of strictly submodular vectors; `projection_weights` gives the
+linear projection onto a nested interval.
 """
 
 from fractions import Fraction
 
 from . import subsets
 from .errors import (
-    BadNesting,
     ElementOutsideInterval,
     InvalidParams,
     MalformedInput,
@@ -174,18 +173,6 @@ def _json_rational(val):
     raise MalformedInput(f"vector value {val!r} is not a rational")
 
 
-class ModularBasis:
-    """Basis of the modular subspace, one vector per element beyond the first."""
-
-    def __init__(self, coords, vectors):
-        self.coords = coords
-        self.vectors = tuple(vectors)
-
-    @property
-    def dimension(self):
-        return len(self.vectors)
-
-
 def modular_vector(coords, weights):
     """Expand per-element weights (summing to zero) to a modular vector."""
     total = sum(weights.values(), Fraction(0))
@@ -204,16 +191,17 @@ def modular_vector(coords, weights):
 
 
 def modular_basis(coords):
-    """Vectors with weight +1 on the first element and -1 on another."""
+    """Basis of the modular subspace, as a tuple with one vector per element
+    of L \\ K beyond the first: weight +1 on the first element and -1 on
+    that one."""
     diff_elements = subsets.elements(coords.L & ~coords.K)
     if len(diff_elements) < 2:
         raise TrivialInterval("modular subspace is zero-dimensional")
     first = diff_elements[0]
-    vectors = [
+    return tuple(
         modular_vector(coords, {first: Fraction(1), other: Fraction(-1)})
         for other in diff_elements[1:]
-    ]
-    return ModularBasis(coords, vectors)
+    )
 
 
 def diamonds(coords):
@@ -271,32 +259,10 @@ def canonical_interior_point(coords):
     )
 
 
-def project(t, F, G):
-    """Linear projection onto the sub-interval (F, G).
-
-    Each output coordinate is t_S corrected by the endpoint values t_F and
-    t_G in proportion to how far S sits between F and G.
-    """
-    coords = t.coords
-    if not (
-        subsets.is_subset(coords.K, F)
-        and subsets.is_proper_subset(F, G)
-        and subsets.is_subset(G, coords.L)
-    ):
-        raise BadNesting("need K <= F < G <= L")
-    target = IntervalCoords(F, G)
-    tF = t[F]
-    tG = t[G]
-    vals = []
-    for S in target.subsets:
-        wF, wG = projection_weights(S, F, G)
-        vals.append(t[S] - tF * wF - tG * wG)
-    return IntervalVector(target, vals)
-
-
 def projection_weights(S, F, G):
     """Weights (|G \\ S| / |G \\ F|, |S \\ F| / |G \\ F|) of t_F and t_G in
-    coordinate S of `project(t, F, G)`."""
+    coordinate S of the linear projection onto the sub-interval (F, G):
+    t_S - t_F * w_F - t_G * w_G."""
     span = (G & ~F).bit_count()
     return Fraction((G & ~S).bit_count(), span), Fraction((S & ~F).bit_count(), span)
 

@@ -68,10 +68,6 @@ class TrivialInterval(ConepolError):
     pass
 
 
-class BadNesting(ConepolError):
-    pass
-
-
 class ElementOutsideInterval(ConepolError):
     pass
 

@@ -77,7 +77,7 @@ class IntervalPolynomials:
         return result
 
     def _lift(self, G, H, big_vars):
-        """Polynomial p of [G, H] composed with `cone.project` onto (G, H),
+        """Polynomial p of [G, H] composed with the projection onto (G, H),
         in the variables of a larger open interval (K, L).  [G, H] is
         [K, F] or [F, L], and K, L are not variables of (K, L), so exactly
         one endpoint X = F is.  Each inner t_S becomes t_S - w_S t_X, with
@@ -153,7 +153,7 @@ def modular_shift_invariance(P, K, L, trials=50, seed=0, require_balanced=True):
     f = interval_polynomial(P, K, L)
     coords = cone.IntervalCoords(K, L)
     span = (L & ~K).bit_count()
-    basis = cone.modular_basis(coords).vectors if span >= 2 else []
+    basis = cone.modular_basis(coords) if span >= 2 else ()
     rng = random.Random(seed)
     for _ in range(trials):
         x = {F: _random_fraction(rng) for F in f.vars}

@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     InternalCheckError,
     InvalidParams,
+    NotSymmetric,
 )
 from .intervalpoly import (
     cache_for,
@@ -31,7 +32,7 @@ from .intervalpoly import (
     interval_polynomial,
     modular_shift_invariance,
 )
-from .multipoly import SymMatrix, _coordinate, partial
+from .multipoly import _coordinate, partial
 
 
 class InertiaTriple(NamedTuple):
@@ -42,25 +43,36 @@ class InertiaTriple(NamedTuple):
     n_minus: int
 
 
+def _check_symmetric(rows):
+    """Raise `NotSymmetric` unless the rows form a square symmetric matrix."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise NotSymmetric("matrix is not square")
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            if row[j] != rows[j][i]:
+                raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
+
+
 def inertia(A):
-    """Exact eigenvalue sign counts of a symmetric rational matrix.
+    """Exact eigenvalue sign counts of a symmetric matrix A, a list of rows
+    of ints or `Fraction`s.
 
     Congruence elimination over the integers: by Sylvester's law of inertia
-    a congruence keeps the sign counts, and so does a positive scale.  The
-    matrix is scaled to integers by the lcm of its denominators (by 1 for
-    the int matrices the sampled certificates pass).  Each step takes a
-    nonzero diagonal pivot a; when the diagonal is all zero, adding row and
-    column j to row and column i for some nonzero entry (i, j) makes the
-    diagonal entry 2 * M[i][j].  The sign of a is counted and the rest C is
-    replaced by sign(a) * (a*C - b*b^T), which is |a| times the Schur
-    complement and so has the same inertia, with its content gcd divided
-    out.  The order of
+    a congruence keeps the sign counts, and so does a positive scale.  A is
+    checked square and symmetric, then scaled to integers by the lcm of its
+    denominators; the int rows the sampled certificates pass are read as
+    given, with no `Fraction` built.  Each step takes a nonzero diagonal
+    pivot a; when the diagonal is all zero, adding row and column j to row
+    and column i for some nonzero entry (i, j) makes the diagonal entry
+    2 * M[i][j].  The sign of a is counted and the rest C is replaced by
+    sign(a) * (a*C - b*b^T), which is |a| times the Schur complement and so
+    has the same inertia, with its content gcd divided out.  The order of
     what is left once no nonzero entry remains is the zero count.
     """
-    if not isinstance(A, SymMatrix):
-        A = SymMatrix(A)
-    n = A.n
-    flat, _ = _scaled([v for row in A.rows for v in row])
+    _check_symmetric(A)
+    n = len(A)
+    flat, _ = _scaled([v for row in A for v in row])
     M = [flat[i * n:(i + 1) * n] for i in range(n)]
     n_plus = n_minus = 0
     while M:
@@ -98,14 +110,13 @@ def inertia(A):
 
 def is_irreducible_nonneg_offdiag(A):
     """Off-diagonal entries nonnegative and the graph of strictly positive
-    off-diagonal entries connected."""
-    if not isinstance(A, SymMatrix):
-        A = SymMatrix(A)
-    n = A.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if A[i, j] < 0:
-                return False
+    off-diagonal entries connected, for a symmetric matrix A given as a
+    list of rows."""
+    _check_symmetric(A)
+    n = len(A)
+    for i, row in enumerate(A):
+        if any(v < 0 for v in row[i + 1:]):
+            return False
     if n <= 1:
         return True
     seen = {0}
@@ -113,7 +124,7 @@ def is_irreducible_nonneg_offdiag(A):
     while queue:
         cur = queue.pop()
         for j in range(n):
-            if j != cur and j not in seen and A[cur, j] > 0:
+            if j != cur and j not in seen and A[cur][j] > 0:
                 seen.add(j)
                 queue.append(j)
     return len(seen) == n

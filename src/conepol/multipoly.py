@@ -27,7 +27,6 @@ from .errors import (
     Inhomogeneous,
     InvalidParams,
     MissingCoordinate,
-    NotSymmetric,
     UnknownVariable,
     WrongDegree,
 )
@@ -226,7 +225,7 @@ def dir_derivative(f, v):
 
 
 def hessian_of_quadratic(f):
-    """Constant symmetric matrix of second partials of a quadratic."""
+    """Second partials of a quadratic, as a list of `Fraction` rows."""
     if f.degree != 2:
         raise WrongDegree(f"need a quadratic, got degree {f.degree}")
     n = len(f.vars)
@@ -240,7 +239,7 @@ def hessian_of_quadratic(f):
             i, j = support
             rows[i][j] = coeff
             rows[j][i] = coeff
-    return SymMatrix(rows)
+    return rows
 
 
 def substitute_affine(f, matrix, new_variables):
@@ -327,37 +326,3 @@ def to_text(f, var_label=None):
         text += f" {sign} {body}"
     return text
 
-
-class SymMatrix:
-    """Exact rational symmetric matrix."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        mat = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        n = len(mat)
-        for row in mat:
-            if len(row) != n:
-                raise NotSymmetric("matrix is not square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mat[i][j] != mat[j][i]:
-                    raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ")
-        self.rows = mat
-
-    @property
-    def n(self):
-        return len(self.rows)
-
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, SymMatrix) and self.rows == other.rows
-
-    def to_lists(self):
-        return [list(row) for row in self.rows]
-
-    def __repr__(self):
-        return f"SymMatrix({self.to_lists()})"

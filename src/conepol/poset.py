@@ -121,12 +121,6 @@ class GradedSubposet:
         except KeyError:
             raise NotAnInterval(f"{{{subsets.format_elements(s)}}} not in poset") from None
 
-    def leq(self, a, b):
-        return a in self._index and b in self._index and subsets.is_subset(a, b)
-
-    def lt(self, a, b):
-        return a != b and self.leq(a, b)
-
     def upper_covers(self, s):
         return [self.elements[j] for j in self._upper_covers[self.index(s)]]
 

@@ -3,14 +3,16 @@
 Everything here works on frozensets and dense coefficient lists,
 deliberately sharing no code or data layout with the package under test.
 The exceptions are the basis scans the package replaced, which work on
-int bitsets as it did, and the polynomial and Lorentzian oracles at the
-end; see there.
+int bitsets as it did, and the projection, polynomial and Lorentzian
+oracles at the end; see there.
 """
 
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 
-from conepol.cone import projection_weights
+from conepol import subsets
+from conepol.cone import IntervalCoords, IntervalVector, projection_weights
+from conepol.errors import ConepolError
 from conepol.intervalpoly import full_contraction
 from conepol.lorentz import is_irreducible_nonneg_offdiag
 from conepol.multipoly import (
@@ -282,9 +284,9 @@ def semimodular_lattice(P):
     joins = {}
     for i, a in enumerate(els):
         for b in els[i:]:
-            lowers = [c for c in els if P.leq(c, a) and P.leq(c, b)]
+            lowers = [c for c in els if c & ~a == 0 and c & ~b == 0]
             top_lowers = [c for c in lowers if all(d & ~c == 0 for d in lowers)]
-            uppers = [c for c in els if P.leq(a, c) and P.leq(b, c)]
+            uppers = [c for c in els if a & ~c == 0 and b & ~c == 0]
             bot_uppers = [c for c in uppers if all(c & ~d == 0 for d in uppers)]
             if len(top_lowers) != 1 or len(bot_uppers) != 1:
                 return False
@@ -607,6 +609,32 @@ def pairwise_relation_rows(flats, ground, below, above):
     return rows
 
 
+class BadNesting(ConepolError):
+    pass
+
+
+def project(t, F, G):
+    """Linear projection onto the sub-interval (F, G): each output
+    coordinate is t_S corrected by the endpoint values t_F and t_G with the
+    weights of `cone.projection_weights`, which the interval polynomials'
+    lift reads."""
+    coords = t.coords
+    if not (
+        subsets.is_subset(coords.K, F)
+        and subsets.is_proper_subset(F, G)
+        and subsets.is_subset(G, coords.L)
+    ):
+        raise BadNesting("need K <= F < G <= L")
+    target = IntervalCoords(F, G)
+    tF = t[F]
+    tG = t[G]
+    vals = []
+    for S in target.subsets:
+        wF, wG = projection_weights(S, F, G)
+        vals.append(t[S] - tF * wF - tG * wG)
+    return IntervalVector(target, vals)
+
+
 # The polynomial oracles below are the package's earlier term-at-a-time
 # algorithms.  They touch MultiPoly only through its public constructor,
 # which re-validates every intermediate result.
@@ -662,7 +690,7 @@ def substitute_affine_validated(f, matrix, new_variables):
 
 def lift_by_substitution(cache, G, H, big_vars):
     """`IntervalPolynomials._lift` as it was before the Taylor series: the
-    polynomial of [G, H] composed with `cone.project` by substituting the
+    polynomial of [G, H] composed with `project` by substituting the
     linear form t_S - wG t_G - wH t_H for each inner t_S, every power of
     it multiplied out over the larger interval's variables.  Endpoints of
     the larger interval are not variables there, so a row has at most two
@@ -695,7 +723,7 @@ def contracted_hessian(f, directions):
     H = hessian_of_quadratic(g)
     v1, v2 = ([_coordinate(v, var) for var in f.vars] for v in directions[:2])
     value = sum(
-        (x * sum(h * y for h, y in zip(row, v2) if h) for x, row in zip(v1, H.rows)),
+        (x * sum(h * y for h, y in zip(row, v2) if h) for x, row in zip(v1, H)),
         Fraction(0),
     )
     return H, value
@@ -772,7 +800,7 @@ def is_lorentzian_orthant(f):
             g = f
             for var in combo:
                 g = partial(g, var)
-            if descartes_inertia(hessian_of_quadratic(g).rows)[0] > 1:
+            if descartes_inertia(hessian_of_quadratic(g))[0] > 1:
                 return False
     full_support = {
         tuple(combo.count(i) for i in range(n))

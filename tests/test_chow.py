@@ -89,7 +89,7 @@ def test_volume_modular_invariance(lattices):
     vol = ring.volume_polynomial()
     coords = IntervalCoords(L.bottom, L.top)
     rng = random.Random(17)
-    for w in modular_basis(coords).vectors:
+    for w in modular_basis(coords):
         for _ in range(5):
             x = {F: Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for F in vol.vars}
             moved = {F: x[F] + w[F] for F in vol.vars}

@@ -12,7 +12,6 @@ from conepol import (
     is_modular,
     is_strictly_submodular,
     modular_basis,
-    project,
 )
 from conepol.cone import (
     diamonds,
@@ -21,7 +20,6 @@ from conepol.cone import (
     submodularity_margin,
 )
 from conepol.errors import (
-    BadNesting,
     ElementOutsideInterval,
     InvalidParams,
     TrivialInterval,
@@ -29,6 +27,7 @@ from conepol.errors import (
 from conepol.subsets import elements, from_elements
 
 import oracles
+from oracles import BadNesting, project
 from side_checks import NotInCone, alpha_indicator, beta_indicator, effective_decompose
 
 
@@ -54,15 +53,15 @@ def test_coords_indexing():
 def test_modular_basis_two_elements():
     c = coords_on([], [0, 1])
     basis = modular_basis(c)
-    assert basis.dimension == 1
-    v = basis.vectors[0]
+    assert len(basis) == 1
+    v = basis[0]
     assert v[from_elements([0])] == 1
     assert v[from_elements([1])] == -1
 
 
 def test_modular_basis_three_elements_satisfies_modularity():
     c = coords_on([], [0, 1, 2])
-    for v in modular_basis(c).vectors:
+    for v in modular_basis(c):
         assert is_modular(v)
 
 
@@ -81,7 +80,7 @@ def test_strictly_submodular_examples():
     c = coords_on([], [0, 1, 2, 3])
     assert is_strictly_submodular(canonical_interior_point(c))
     assert not is_strictly_submodular(alpha_vector(c))  # boundary point
-    assert not is_strictly_submodular(modular_basis(c).vectors[0])
+    assert not is_strictly_submodular(modular_basis(c)[0])
 
 
 def test_strict_submodularity_on_two_element_interval():
@@ -103,7 +102,7 @@ def test_effective_decompose_positive_point_keeps_zero_shift_valid():
 def test_effective_decompose_after_modular_drift():
     c = coords_on([], [0, 1, 2, 3])
     v = canonical_interior_point(c)
-    drift = modular_basis(c).vectors[0].scale(40)
+    drift = modular_basis(c)[0].scale(40)
     y = v - drift
     assert is_strictly_submodular(y)
     assert any(val <= 0 for val in y.values)
@@ -186,7 +185,7 @@ def test_projection_preserves_modular_and_cone():
     rng = random.Random(7)
     c = coords_on([], [0, 1, 2, 3])
     F, G = from_elements([0]), from_elements([0, 1, 2])
-    for vec in modular_basis(c).vectors:
+    for vec in modular_basis(c):
         assert is_modular(project(vec, F, G))
         assert is_modular(project(vec, c.K, G))
     for _ in range(10):
@@ -221,7 +220,7 @@ def test_effective_decompose_random_stress():
     for span in (2, 3, 4, 5, 6):
         c = coords_on([], list(range(span)))
         base = canonical_interior_point(c)
-        basis = modular_basis(c).vectors
+        basis = modular_basis(c)
         for _ in range(10):
             y = base + IntervalVector(
                 c, [Fraction(rng.randint(-16, 16), 64) for _ in range(c.m)]
@@ -248,7 +247,7 @@ def test_diamond_predicates_match_pairwise_oracle():
         for k_els in ([], [span]):
             c = coords_on(k_els, k_els + list(range(span)))
             base = canonical_interior_point(c)
-            basis = modular_basis(c).vectors
+            basis = modular_basis(c)
             vectors = [base, alpha_vector(c), beta_vector(c), *basis]
             vectors += [random_vector(c, rng) for _ in range(20)]
             for _ in range(30):

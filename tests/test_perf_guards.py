@@ -1,7 +1,8 @@
 """Guards against re-introducing scans that a proof already replaces, the
 substitution that the Taylor-series lift replaces, or the `Fraction`
-Hessian and full-order inertia that the integer certificate replaces, and
-pinned CLI output for the commands those changes sit under.
+Hessian and full-order inertia that the integer certificate replaces (and
+a `Fraction` copy of its int rows), and pinned CLI output for the commands
+those changes sit under.
 
 Sampled directions are certified by their margin bound, so a sampled
 `certify` scans no diamond; supplied directions are scanned once each.  A
@@ -16,6 +17,7 @@ import io
 import itertools
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +128,29 @@ def test_certify_reads_inertia_on_the_kernel_reduced_hessian(monkeypatch):
     assert code == 0 and len(json.loads(out)["samples"]) == 2
     assert [len(args[0]) for args in inertias] == [26, 26]
     assert hessians == []
+
+
+def test_inertia_reads_int_rows_without_building_a_fraction(monkeypatch):
+    """`inertia` checks and eliminates the int H' of a sampled tuple as
+    given: with `Fraction` construction made to fail, U(5,5)'s canonical and
+    perturbed H' (order 26, 4 atoms dropped) still get their triples."""
+    L = flats_lattice(uniform_matroid(5, 5))
+    f = interval_polynomial(L, L.bottom, L.top)
+    coords = cone.IntervalCoords(L.bottom, L.top)
+    reduced = []
+    for tup in lorentz.sample_direction_tuples(coords, f.degree, 2, 0):
+        H, _ = lorentz._contracted(f, tup)
+        rows, dropped = lorentz._drop_atom_kernel(H, f.vars)
+        assert (len(rows), dropped) == (26, 4)
+        reduced.append(rows)
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("inertia built a Fraction")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", refuse)
+        triples = [lorentz.inertia(rows) for rows in reduced]
+    assert triples == [(1, 0, 25), (1, 0, 25)]
 
 
 def test_all_intervals_refusal_builds_no_ring(monkeypatch, capsys):

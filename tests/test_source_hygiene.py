@@ -1,6 +1,7 @@
 """The package stays exact and dependency-free: no floats, stdlib imports
 only, and one exact inertia routine; its public names are pinned, and each
-has a caller outside the tests."""
+of them and each public method of its classes has a caller outside the
+tests."""
 
 import ast
 import pathlib
@@ -135,8 +136,8 @@ def test_every_error_class_is_raised_or_subclassed():
 PUBLIC_API = [
     "ChowRing", "FlatLattice", "GradedSubposet", "GroundSet", "InertiaTriple",
     "IntervalCoords", "IntervalPolynomials", "IntervalVector",
-    "LorentzianCertificate", "Matroid", "MobiusTable", "ModularBasis", "MultiPoly",
-    "SymMatrix", "UniPoly", "alpha_beta_restriction", "alpha_vector", "beta_vector",
+    "LorentzianCertificate", "Matroid", "MobiusTable", "MultiPoly",
+    "UniPoly", "alpha_beta_restriction", "alpha_vector", "beta_vector",
     "canonical_interior_point",
     "certify_cone_lorentzian", "characteristic_polynomial", "chow", "cone",
     "dir_derivative", "errors", "fano", "flats_lattice", "graphic_matroid",
@@ -145,7 +146,7 @@ PUBLIC_API = [
     "is_irreducible_nonneg_offdiag", "is_log_concave", "is_modular",
     "is_one_balanced", "is_semimodular_lattice", "is_strictly_submodular",
     "lorentz", "matroid", "mobius", "modular_basis",
-    "modular_shift_invariance", "multipoly", "partial", "poset", "project",
+    "modular_shift_invariance", "multipoly", "partial", "poset",
     "reduced_characteristic_polynomial", "reduced_charpoly_via_interval_poly",
     "restrict_to_directions", "sample_direction_tuples", "subsets",
     "substitute_affine", "uniform_matroid", "unipoly",
@@ -157,16 +158,39 @@ def test_public_api_is_pinned():
     assert sorted(conepol.__all__) == PUBLIC_API
 
 
-# public names that nothing outside the tests calls, each with its reason
+# public names and methods that nothing outside the tests calls, each with
+# its reason
 UNCALLED = {
     "hypotheses_report": "the planned `certify --explain` report",
     "reduced_charpoly_via_interval_poly": "the planned exact log-concavity verdict of `charpoly`",
-    "project": "the projection formula behind the weights of `intervalpoly._lift`",
+    "HypothesesReport.all_evaluated_pass": "the verdict of the planned `certify --explain` report",
+    "ChowRing.degree_map": "the ring's degree functional on one monomial, which the "
+    "tests read to check the volume polynomial monomial by monomial",
 }
 
 
+def _public_methods():
+    """(class, method) for each public function, property or class method in
+    the body of each public class that a module in `conepol.__all__`
+    defines."""
+    for module in map(conepol.__dict__.get, conepol.__all__):
+        if not isinstance(module, types.ModuleType):
+            continue
+        for cls_name, cls in vars(module).items():
+            if cls_name.startswith("_") or not isinstance(cls, type):
+                continue
+            if cls.__module__ != module.__name__:
+                continue
+            for name, member in vars(cls).items():
+                if not name.startswith("_") and isinstance(
+                    member, (types.FunctionType, property, classmethod, staticmethod)
+                ):
+                    yield cls_name, name
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    """A public function or class that only tests call belongs beside them."""
+    """A public function, class or method that only tests call belongs
+    beside them."""
     referenced = set()
     paths = [p for p in MODULES if p.name != "__init__.py"]
     for path in paths + sorted((ROOT / "perfbench").glob("*.py")):
@@ -180,4 +204,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         for name in conepol.__all__
         if not isinstance(getattr(conepol, name), types.ModuleType) and name not in referenced
     }
+    uncalled.update(
+        f"{cls_name}.{name}" for cls_name, name in _public_methods() if name not in referenced
+    )
     assert uncalled == set(UNCALLED)
