@@ -20,25 +20,30 @@ found by backtracking over the edges.  A family of more than `MAX_BASES`
 bases is refused: a uniform one before it is listed, a graphic one as
 soon as the walk passes the cap.
 
-A lattice built by the search is proved closed under intersection
-without a pass over pairs.  The search vouches for one fact: each set it
-returns is closed under cl, a matroid closure since the exchange axiom
-is validated.  `FlatLattice` then checks that the ground set E is one of
-the sets, that h(E) = r(E) for the height h of E above the first set B
-in canonical order, and that the gains of each set's upper covers
-partition its complement in E.  Along a cover F < G of closed sets the
-rank grows, as r(G) = r(F) would put G inside cl(F) = F, so a maximal
-chain from B to E, of length h(E), has r(E) >= r(B) + h(E).  Then h(E) =
-r(E) forces r(B) = 0, so B is the closure of the empty set, which lies
-inside every closed set: B is the least element.  Every cover lies on
-such a chain, so each is a step of exactly one rank.  Now take A, C
-among the sets: A & C is closed, and some set F inside it is maximal
-among them (B is inside it).  For e in (A & C) - F, the upper cover G of
-F gaining e is closed and holds F + e, so it contains cl(F + e), whose
-rank r(F) + 1 is r(G); so G = cl(F + e) lies in A & C above F, a
-contradiction, and A & C = F is a set of the lattice.  A family that a
-caller passes to `FlatLattice` comes with no such fact and gets the pass
-over pairs.
+The lattice of flats is one search, kept on the matroid
+(`_flats_record`).  From cl(empty set) it visits each flat F once,
+records r(F) and F's upper covers cl(F + e), and checks F closed (see
+`_search_flats`).  `_FlatsRecord` then checks that the set the record
+starts from has rank 0, that each recorded cover G of F is a recorded set
+holding F with r(G) = r(F) + 1, and that the gains G - F of F's covers
+partition E - F.  With the closedness the search vouches for, these prove
+that the record is M's lattice of flats with its true covers.  A closed
+set of rank 0 holds cl(empty set) and lies inside it, so the record starts
+at the least flat.  Along closed sets F < H the rank grows, as r(H) =
+r(F) would put H inside cl(F) = F; so a recorded cover of F, one rank up,
+has no flat strictly between it and F, and covers F in the lattice of
+flats.  Conversely let H cover F there, and take e in H - F.  The
+recorded cover G whose gain holds e is closed and holds F + e, so it holds
+cl(F + e), whose rank r(F) + 1 is r(G); closed sets nested at equal rank
+are equal, so G = cl(F + e) lies inside H, and G = H.  So every cover of a
+recorded flat is recorded, and as every flat lies on a chain of covers up
+from cl(empty set), every flat is recorded.  The recorded sets are then
+all of M's flats and nothing else, closed under intersection as the
+closed sets of any closure are, with no pass over pairs.  `FlatLattice`
+builds its order table from the recorded covers, and the characteristic
+polynomials read mu(0, F) off them by Weisner's theorem (see
+`_mobius_from_bottom`).  A family that a caller passes to `FlatLattice`
+comes with no record and gets the pass over pairs.
 """
 
 from dataclasses import dataclass
@@ -95,6 +100,7 @@ class Matroid:
         self._holding = self._validate()
         self._everyone = (1 << len(self.bases)) - 1
         self.rank_total = next(iter(self.bases)).bit_count()
+        self._flats = None
         self._lattice = None
 
     def _validate(self):
@@ -236,33 +242,42 @@ def _spanning_forests(order, ends):
         if a != b:
             label = [a if c == b else c for c in label]
             r += 1
+    if r == 0:
+        return [0]  # no edge joins two vertices: the empty forest only
     forests = []
-    _grow_forests(ends, r, 0, list(range(order)), 0, 0, forests)
+    members = [[v] for v in range(order)]
+    _grow_forests(ends, r, 0, list(range(order)), members, 0, 0, forests)
     return forests
 
 
-def _grow_forests(ends, r, i, label, size, mask, forests):
-    """Backtracking over the edges from index i on, with `mask` holding
-    `size` edges already taken and `label[v]` the component of vertex v
-    under them: an edge joining two components may be taken (relabelling
-    one of them, and undoing that after), and a state with fewer edges
-    left than the forest still lacks is dropped."""
-    if size == r:
-        forests.append(mask)
-        _check_basis_count(len(forests), " found so far")
-        return
-    if len(ends) - i < r - size:
-        return
-    u, v = ends[i]
-    a, b = label[u], label[v]
-    if a != b:
-        moved = [w for w, c in enumerate(label) if c == b]
+def _grow_forests(ends, r, start, label, members, size, mask, forests):
+    """Backtracking over the edges from index `start` on, with `mask` holding
+    `size` < r edges already taken, `label[v]` the component of vertex v
+    under them and `members[c]` the vertices of component c.  Skipping an
+    edge is the loop's next step.  Taking one that joins two components
+    completes a forest if it is the r-th edge, and is otherwise the
+    recursive call: the smaller component's members move into the larger
+    one, and back after.  The walk stops once fewer edges are left than
+    the forest still lacks."""
+    for i in range(start, len(ends) - r + size + 1):
+        u, v = ends[i]
+        a, b = label[u], label[v]
+        if a == b:
+            continue
+        if size + 1 == r:
+            forests.append(mask | 1 << i)
+            _check_basis_count(len(forests), " found so far")
+            continue
+        moved, into = members[b], members[a]
+        if len(moved) > len(into):
+            a, b, moved, into = b, a, into, moved
         for w in moved:
             label[w] = a
-        _grow_forests(ends, r, i + 1, label, size + 1, mask | 1 << i, forests)
+        into += moved
+        _grow_forests(ends, r, i + 1, label, members, size + 1, mask | 1 << i, forests)
+        del into[len(into) - len(moved):]
         for w in moved:
             label[w] = b
-    _grow_forests(ends, r, i + 1, label, size, mask, forests)
 
 
 FANO_LINES = (
@@ -285,30 +300,23 @@ class FlatLattice(poset.GradedSubposet):
     """Lattice of flats of a matroid, validated against the flats axioms.
 
     `flats` is any iterable of sets.  `flats_lattice` also passes
-    `_closed=True`, as its search has seen every set closed; nothing else
-    may, as that is not checked again.  The premises of the proof of
-    intersection closure (see the module docstring) are then checked, and
-    a failing one is refused rather than left to the pass over pairs.
-    Without the flag, a family that passes every check is last compared
-    with M's own closure, so that only M's lattice of flats is accepted.
+    `_record`, the flats search's checked `_FlatsRecord` of those sets: its
+    covers give the order table, and it proves intersection closure (see
+    the module docstring).  Without a record, a family that passes every
+    check is last compared with M's own closure, so that only M's lattice
+    of flats is accepted.
     """
 
-    def __init__(self, matroid, flats, _closed=False):
+    def __init__(self, matroid, flats, _record=None):
         try:
-            super().__init__(matroid.ground.n, flats)
+            super().__init__(
+                matroid.ground.n, flats, _covers=None if _record is None else _record.covers
+            )
         except Exception as exc:
             raise InternalAxiomFailure(f"flats failed gradedness: {exc}") from exc
         self.bottom = self.elements[0]
         self.top = matroid.ground.full_mask
-        if _closed:
-            if not (
-                self.top in self
-                and self.interval_rank(self.bottom, self.top) == matroid.rank_total
-                and poset._gains_partition(self, self.top)
-            ):
-                raise InternalAxiomFailure(
-                    "closed sets from the search fail the premises of intersection closure"
-                )
+        if _record is not None:
             self._proved[("_intersection_closed",)] = True
         if not poset.flats_axioms_hold(self, self.top):
             raise InternalAxiomFailure("flats violate the closure axioms")
@@ -318,7 +326,7 @@ class FlatLattice(poset.GradedSubposet):
             raise InternalAxiomFailure("lattice of flats is not 1-balanced")
         if not poset.is_interval_connected(self):
             raise InternalAxiomFailure("lattice of flats is not interval connected")
-        if not _closed:
+        if _record is None:
             self._check_flats_of(matroid)
 
     def _check_flats_of(self, M):
@@ -349,29 +357,70 @@ def _named(S):
     return "{" + subsets.format_elements(S) + "}"
 
 
-def flats_lattice(M):
-    """All closure-closed sets of M, as a validated FlatLattice.
+class _FlatsRecord:
+    """The flats search's record: `ranks[F]` = r(F) for each set F it
+    found, in the order found, and `covers[F]` the upper covers it found
+    for F.  Built only once the premises of the module docstring's proof
+    hold: the first set has rank 0, every cover is a found set one rank
+    up that holds F, and the covers' gains partition the elements outside
+    F, so that no cover is recorded twice for Weisner's sum to count."""
+
+    def __init__(self, M, ranks, covers):
+        full = M.ground.full_mask
+        first = next(iter(ranks))
+        if ranks[first] != 0:
+            raise InternalAxiomFailure(
+                f"flats search starts at {_named(first)}, of rank {ranks[first]}"
+            )
+        for F, rank in ranks.items():
+            seen, disjoint = 0, True
+            for G in covers.get(F, ()):
+                if ranks.get(G) != rank + 1 or F & ~G:
+                    raise InternalAxiomFailure(
+                        f"flats search recorded {_named(G)} as a cover of {_named(F)}, "
+                        "not a found set one rank up"
+                    )
+                disjoint = disjoint and not G & ~F & seen
+                seen |= G & ~F
+            if not disjoint or seen != full & ~F:
+                raise InternalAxiomFailure(
+                    f"flats search covers of {_named(F)} do not partition the elements outside it"
+                )
+        self.ranks, self.covers = ranks, covers
+
+
+def _flats_record(M):
+    """M's lattice of flats as the search's checked record, found once per
+    matroid and kept on it."""
+    if M._flats is None:
+        M._flats = _FlatsRecord(M, *_search_flats(M))
+    return M._flats
+
+
+def _search_flats(M):
+    """All closure-closed sets of M, as ({F: r(F)}, {F: upper covers of
+    F}), from cl(empty set) on.
 
     The upper covers of a flat F are the cl(F + e), e outside F, and
     cl(F + e) = cl(F + e') for every e' in cl(F + e) - F, so each cover is
     closed once, and the covers' gains partition the elements outside F.
-    Of the bases spanning F, found once per flat, those that also hold e
-    are the bases meeting F + e in its rank r(F) + 1, so cl(F + e) is
-    F + e plus every untried y that none of them holds.  The same bases
+    Of the bases spanning F, found once per flat with r(F), those that also
+    hold e are the bases meeting F + e in its rank r(F) + 1, so cl(F + e)
+    is F + e plus every untried y that none of them holds.  The same bases
     show that F is closed: each y outside F lies in one of them.  A y in
     none of them is the first e tried or joins the first cover, so only
     that cover's gain is checked, and a set that is not closed is refused.
     """
-    if M._lattice is not None:
-        return M._lattice
     holding = M._holding
     bottom = M.closure(0)
-    found = {bottom}
+    found = {bottom: bottom}  # one int per flat, shared by the cover lists
+    ranks, covers = {}, {}
     frontier = [bottom]
     full = M.ground.full_mask
     while frontier:
         F = frontier.pop()
-        kept = M._spanning(F)[1]
+        ranks[F], kept = M._spanning(F)
+        ups = covers[F] = []
         untried = subsets.elements(full & ~F)
         first, closed = True, True
         while untried:
@@ -389,33 +438,78 @@ def flats_lattice(M):
             if first and not spanning:
                 closed = False
             first = False
-            if G not in found:
-                found.add(G)
+            if G in found:
+                G = found[G]
+            else:
+                found[G] = G
                 frontier.append(G)
+            ups.append(G)
         if not closed:
             raise InternalAxiomFailure(
-                "flats search found {{{}}}, which is not closed".format(
-                    subsets.format_elements(F)
-                )
+                f"flats search found {_named(F)}, which is not closed"
             )
-    lattice = FlatLattice(M, found, _closed=True)
-    M._lattice = lattice
-    return lattice
+    return ranks, covers
+
+
+def flats_lattice(M):
+    """M's lattice of flats, as a validated FlatLattice built from the
+    search's record, once per matroid."""
+    if M._lattice is None:
+        record = _flats_record(M)
+        M._lattice = FlatLattice(M, record.ranks, _record=record)
+    return M._lattice
+
+
+def _mobius_from_bottom(record):
+    """{F: mu(0, F)} for every flat F, from the record's covers alone.
+
+    Weisner's theorem (Rota 1964) gives, for an atom a <= F != 0, that the
+    sum of mu(0, G) over the G with G \\/ a = F is 0.  G = F is one of
+    them; for any other a is not below G, and in a semimodular lattice
+    G \\/ a then covers G, so G is a lower cover of F; and every lower
+    cover G of F with a not below G has G \\/ a = F.  So mu(0, F) is minus
+    the sum of mu(0, G) over the lower covers G of F that a is not below.
+    For a take the atom cl(0 + e) of the lowest element e of F - 0: a flat
+    G lies above it iff e is in G.  Flats are taken rank by rank, so each
+    one's lower covers are done before it.
+    """
+    ranks, covers = record.ranks, record.covers
+    bottom = next(iter(ranks))
+    layers = [[] for _ in range(max(ranks.values()) + 1)]
+    for F, rank in ranks.items():
+        layers[rank].append(F)
+    mu = {}
+    below = {}  # F: the sum so far over F's lower covers without F's e
+    for layer in layers:
+        for F in layer:
+            value = mu[F] = 1 if F == bottom else -below.pop(F)
+            for G in covers[F]:
+                rest = G & ~bottom
+                if not F & rest & -rest:
+                    below[G] = below.get(G, 0) + value
+    return mu
+
+
+def _mobius_weighted(M, mu, shift, avoiding=0):
+    """The sum of mu(0, F) t^(r(E) - r(F) - shift) over the flats F that
+    miss the set `avoiding`."""
+    ranks = _flats_record(M).ranks
+    top = M.rank_total - shift
+    coeffs = [0] * (top + 1)
+    for F, value in mu.items():
+        if not F & avoiding:
+            coeffs[top - ranks[F]] += value
+    return UniPoly(coeffs)
 
 
 def characteristic_polynomial(M):
-    """Mobius-weighted rank generating polynomial of the lattice of flats."""
+    """Mobius-weighted rank generating polynomial of the lattice of flats,
+    read off the flats search (see `_mobius_from_bottom`)."""
     if not M.is_loopless():
         raise HasLoops(
             "loops present: {{{}}}".format(subsets.format_elements(M.loops()))
         )
-    lattice = flats_lattice(M)
-    table = poset.mobius(lattice)
-    top = lattice.top
-    coeffs = [0] * (M.rank_total + 1)
-    for F in lattice.elements:
-        coeffs[lattice.interval_rank(F, top)] += table.mu(lattice.bottom, F)
-    return UniPoly(coeffs)
+    return _mobius_weighted(M, _mobius_from_bottom(_flats_record(M)), 0)
 
 
 def reduced_characteristic_polynomial(M, i):
@@ -433,15 +527,8 @@ def reduced_characteristic_polynomial(M, i):
         raise HasLoops("matroid has loops")
     if M.rank_total < 1:
         raise InvalidParams("reduced characteristic polynomial needs rank >= 1")
-    lattice = flats_lattice(M)
-    table = poset.mobius(lattice)
-    top = lattice.top
-    coeffs = [0] * M.rank_total
-    for F in lattice.elements:
-        if not (F >> i) & 1:
-            coeffs[lattice.interval_rank(F, top) - 1] += table.mu(lattice.bottom, F)
-    out = UniPoly(coeffs)
-    chi = characteristic_polynomial(M)
-    if UniPoly([-1, 1]) * out != chi:
+    mu = _mobius_from_bottom(_flats_record(M))
+    out = _mobius_weighted(M, mu, 1, 1 << i)
+    if UniPoly([-1, 1]) * out != _mobius_weighted(M, mu, 0):
         raise DivisibilityFailure("(t - 1) * reduced != characteristic")
     return out

@@ -6,7 +6,11 @@ One order table answers every order question: `_up[i]` and `_down[i]` are
 int bitsets over element indices of the elements above and below element
 i, i included.  `_up[i]` is the AND, over the points e of element i, of
 the elements holding e, and `_down[j]` the AND, over the points outside
-element j, of the elements lacking them.  Covers, interval ranks,
+element j, of the elements lacking them.  When the covers are known (a
+lattice of flats from its search, see `matroid`), `_up` and `_down` are
+instead propagated over them: `_up[i]` is i and the `_up` of its upper
+covers, taken from the highest index down, and `_down` likewise from the
+lowest index up over the lower covers.  Covers, interval ranks,
 intervals (`_up[K] & _down[L]` in index order), the Mobius table and
 comparability components all read it.  The Mobius table and the
 balancedness, connectivity and semimodularity predicates are each computed
@@ -53,8 +57,7 @@ once per poset and kept on it.  Each check takes a shortcut that is exact:
   P's covers inside it, and `interval_flats_axioms_hold` checks it as a
   poset of its own.
 - Mobius rows come on demand: `mobius(P)` computes the row of a when
-  mu(a, .) is first asked, so the characteristic polynomial pays for the
-  bottom row only.  The table keeps P's order data, not P, so P, which
+  mu(a, .) is first asked.  The table keeps P's order data, not P, so P, which
   keeps its table, is freed by reference counting alone, and the table
   still answers after P is gone.
 """
@@ -68,7 +71,10 @@ from .errors import InvalidParams, NotAnInterval, NotGraded
 class GradedSubposet:
     """Finite sub-poset of a Boolean lattice with graded closed intervals."""
 
-    def __init__(self, n, element_sets):
+    def __init__(self, n, element_sets, _covers=None):
+        """`_covers`, when given, maps each element set to the list of its
+        upper covers, and is trusted to be the cover relation of the sets:
+        only the flats search's checked record is passed (see `matroid`)."""
         if n < 1 or n > subsets.MAX_GROUND:
             raise InvalidParams(f"ground size {n} outside 1..{subsets.MAX_GROUND}")
         elems = list(element_sets)
@@ -81,28 +87,21 @@ class GradedSubposet:
         elems.sort(key=subsets.sort_key)
         self.n = n
         self.elements = tuple(elems)
-        self._index = {s: i for i, s in enumerate(elems)}
-        everyone = (1 << len(elems)) - 1
-        has = [0] * n  # has[e]: the elements holding point e
-        for i, s in enumerate(elems):
-            for e in subsets.elements(s):
-                has[e] |= 1 << i
-        up, down = [], []
-        for s in elems:
-            above = below = everyone
-            for e, holders in enumerate(has):
-                if (s >> e) & 1:
-                    above &= holders
-                else:
-                    below &= ~holders
-            up.append(above)
-            down.append(below)
-        self._up, self._down = up, down
-        self._upper_covers = [self._minimal(up[i] & ~(1 << i)) for i in range(len(elems))]
+        self._index = index = {s: i for i, s in enumerate(elems)}
+        if _covers is None:
+            self._up, self._down = self._order_by_points()
+            self._upper_covers = [
+                self._minimal(up & ~(1 << i)) for i, up in enumerate(self._up)
+            ]
+        else:
+            self._upper_covers = [sorted(index[G] for G in _covers[s]) for s in elems]
         self._lower_covers = [[] for _ in elems]
         for i, ups in enumerate(self._upper_covers):
             for j in ups:
                 self._lower_covers[j].append(i)
+        if _covers is not None:
+            self._up = _reach(self._upper_covers, reversed(range(len(elems))))
+            self._down = _reach(self._lower_covers, range(len(elems)))
         # _rank[i][k] - _rank[i][i] is the rank of [i, k]; raises NotGraded
         self._rank = self._grade_all_intervals()
         self._proved = {}  # predicate results, keyed by (name, *args)
@@ -169,6 +168,26 @@ class GradedSubposet:
 
     # -- order table ------------------------------------------------------------
 
+    def _order_by_points(self):
+        """`_up` and `_down` from the elements holding each point."""
+        els = self.elements
+        everyone = (1 << len(els)) - 1
+        has = [0] * self.n  # has[e]: the elements holding point e
+        for i, s in enumerate(els):
+            for e in subsets.elements(s):
+                has[e] |= 1 << i
+        up, down = [], []
+        for s in els:
+            above = below = everyone
+            for e, holders in enumerate(has):
+                if (s >> e) & 1:
+                    above &= holders
+                else:
+                    below &= ~holders
+            up.append(above)
+            down.append(below)
+        return up, down
+
     def _members(self, mask):
         """Elements whose indices are the set bits of `mask`, in index order."""
         els = self.elements
@@ -220,6 +239,18 @@ class GradedSubposet:
                 height[k] = 1 + below.pop()
             heights[m] = height
         return [heights[(d & -d).bit_length() - 1] for d in self._down]
+
+
+def _reach(covers, order):
+    """For each index i, the bitset of i and every index reached from it
+    along `covers`; `order` visits the indices in covers[i] before i."""
+    reach = [0] * len(covers)
+    for i in order:
+        mask = 1 << i
+        for j in covers[i]:
+            mask |= reach[j]
+        reach[i] = mask
+    return reach
 
 
 def _once_per_poset(predicate):

@@ -124,6 +124,41 @@ def spanning_forests(n_vertices, edges):
     return forests
 
 
+def spanning_forests_by_recursion(order, ends):
+    """Maximal spanning forests of the multigraph on vertices 0..order-1
+    with edges `ends`, as edge bitsets, in the order of a backtracking
+    recursion that takes each edge joining two components before skipping
+    it, relabelling the whole second component on every take."""
+    label = list(range(order))
+    r = 0
+    for u, v in ends:
+        a, b = label[u], label[v]
+        if a != b:
+            label = [a if c == b else c for c in label]
+            r += 1
+    forests = []
+
+    def grow(i, label, size, mask):
+        if size == r:
+            forests.append(mask)
+            return
+        if len(ends) - i < r - size:
+            return
+        u, v = ends[i]
+        a, b = label[u], label[v]
+        if a != b:
+            moved = [w for w, c in enumerate(label) if c == b]
+            for w in moved:
+                label[w] = a
+            grow(i + 1, label, size + 1, mask | 1 << i)
+            for w in moved:
+                label[w] = b
+        grow(i + 1, label, size, mask)
+
+    grow(0, list(range(order)), 0, 0)
+    return forests
+
+
 FANO_LINES = [
     frozenset({0, 1, 2}),
     frozenset({0, 3, 4}),

@@ -16,10 +16,12 @@ from conepol import (
     flats_lattice,
     graphic_matroid,
     matroid,
+    mobius,
     poset,
     reduced_characteristic_polynomial,
     uniform_matroid,
 )
+from conepol.cli import main
 from conepol.errors import (
     EmptyBases,
     ExchangeAxiomViolation,
@@ -30,7 +32,7 @@ from conepol.errors import (
     SizeLimitExceeded,
     UnequalBasisSizes,
 )
-from conepol.subsets import elements, format_elements, from_elements
+from conepol.subsets import elements, format_elements, from_elements, sort_key
 
 from conftest import K4_EDGES, matroid_from_bases
 from test_random_matroids import random_binary_matroid
@@ -319,13 +321,24 @@ def test_flat_lattice_takes_any_iterable_and_trusts_no_given_ranks(monkeypatch):
     assert len(pairwise) == 1
 
 
+def record_of(M, family):
+    """The flats search's record of a family of sets: each set's rank,
+    the first in canonical order first, and its minimal proper supersets
+    in the family as its covers.  Building it checks the record."""
+    family = sorted(family, key=sort_key)
+    above = {S: [G for G in family if S != G and not S & ~G] for S in family}
+    covers = {S: [G for G in ups if not any(G in above[H] for H in ups)]
+              for S, ups in above.items()}
+    return matroid._FlatsRecord(M, {S: M.rank(S) for S in family}, covers)
+
+
 def test_tampered_flat_families_fall_back_to_the_pairwise_pass(monkeypatch):
     """A family with a flat (or the bottom) removed, a non-closed set
     added or a cover two ranks up gets the pairwise pass and is refused.
-    Passed as the search's closed sets, a family whose sets are all closed
-    but that lacks E, holds E at a height other than r(E) (as it does
-    without its least element) or has cover gains that fail to partition
-    is refused before any pass over pairs."""
+    Recorded as the search's closed sets with their covers, a family that
+    lacks a flat or E, starts above rank 0 (as it does without its least
+    element) or has a cover two ranks up is refused while the record is
+    built, before any lattice or pass over pairs."""
     pairwise = counting_pairwise_passes(monkeypatch)
     u34 = uniform_matroid(3, 4)
     flats = flats_lattice(u34).elements
@@ -343,7 +356,7 @@ def test_tampered_flat_families_fall_back_to_the_pairwise_pass(monkeypatch):
         for S in range(1, M.ground.full_mask):
             if S not in found:
                 cases.append((M, [*found, S], False))
-    graded = 0
+    graded, refusals = 0, set()
     for i, (M, family, closed) in enumerate(cases):
         assert closed == all(M.closure(S) == S for S in family), family
         pairwise.clear()
@@ -355,17 +368,25 @@ def test_tampered_flat_families_fall_back_to_the_pairwise_pass(monkeypatch):
         assert len(pairwise) == (M.ground.full_mask in family), family  # else refused first
         if closed:
             pairwise.clear()
-            with pytest.raises(InternalAxiomFailure, match="premises of intersection"):
-                FlatLattice(M, family, _closed=True)
+            with pytest.raises(InternalAxiomFailure, match="^flats search ") as exc:
+                record_of(M, family)
+            refusals.add(str(exc.value).split("}")[-1])
             assert pairwise == [], family
     assert graded >= 40, graded
+    assert refusals == {", of rank 1", " do not partition the elements outside it",
+                        ", not a found set one rank up"}, refusals
+    # the search's own flats make a record that builds the same lattice
+    for M in (u34, fano()):
+        L = flats_lattice(M)
+        record = record_of(M, L.elements)
+        assert FlatLattice(M, record.ranks, _record=record).elements == L.elements
 
 
 def test_closed_flats_with_a_short_height_are_refused(monkeypatch):
-    """h(E) = r(E) is the premise that the top and the cover gains miss:
+    """One rank up is the premise that the top and the cover gains miss:
     on {empty set, E} of a loopless matroid of rank at least 2, E is a
-    set, the cover gains partition and every flats axiom holds, but E lies
-    one cover above the bottom instead of r(E)."""
+    set, the cover gains partition and every flats axiom holds, but E is
+    recorded as a cover of the bottom r(E) ranks up."""
     pairwise = counting_pairwise_passes(monkeypatch)
     for M in (uniform_matroid(2, 2), uniform_matroid(2, 4), graphic_matroid(K4_EDGES)):
         family = [0, M.ground.full_mask]
@@ -374,8 +395,9 @@ def test_closed_flats_with_a_short_height_are_refused(monkeypatch):
         assert poset._gains_partition(P, M.ground.full_mask)
         assert poset.flats_axioms_hold(P, M.ground.full_mask)
         pairwise.clear()
-        with pytest.raises(InternalAxiomFailure, match="premises of intersection"):
-            FlatLattice(M, family, _closed=True)
+        with pytest.raises(InternalAxiomFailure, match=r"^flats search recorded \{0,1.*\} "
+                           r"as a cover of \{\}, not a found set one rank up$"):
+            record_of(M, family)
         assert pairwise == []
 
 
@@ -643,3 +665,148 @@ def test_flats_search_records_a_non_closed_start(monkeypatch, edges, loops):
     with pytest.raises(InternalAxiomFailure, match=r"^flats search found \{\}, which is not closed$"):
         flats_lattice(M)
     assert built == [] and pairwise == []
+
+
+def forest_walk_input(rng):
+    """A random multigraph from `random_multigraph` on vertices
+    0..order-1, numbered at random, with up to two isolated vertices."""
+    edges = random_multigraph(rng)
+    vertices = sorted({v for e in edges for v in e})
+    order = len(vertices) + rng.randint(0, 2)
+    number = dict(zip(vertices, rng.sample(range(order), order)))
+    return order, [(number[u], number[v]) for u, v in edges]
+
+
+def test_forest_walk_matches_the_recursion_oracle():
+    """The looped walk returns the recursion's forests in the recursion's
+    order, on multigraphs with parallel edges, self-loops, isolated
+    vertices and several components."""
+    rng = random.Random(20261020)
+    kinds = {"loop": 0, "parallel": 0, "isolated": 0, "components": 0}
+    for _ in range(400):
+        order, edges = forest_walk_input(rng)
+        expected = oracles.spanning_forests_by_recursion(order, edges)
+        assert matroid._spanning_forests(order, edges) == expected, (order, edges)
+        links = [frozenset(e) for e in edges if e[0] != e[1]]
+        kinds["loop"] += len(links) < len(edges)
+        kinds["parallel"] += len(set(links)) < len(links)
+        kinds["isolated"] += len({v for e in edges for v in e}) < order
+        kinds["components"] += components(edges) > 1
+    assert min(kinds.values()) >= 40, kinds
+    k4 = list(combinations(range(4), 2))
+    for order, edges in ((7, k4 + [(a + 3, b + 3) for a, b in k4]),
+                         (5, list(combinations(range(5), 2)))):
+        expected = oracles.spanning_forests_by_recursion(order, edges)
+        assert matroid._spanning_forests(order, edges) == expected
+    # with no edge to take, the empty forest is the only one
+    assert matroid._spanning_forests(3, [(0, 0), (2, 2)]) == [0]
+
+
+def test_forest_walk_refuses_mid_walk_at_the_cap(monkeypatch):
+    """Past `MAX_BASES` the walk stops with the same message at the same
+    count as the recursion would."""
+    rng = random.Random(7)
+    checked = 0
+    while checked < 30:
+        order, edges = forest_walk_input(rng)
+        count = len(oracles.spanning_forests_by_recursion(order, edges))
+        if count < 3:
+            continue
+        checked += 1
+        cap = rng.randrange(1, count)
+        monkeypatch.setattr(matroid, "MAX_BASES", cap)
+        with pytest.raises(SizeLimitExceeded,
+                           match=rf"^{cap + 1} bases found so far exceed the cap of {cap}$"):
+            matroid._spanning_forests(order, edges)
+        monkeypatch.setattr(matroid, "MAX_BASES", count)
+        assert len(matroid._spanning_forests(order, edges)) == count
+
+
+def test_flats_record_and_weisner_mobius_match_oracles(catalog):
+    """On the catalog and seeded random binary matroids (parallel elements
+    included): the search's record holds each flat with r(F) and the
+    covers of the per-point order table; the order table propagated over
+    those covers equals the per-point one; and chi and chibar read off the
+    record by Weisner's theorem equal the frozenset oracles and the sums
+    over the `MobiusTable` bottom row."""
+    rng = random.Random(20261020)
+    matroids = list(catalog.values()) + [
+        random_binary_matroid(rng, rng.choice([2, 3, 4]), rng.randint(3, 7)) for _ in range(25)
+    ]
+    for M in matroids:
+        record = matroid._flats_record(M)
+        L = flats_lattice(M)
+        P = GradedSubposet(M.ground.n, L.elements)
+        assert next(iter(record.ranks)) == L.bottom == 0
+        assert sorted(record.ranks, key=sort_key) == list(P.elements)
+        assert all(record.ranks[F] == M.rank(F) for F in P.elements)
+        assert [sorted(P.index(G) for G in record.covers[F]) for F in P.elements] == (
+            P._upper_covers)
+        for name in ("_up", "_down", "_upper_covers", "_lower_covers", "_rank"):
+            assert getattr(L, name) == getattr(P, name), name
+        universe = frozenset(range(M.ground.n))
+        bases = [frozenset(elements(B)) for B in M.bases]
+        table = mobius(P)
+        mu = matroid._mobius_from_bottom(record)
+        assert mu == {F: table.mu(0, F) for F in P.elements}
+        top = M.rank_total
+        sums = [0] * (top + 1)
+        for F in P.elements:
+            sums[top - M.rank(F)] += table.mu(0, F)
+        chi = characteristic_polynomial(M)
+        assert list(chi.coeffs) == oracles.charpoly_coeffs_ascending(universe, bases) == sums
+        reduced = oracles.reduced_coeffs_ascending(universe, bases)
+        for i in range(M.ground.n):
+            sums = [0] * top
+            for F in P.elements:
+                if not (F >> i) & 1:
+                    sums[top - M.rank(F) - 1] += table.mu(0, F)
+            assert list(reduced_characteristic_polynomial(M, i).coeffs) == reduced == sums
+
+
+def tampered_search(monkeypatch, tamper):
+    """Patch the flats search to tamper with its record: `"two ranks up"`
+    puts a rank-2 flat in place of the bottom's first cover, `"gain
+    missed"` drops the bottom's last cover, whose gain no other cover
+    holds, and `"cover twice"` records the bottom's first cover again, so
+    that Weisner's sum would count it twice."""
+    search = matroid._search_flats
+
+    def patched(M):
+        ranks, covers = search(M)
+        ups = covers[next(iter(ranks))]
+        if tamper == "two ranks up":
+            ups[0] = covers[ups[0]][0]
+        elif tamper == "gain missed":
+            ups.pop()
+        else:
+            ups.append(ups[0])
+        return ranks, covers
+
+    monkeypatch.setattr(matroid, "_search_flats", patched)
+
+
+TAMPER_MESSAGES = {
+    "two ranks up": r"^flats search recorded \{\d+(,\d+)+\} as a cover of \{\}, "
+                    r"not a found set one rank up$",
+    "gain missed": r"^flats search covers of \{\} do not partition the elements outside it$",
+    "cover twice": r"^flats search covers of \{\} do not partition the elements outside it$",
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPER_MESSAGES))
+def test_tampered_search_record_is_refused(monkeypatch, capsys, tamper):
+    """A search that records a cover two ranks up, whose cover gains miss
+    an element, or that records a cover twice is refused by `charpoly` and
+    by `flats_lattice`, and the CLI exits 2 with one line naming it."""
+    tampered_search(monkeypatch, tamper)
+    for build in (characteristic_polynomial, flats_lattice):
+        for M in (fano(), uniform_matroid(3, 5), graphic_matroid(K4_EDGES)):
+            with pytest.raises(InternalAxiomFailure, match=TAMPER_MESSAGES[tamper]):
+                build(M)
+            assert M._flats is None and M._lattice is None
+    for command in ("charpoly", "poset-check"):
+        code = main([command, "--fano", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("InternalAxiomFailure: flats search ")

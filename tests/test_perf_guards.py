@@ -7,8 +7,10 @@ those changes sit under.
 Sampled directions are certified by their margin bound, so a sampled
 `certify` scans no diamond; supplied directions are scanned once each.  A
 lattice of flats is built with semimodularity and the flats axioms
-proved, so its connectivity and 1-balancedness walks never run, and with
-every set seen closed by the search, so no pair of flats is intersected.  A size guard refuses before any quotient ring is built.
+proved, so its connectivity and 1-balancedness walks never run, and from
+the flats search's checked record, so no pair of flats is intersected.
+`charpoly` reads the record by Weisner's theorem and builds no poset.  A
+size guard refuses before any quotient ring is built.
 """
 
 import contextlib
@@ -153,6 +155,26 @@ def test_inertia_reads_int_rows_without_building_a_fraction(monkeypatch):
     assert triples == [(1, 0, 25), (1, 0, 25)]
 
 
+@pytest.mark.parametrize("source", ["k4.k4", "u6_7"])
+def test_charpoly_builds_no_order_table(monkeypatch, tmp_path, source):
+    """`charpoly` reads chi and chibar off the flats search's record, so it
+    constructs no poset: no order table, predicate scan or Mobius row."""
+    built = []
+    init = poset.GradedSubposet.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(poset.GradedSubposet, "__init__", spy)
+    path = tmp_path / "k4k4.json"
+    path.write_text(json.dumps({"edges": [list(e) for e in K4_K4]}))
+    argv = {"k4.k4": ["--graphic", str(path)], "u6_7": ["--uniform", "6", "7"]}[source]
+    code, out = run_json(["charpoly", *argv])
+    assert code == 0 and json.loads(out)["log_concave"]
+    assert built == []
+
+
 def test_all_intervals_refusal_builds_no_ring(monkeypatch, capsys):
     rings = counting(monkeypatch, chow, "ChowRing")
     code = main(["chow-verify", "--uniform", "4", "5", "--all-intervals", "--format", "json"])
@@ -163,8 +185,9 @@ def test_all_intervals_refusal_builds_no_ring(monkeypatch, capsys):
 
 # sha256 of `--format json` stdout, recorded before the proofs replaced the
 # scans (U(7,14): before intersection closure was proved from the matroid;
-# `pol --eval beta`: before the Taylor-series lift); certify runs
-# `--samples 2` with the default seed 0
+# `pol --eval beta`: before the Taylor-series lift; `charpoly` on U(8,16):
+# before chi was read off the flats search by Weisner's theorem); certify
+# runs `--samples 2` with the default seed 0
 PINNED = {
     ("certify", "fano"): "45a4c040ea032fb0d8a86cf9cd097ff44234330c8e3c032ee6af8224b600905a",
     ("certify", "u45"): "1b9fb984a3d2dafeab87f2bed1df7397ba705b7d173eda414e0a78586eb49ea9",
@@ -176,6 +199,7 @@ PINNED = {
     ("poset-check", "u45"): "8162179243a701571d2433c660db022dfd007ec3c1324dd5d925a9f3db67e2a7",
     ("poset-check", "k5"): "f06c4d3ae5461d032aedb6e22190ddd181fced37ab9fcd5977d2061b2c3f9080",
     ("charpoly", "u7_14"): "6081f2d6d656c8c34394329f3adc092fa1e848217fe698331dce6d4b07498a13",
+    ("charpoly", "u8_16"): "7060a7d39332bf0f32c2a02bf2b1713977f590115def8e5871d4092e26a3350f",
     ("poset-check", "u7_14"): "27c537460dc6ad782e596dfb1000e90520b2a26977ac82c6f031172ac145bb4c",
     ("pol", "fano"): "70f57da9eef510e310927e29b2b3986c1dd33eda68f8f495bddb42b474010b60",
     ("pol", "u45"): "f1b9e30b876c36b2bbe328eb3e82f0236bf141ce382be1340292dea300d97c68",
@@ -188,7 +212,7 @@ def test_json_output_is_pinned(tmp_path, command, matroid):
     k5 = tmp_path / "k5.json"
     k5.write_text(json.dumps({"edges": [list(e) for e in itertools.combinations(range(5), 2)]}))
     source = {"fano": ["--fano"], "u45": ["--uniform", "4", "5"],
-              "u7_14": ["--uniform", "7", "14"], "k5": ["--graphic", str(k5)]}[matroid]
+              "u7_14": ["--uniform", "7", "14"], "u8_16": ["--uniform", "8", "16"], "k5": ["--graphic", str(k5)]}[matroid]
     extra = {"certify": ["--samples", "2"], "pol": ["--eval", "beta"]}.get(command, [])
     code, out = run_json([command, *source, *extra])
     assert code == 0
