@@ -12,10 +12,12 @@ with one linear relation per element of L \\ K other than the first.
 
 The top graded piece must be one dimensional, with all maximal-chain
 monomials in the same nonzero class; the induced functional normalizes
-them to 1 and generates the volume polynomial.
+them to 1 and generates the volume polynomial.  A monomial's key is also
+its term key in that polynomial, whose variables are the ring's flats.
 """
 
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, gcd, prod
 
 from . import subsets
@@ -205,25 +207,26 @@ class ChowRing:
     # -- public surface ----------------------------------------------------------------
 
     def degree_map(self, monomial):
-        """Normalized top-degree functional on {flat: exponent} or on a dense
-        exponent tuple over `flats`; monomials off the chains give 0."""
+        """Normalized top-degree functional on {flat: exponent} or on a key
+        of `monomials` (nondecreasing positions in `flats`); monomials off
+        the chains give 0."""
         if isinstance(monomial, dict):
             unknown = [F for F in monomial if F not in self._position]
             if unknown:
                 raise UnknownVariable(f"{unknown[0]!r} not among the ring's flats")
-            exps = {self._position[F]: e for F, e in monomial.items()}
-        elif len(monomial) == len(self.flats):
-            exps = dict(enumerate(monomial))
+            if any(e < 0 for e in monomial.values()):
+                raise InvalidParams("monomial has a negative exponent")
+            key = tuple(sorted(
+                self._position[F] for F, e in monomial.items() for _ in range(e)
+            ))
         else:
-            raise DimensionMismatch(
-                f"{len(monomial)} exponents for {len(self.flats)} flats"
-            )
-        if any(e < 0 for e in exps.values()):
-            raise InvalidParams("monomial has a negative exponent")
-        total = sum(exps.values())
-        if total != self.degree:
-            raise WrongDegree(f"monomial degree {total} != ring top degree {self.degree}")
-        key = tuple(p for p in sorted(exps) for _ in range(exps[p]))
+            key = tuple(monomial)
+            if not all(p in range(len(self.flats)) for p in key):
+                raise DimensionMismatch(f"a position outside the ring's {len(self.flats)} flats")
+            if list(key) != sorted(key):
+                raise InvalidParams("monomial positions are not nondecreasing")
+        if len(key) != self.degree:
+            raise WrongDegree(f"monomial degree {len(key)} != ring top degree {self.degree}")
         return self._top_functional.get(key, Fraction(0))
 
     def volume_polynomial(self):
@@ -231,15 +234,11 @@ class ChowRing:
         d = self.degree
         if d == 0:
             return MultiPoly.constant((), 1)
-        terms = {}
-        for key in self.monomials[d]:
-            value = self._top_functional[key]
-            if value == 0:
-                continue
-            exps = [0] * len(self.flats)
-            for p in key:
-                exps[p] += 1
-            terms[tuple(exps)] = value / prod(factorial(e) for e in exps)
+        terms = {
+            key: value / prod(factorial(len(list(run))) for _, run in groupby(key))
+            for key, value in self._top_functional.items()
+            if value
+        }
         return MultiPoly(self.flats, terms, degree=d)
 
 
@@ -253,10 +252,9 @@ def vol_pol_mismatch_witness(ring):
     diff = ring.volume_polynomial() - interval_polynomial(ring.poset, ring.K, ring.L)
     if diff.is_zero():
         return None
-    exps, coeff = diff.sorted_terms()[0]
+    key, coeff = diff.sorted_terms()[0]
     monomial = {
-        subsets.format_elements(F): e
-        for F, e in zip(ring.flats, exps)
-        if e
+        subsets.format_elements(ring.flats[p]): len(list(run))
+        for p, run in groupby(key)
     }
     return {"monomial": monomial, "difference": str(coeff)}

@@ -83,7 +83,8 @@ class IntervalPolynomials:
         one endpoint X = F is.  Each inner t_S becomes t_S - w_S t_X, with
         w_S X's weight in `cone.projection_weights`, and the lift is the
         Taylor series sum_k (-1)^k / k! * t_X^k * D_w^k p, whose terms for
-        different k differ in the exponent of t_X."""
+        different k differ in the exponent of t_X: each key of D_w^k p is
+        mapped to the outer indices and gets k copies of X's index."""
         inner = self.polynomial(G, H)
         pos = {S: j for j, S in enumerate(big_vars)}
         ends = [end for end in (G, H) if end in pos]
@@ -94,19 +95,15 @@ class IntervalPolynomials:
         X = ends[0]
         side = 0 if X == G else 1  # X's place in projection_weights' pair
         w = {S: cone.projection_weights(S, G, H)[side] for S in inner.vars}
-        x, cols = pos[X], [pos[S] for S in inner.vars]
-        blank = [0] * len(big_vars)
+        cols = [pos[S] for S in inner.vars]
         out = {}
         g = inner
         for k in range(inner.degree + 1):  # g is (-1)^k / k! * D_w^k p
             if k:
                 g = dir_derivative(g, {S: -v / k for S, v in w.items()})
-            for exps, c in g.terms.items():
-                key = blank.copy()
-                for j, e in zip(cols, exps):
-                    key[j] = e
-                key[x] = k
-                out[tuple(key)] = c
+            xs = [pos[X]] * k
+            for key, c in g.terms.items():
+                out[tuple(sorted([cols[i] for i in key] + xs))] = c
         return MultiPoly._trusted(big_vars, out, inner.degree, pos)
 
     def derivative_factor(self, K, F, L):
@@ -190,7 +187,7 @@ def alpha_beta_restriction(P, K, L, i):
             continue
         r_low = P.interval_rank(K, F)
         d_high = P.interval_degree(F, L)
-        key = (d_high, r_low)  # exponents of (s, t)
+        key = (0,) * d_high + (1,) * r_low  # s^d_high t^r_low
         terms[key] = terms.get(key, Fraction(0)) + comb(d, r_low) * abs(
             table.mu(K, F)
         )
@@ -208,7 +205,7 @@ def normalized_profile(P, K, L, i):
     f = alpha_beta_restriction(P, K, L, i)
     out = []
     for k in range(d + 1):
-        coeff = f.terms.get((d - k, k), Fraction(0))
+        coeff = f.terms.get((0,) * (d - k) + (1,) * k, Fraction(0))
         out.append(coeff / comb(d, k))
     return out
 

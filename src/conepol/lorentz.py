@@ -15,7 +15,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import NamedTuple, Optional
 
 from . import cone, poset, subsets
@@ -32,7 +31,7 @@ from .intervalpoly import (
     interval_polynomial,
     modular_shift_invariance,
 )
-from .multipoly import _coordinate, partial
+from .multipoly import _coordinate, _hessian_rows, partial
 
 
 class InertiaTriple(NamedTuple):
@@ -235,10 +234,10 @@ def _contracted(f, directions):
     exactly.
 
     f's coefficients are scaled to integers by their one common denominator
-    and each direction by its own.  The terms are rekeyed sparsely (the
-    sorted tuple of variable indices, one entry per power), contracted in
-    int arithmetic one direction at a time, and the quadratic left is read
-    into H.  H is the true Hessian times the product of the scales of f and
+    and each direction by its own.  The terms, under f's own keys (sorted
+    variable indices, one entry per power), are contracted in int
+    arithmetic one direction at a time, and the quadratic left is read into
+    H.  H is the true Hessian times the product of the scales of f and
     directions[2:], so it has the same inertia and the same sign pattern;
     with v1, v2 the scaled first two directions, the full contraction is
     v1^T H v2 over the product of all the scales.
@@ -248,13 +247,7 @@ def _contracted(f, directions):
     put last to get the Hessian contracted along those.
     """
     coeffs, scale = _scaled(list(f.terms.values()))
-    indices = range(len(f.vars))
-    terms = {}
-    for exps, c in zip(f.terms, coeffs):
-        key = tuple(compress(indices, exps))
-        if len(key) < f.degree:  # a power above one
-            key = tuple(i for i in key for _ in range(exps[i]))
-        terms[key] = c
+    terms = dict(zip(f.terms, coeffs))
     weights = []
     for v in directions:
         w, s = _scaled([_coordinate(v, var) for var in f.vars])
@@ -268,11 +261,7 @@ def _contracted(f, directions):
                     k = key[:p] + key[p + 1:]
                     out[k] = out.get(k, 0) + c * w[i]
         terms = out
-    n = len(f.vars)
-    H = [[0] * n for _ in range(n)]
-    for (i, j), c in terms.items():
-        H[i][j] += c
-        H[j][i] += c
+    H = _hessian_rows(terms.items(), len(f.vars), 0)
     v1, v2 = weights[:2]
     value = sum(
         x * sum(h * y for h, y in zip(row, v2) if h) for x, row in zip(v1, H) if x

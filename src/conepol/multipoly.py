@@ -1,16 +1,19 @@
 """Sparse homogeneous multivariate polynomials with exact rational coefficients.
 
-Variables are arbitrary hashable keys held in a fixed ordered tuple; terms
-map dense exponent tuples to nonzero Fractions.  No floating point enters
-this module.
+Variables are arbitrary hashable keys held in a fixed ordered tuple.  A
+term is keyed by the nondecreasing tuple of its variables' indices, one
+entry per power, so x_i^2 x_j with i < j is (i, i, j) and every key's
+length is the degree; terms map these keys to nonzero Fractions.  No
+floating point enters this module.
 
 Two constructors share one contract.  The public `MultiPoly(variables,
-terms, degree)` accepts any rational coefficients and nonnegative integer
-exponents, normalises them, merges duplicate keys, drops zeros and raises
-on any other exponent or a key of the wrong length or degree.
-`MultiPoly._trusted` wraps data that already meets the contract without
-looking at it: `vars` a tuple, `terms` a dict from exponent tuples of
-length len(vars), each summing to `degree`, to nonzero Fractions, and
+terms, degree)` accepts any rational coefficients, normalises them, merges
+duplicate keys, drops zeros and raises on a key that is not a
+nondecreasing tuple of nonnegative integers, names an index past the
+variables, or has the wrong length for the degree.  `MultiPoly._trusted`
+wraps data that already meets the contract without looking at it: `vars`
+a tuple, `terms` a dict from nondecreasing tuples of indices in
+range(len(vars)), each of length `degree`, to nonzero Fractions, and
 `_pos` the index of each variable, shared with the operands rather than
 rebuilt.  Sums, negations, scalar and polynomial products, `partial`,
 `dir_derivative` and `substitute_affine` build their results with it, and
@@ -19,7 +22,7 @@ from outside goes through the public one.
 """
 
 from fractions import Fraction
-from operator import add
+from itertools import groupby
 
 from . import subsets
 from .errors import (
@@ -39,26 +42,24 @@ class MultiPoly:
         vs = tuple(variables)
         cleaned = {}
         deg = degree
-        for exps, coeff in terms.items():
+        for key, coeff in terms.items():
             c = Fraction(coeff)
             if c == 0:
                 continue
-            key = tuple(int(e) for e in exps)
-            if key != exps or any(e < 0 for e in key):
+            idx = tuple(int(i) for i in key)
+            if idx != key or any(i < 0 for i in idx) or list(idx) != sorted(idx):
                 raise InvalidParams(
-                    f"exponents must be nonnegative integers, got {exps!r}"
+                    f"a term key must be nondecreasing variable indices, got {key!r}"
                 )
-            exps = key
-            if len(exps) != len(vs):
-                raise DimensionMismatch("exponent tuple length != variable count")
-            total = sum(exps)
+            if idx and idx[-1] >= len(vs):
+                raise DimensionMismatch(f"variable index {idx[-1]} past {len(vs)} variables")
             if deg is None:
-                deg = total
-            elif total != deg:
+                deg = len(idx)
+            elif len(idx) != deg:
                 raise Inhomogeneous(
-                    f"term of degree {total} in a degree-{deg} polynomial"
+                    f"term of degree {len(idx)} in a degree-{deg} polynomial"
                 )
-            cleaned[exps] = cleaned.get(exps, Fraction(0)) + c
+            cleaned[idx] = cleaned.get(idx, Fraction(0)) + c
         cleaned = {e: c for e, c in cleaned.items() if c != 0}
         self.vars = vs
         self.terms = cleaned
@@ -86,16 +87,14 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, variables, value):
-        vs = tuple(variables)
-        return cls(vs, {tuple([0] * len(vs)): Fraction(value)}, degree=0)
+        return cls(variables, {(): Fraction(value)}, degree=0)
 
     @classmethod
     def variable(cls, variables, key):
         vs = tuple(variables)
         if key not in vs:
             raise UnknownVariable(f"{key!r} not among the variables")
-        exps = tuple(1 if v == key else 0 for v in vs)
-        return cls(vs, {exps: Fraction(1)}, degree=1)
+        return cls(vs, {(vs.index(key),): Fraction(1)}, degree=1)
 
     # -- structure -------------------------------------------------------------
 
@@ -105,7 +104,7 @@ class MultiPoly:
     def constant_value(self):
         if self.degree != 0 and self.terms:
             raise WrongDegree("polynomial is not constant")
-        return self.terms.get(tuple([0] * len(self.vars)), Fraction(0))
+        return self.terms.get((), Fraction(0))
 
     def _check_compatible(self, other):
         if self.vars != other.vars:
@@ -136,7 +135,7 @@ class MultiPoly:
             for e1, c1 in self.terms.items():
                 _accumulate(
                     out,
-                    ((tuple(map(add, e1, e2)), c1 * c2) for e2, c2 in other.terms.items()),
+                    ((tuple(sorted(e1 + e2)), c1 * c2) for e2, c2 in other.terms.items()),
                 )
             return self._like(out, self.degree + other.degree)
         c = Fraction(other)
@@ -156,17 +155,16 @@ class MultiPoly:
     def evaluate(self, point):
         acc = Fraction(0)
         values = [_coordinate(point, v) for v in self.vars]
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for val, e in zip(values, exps):
-                if e:
-                    term *= val ** e
-            acc += term
+        for key, coeff in self.terms.items():
+            for i in key:
+                coeff *= values[i]
+            acc += coeff
         return acc
 
     def sorted_terms(self):
-        """Terms in canonical order: exponent tuples descending."""
-        return sorted(self.terms.items(), key=lambda item: item[0], reverse=True)
+        """Terms in canonical order: keys ascending, which at one degree is
+        the order of exponent vectors descending."""
+        return sorted(self.terms.items(), key=lambda item: item[0])
 
     def __repr__(self):
         return f"MultiPoly({to_text(self)})"
@@ -198,10 +196,10 @@ def partial(f, var):
         raise UnknownVariable(f"{var!r} not among the variables")
     i = f._pos[var]
     out = {}
-    for exps, coeff in f.terms.items():
-        e = exps[i]
-        if e:
-            out[exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * e
+    for key, coeff in f.terms.items():
+        if i in key:
+            p = key.index(i)
+            out[key[:p] + key[p + 1:]] = coeff * key.count(i)
     return f._like(out, max(f.degree - 1, 0))
 
 
@@ -212,13 +210,13 @@ def dir_derivative(f, v):
     """
     weights = [_coordinate(v, var) for var in f.vars]
     out = {}
-    for exps, coeff in f.terms.items():
+    for key, coeff in f.terms.items():
         _accumulate(
             out,
             (
-                (exps[:i] + (e - 1,) + exps[i + 1:], coeff * e * weights[i])
-                for i, e in enumerate(exps)
-                if e and weights[i]
+                (key[:p] + key[p + 1:], coeff * key.count(i) * weights[i])
+                for p, i in enumerate(key)
+                if weights[i] and (not p or key[p - 1] != i)  # first copy of i
             ),
         )
     return f._like(out, max(f.degree - 1, 0))
@@ -228,17 +226,16 @@ def hessian_of_quadratic(f):
     """Second partials of a quadratic, as a list of `Fraction` rows."""
     if f.degree != 2:
         raise WrongDegree(f"need a quadratic, got degree {f.degree}")
-    n = len(f.vars)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for exps, coeff in f.terms.items():
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) == 1:
-            i = support[0]
-            rows[i][i] = 2 * coeff
-        else:
-            i, j = support
-            rows[i][j] = coeff
-            rows[j][i] = coeff
+    return _hessian_rows(f.terms.items(), len(f.vars), Fraction(0))
+
+
+def _hessian_rows(quadratic, n, zero):
+    """The n x n Hessian of the quadratic given as ((i, j), c) terms:
+    c x_i x_j adds c at (i, j) and at (j, i), so 2c on the diagonal."""
+    rows = [[zero] * n for _ in range(n)]
+    for (i, j), c in quadratic:
+        rows[i][j] += c
+        rows[j][i] += c
     return rows
 
 
@@ -254,17 +251,12 @@ def substitute_affine(f, matrix, new_variables):
     if len(matrix) != len(f.vars):
         raise DimensionMismatch("matrix rows != old variable count")
     pos = {v: i for i, v in enumerate(new_vars)}
-    one = MultiPoly._trusted(new_vars, {(0,) * n: Fraction(1)}, 0, pos)
     forms = [MultiPoly._trusted(new_vars, _form_terms(row, n), 1, pos) for row in matrix]
-    powers = [[one] for _ in forms]
     out = {}
-    for exps, coeff in f.terms.items():
-        term = one * coeff
-        for i, e in enumerate(exps):
-            if e:
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * forms[i])
-                term = term * powers[i][e]
+    for key, coeff in f.terms.items():
+        term = MultiPoly._trusted(new_vars, {(): coeff}, 0, pos)
+        for i in key:
+            term = term * forms[i]
         _accumulate(out, term.terms.items())
     return MultiPoly._trusted(new_vars, out, f.degree, pos)
 
@@ -280,7 +272,7 @@ def _form_terms(row, n):
             raise DimensionMismatch("matrix columns != new variable count")
         items = enumerate(row)
     coeffs = ((j, Fraction(c)) for j, c in items)
-    return {tuple(int(k == j) for k in range(n)): c for j, c in coeffs if c}
+    return {(j,): c for j, c in coeffs if c}
 
 
 def restrict_to_directions(f, directions, new_variables=None):
@@ -300,18 +292,16 @@ def default_var_label(key):
 
 
 def to_text(f, var_label=None):
-    """Canonical text form: terms in descending exponent order."""
+    """Canonical text form: terms in `sorted_terms` order."""
     label = var_label if var_label is not None else default_var_label
     if f.is_zero():
         return "0"
     pieces = []
-    for exps, coeff in f.sorted_terms():
+    for key, coeff in f.sorted_terms():
         factors = []
-        for var, e in zip(f.vars, exps):
-            if e == 1:
-                factors.append(label(var))
-            elif e > 1:
-                factors.append(f"{label(var)}^{e}")
+        for i, run in groupby(key):
+            e = len(list(run))
+            factors.append(label(f.vars[i]) if e == 1 else f"{label(f.vars[i])}^{e}")
         mag = abs(coeff)
         if not factors:
             body = str(mag)

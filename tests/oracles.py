@@ -16,6 +16,7 @@ from conepol.errors import ConepolError
 from conepol.intervalpoly import full_contraction
 from conepol.lorentz import is_irreducible_nonneg_offdiag
 from conepol.multipoly import (
+    MultiPoly,
     _coordinate,
     dir_derivative,
     hessian_of_quadratic,
@@ -671,38 +672,59 @@ def project(t, F, G):
 
 
 # The polynomial oracles below are the package's earlier term-at-a-time
-# algorithms.  They touch MultiPoly only through its public constructor,
-# which re-validates every intermediate result.
+# algorithms.  They compute on dense exponent vectors, one entry per
+# variable, and cross into MultiPoly's sorted-index keys only through
+# `from_dense` and `dense_terms`, so every intermediate result is
+# re-validated by the public constructor.
+
+def from_dense(variables, terms, degree=None):
+    """The MultiPoly whose terms map dense exponent vectors over
+    `variables` to coefficients."""
+    vs = tuple(variables)
+    keys = {}
+    for exps, c in terms.items():
+        assert len(exps) == len(vs) and all(e >= 0 for e in exps), exps
+        key = tuple(i for i, e in enumerate(exps) for _ in range(e))
+        keys[key] = keys.get(key, Fraction(0)) + Fraction(c)
+    return MultiPoly(vs, keys, degree=degree)
+
+
+def dense_terms(f):
+    """f's terms keyed by dense exponent vectors over f.vars."""
+    return {
+        tuple(key.count(i) for i in range(len(f.vars))): c
+        for key, c in f.terms.items()
+    }
+
 
 def poly_mul_validated(a, b):
     """Product of two MultiPolys on one variable tuple, every pair of terms
     added into a dict that the public constructor then normalises."""
     assert a.vars == b.vars
     out = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
+    for e1, c1 in dense_terms(a).items():
+        for e2, c2 in dense_terms(b).items():
             key = tuple(x + y for x, y in zip(e1, e2))
             out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return type(a)(a.vars, out, degree=a.degree + b.degree)
+    return from_dense(a.vars, out, degree=a.degree + b.degree)
 
 
 def poly_add_validated(a, b):
     """Sum of two MultiPolys of one degree on one variable tuple."""
-    out = dict(a.terms)
-    for e, c in b.terms.items():
+    out = dense_terms(a)
+    for e, c in dense_terms(b).items():
         out[e] = out.get(e, Fraction(0)) + c
-    return type(a)(a.vars, out, degree=a.degree)
+    return from_dense(a.vars, out, degree=a.degree)
 
 
 def substitute_affine_validated(f, matrix, new_variables):
     """f composed with dense rows: each old variable becomes the linear form
     matrix[i]; every term is expanded on its own as a product of cached
     powers of those forms and added to the running sum."""
-    cls = type(f)
     new_vars = tuple(new_variables)
     n = len(new_vars)
     forms = [
-        cls(
+        from_dense(
             new_vars,
             {tuple(int(k == j) for k in range(n)): Fraction(c)
              for j, c in enumerate(row) if c != 0},
@@ -710,10 +732,10 @@ def substitute_affine_validated(f, matrix, new_variables):
         )
         for row in matrix
     ]
-    powers = [[cls.constant(new_vars, 1)] for _ in forms]
-    out = cls.zero(new_vars, degree=f.degree)
-    for exps, coeff in f.terms.items():
-        term = cls.constant(new_vars, coeff)
+    powers = [[MultiPoly.constant(new_vars, 1)] for _ in forms]
+    out = MultiPoly.zero(new_vars, degree=f.degree)
+    for exps, coeff in dense_terms(f).items():
+        term = MultiPoly.constant(new_vars, coeff)
         for i, e in enumerate(exps):
             while len(powers[i]) <= e:
                 powers[i].append(poly_mul_validated(powers[i][-1], forms[i]))
@@ -841,6 +863,6 @@ def is_lorentzian_orthant(f):
         tuple(combo.count(i) for i in range(n))
         for combo in combinations_with_replacement(range(n), d)
     }
-    if set(f.terms) != full_support:
+    if set(dense_terms(f)) != full_support:
         raise UnsupportedSupport("support is not the full degree simplex")
     return True

@@ -173,18 +173,18 @@ def tensor_degree_check(P, K, F, L, samples=20, seed=0):
     high = ChowRing(P, F, L)
     rng = random.Random(seed)
 
-    def random_exponents(ring, degree):
+    def random_key(ring, degree):
         # degree >= 1 implies the open interval is nonempty
-        exps = [0] * len(ring.flats)
-        for _ in range(degree):
-            exps[rng.randrange(len(ring.flats))] += 1
-        return tuple(exps)
+        return tuple(sorted(rng.randrange(len(ring.flats)) for _ in range(degree)))
+
+    def exponents(ring, key):
+        return {ring.flats[p]: key.count(p) for p in key}
 
     for _ in range(samples):
-        xi = random_exponents(low, low.degree)
-        eta = random_exponents(high, high.degree)
+        xi = random_key(low, low.degree)
+        eta = random_key(high, high.degree)
         # the open intervals below and above F are disjoint and miss F
-        combined = {F: 1, **dict(zip(low.flats, xi)), **dict(zip(high.flats, eta))}
+        combined = {F: 1, **exponents(low, xi), **exponents(high, eta)}
         lhs = big.degree_map(combined)
         rhs = low.degree_map(xi) * high.degree_map(eta)
         if lhs != rhs:

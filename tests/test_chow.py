@@ -152,24 +152,40 @@ def test_degree_map_rejects_a_flat_outside_the_ring(lattices):
             ring.degree_map({F: 1, ring.flats[0]: 1})
 
 
-def test_degree_map_rejects_a_tuple_of_the_wrong_length(lattices):
+# a tuple monomial is a key of `ring.monomials`: nondecreasing positions in
+# `ring.flats`, one per power
+
+
+def test_degree_map_reads_a_key_like_the_flat_dict(lattices):
+    _, ring = u33_ring(lattices)
+    for key in ((0, 0), (0, 1), (0, 3), (3, 3), (2, 5)):
+        mono = {}
+        for p in key:
+            mono[ring.flats[p]] = mono.get(ring.flats[p], 0) + 1
+        assert ring.degree_map(key) == ring.degree_map(mono)
+    assert [ring.degree_map(key) for key in ((0, 0), (0, 1), (0, 3))] == [-1, 0, 1]
+
+
+def test_degree_map_rejects_a_position_outside_the_ring(lattices):
     _, ring = u33_ring(lattices)
     assert len(ring.flats) == 6
-    for exps in ((1, 1), (1, 0, 0, 1), (0, 0, 0, 1, 0, 0, 1)):
+    for key in ((0, 6), (-1, 0), (1, 1.5)):
         with pytest.raises(DimensionMismatch):
-            ring.degree_map(exps)
+            ring.degree_map(key)
 
 
 def test_degree_map_rejects_a_negative_exponent(lattices):
     _, ring = u33_ring(lattices)
     a, b = ring.flats[0], ring.flats[3]
-    for mono in ({a: -1, b: 3}, (3, 0, 0, -1, 0, 0)):
-        with pytest.raises(InvalidParams):
-            ring.degree_map(mono)
+    with pytest.raises(InvalidParams):
+        ring.degree_map({a: -1, b: 3})
+    # nor does it reorder a key
+    with pytest.raises(InvalidParams):
+        ring.degree_map((3, 0))
 
 
-def test_degree_map_rejects_a_dense_tuple_of_the_wrong_degree(lattices):
+def test_degree_map_rejects_a_key_of_the_wrong_degree(lattices):
     _, ring = u33_ring(lattices)
-    for exps in ((0,) * 6, (1, 0, 0, 0, 0, 0), (1, 0, 0, 2, 0, 0)):
+    for key in ((), (0,), (0, 3, 3)):
         with pytest.raises(WrongDegree):
-            ring.degree_map(exps)
+            ring.degree_map(key)

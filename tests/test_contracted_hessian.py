@@ -194,8 +194,7 @@ PERTURBATIONS = [0, Fraction(-1, 8), Fraction(-9, 2), Fraction(-37, 8), Fraction
 def test_hypotheses_report_first_failures_match_oracles(monkeypatch):
     P, K, L = full_interval(uniform_matroid(4, 4))
     f = cache_for(P).polynomial(K, L)
-    exps = tuple(int(i in (0, 1, 2)) for i in range(len(f.vars)))
-    bump = MultiPoly(f.vars, {exps: 1}, degree=3)
+    bump = MultiPoly(f.vars, {(0, 1, 2): 1}, degree=3)
     tuples = sample_direction_tuples(IntervalCoords(K, L), 3, 6, seed=0)
     seen = set()
     for k in PERTURBATIONS:
@@ -250,7 +249,7 @@ def random_polynomial(rng):
     keys = simplex if rng.randint(0, 1) else rng.sample(simplex, rng.randint(1, len(simplex)))
     low = -3 if rng.randint(0, 4) == 0 else 1
     terms = {e: Fraction(rng.randint(low, 6), rng.randint(1, 3)) for e in keys}
-    return MultiPoly("xyz"[:n], terms, degree=d)
+    return oracles.from_dense("xyz"[:n], terms, degree=d)
 
 
 def test_equivalence_and_orthant_match_oracles_on_random_polynomials():

@@ -38,6 +38,7 @@ from conepol.lorentz import _perturbed_direction, _tuple_result
 from conepol.subsets import from_elements
 
 import oracles
+from oracles import from_dense
 from side_checks import (
     NonpositiveValue,
     UnsupportedSupport,
@@ -294,14 +295,14 @@ def test_contraction_permutation_invariance(lattices):
 
 
 def test_is_lorentzian_orthant_examples():
-    square = MultiPoly(("x", "y"), {(2, 0): 1, (1, 1): 2, (0, 2): 1})  # (x+y)^2
+    square = from_dense(("x", "y"), {(2, 0): 1, (1, 1): 2, (0, 2): 1})  # (x+y)^2
     assert is_lorentzian_orthant(square)
     assert not is_lorentzian_orthant(
-        MultiPoly(("x", "y"), {(2, 0): 1, (0, 2): 1})
+        from_dense(("x", "y"), {(2, 0): 1, (0, 2): 1})
     )
     assert is_lorentzian_orthant(MultiPoly.zero(("x", "y"), degree=2))
     with pytest.raises(UnsupportedSupport):
-        is_lorentzian_orthant(MultiPoly(("x", "y"), {(1, 1): 1}))
+        is_lorentzian_orthant(from_dense(("x", "y"), {(1, 1): 1}))
 
 
 def test_restrictions_of_certified_polynomials_are_lorentzian(lattices):
@@ -343,12 +344,12 @@ def test_product_check_zero_convention(lattices):
 
 
 def test_equivalence_check_examples():
-    g = MultiPoly(("x",), {(2,): 1})
+    g = from_dense(("x",), {(2,): 1})
     assert hessian_one_positive_equivalence(g, {"x": Fraction(1)})
-    xy = MultiPoly(("x", "y"), {(1, 1): 1})
+    xy = from_dense(("x", "y"), {(1, 1): 1})
     point = {"x": Fraction(1), "y": Fraction(1)}
     assert hessian_one_positive_equivalence(xy, point)
-    sum_sq = MultiPoly(("x", "y"), {(2, 0): 1, (0, 2): 1})
+    sum_sq = from_dense(("x", "y"), {(2, 0): 1, (0, 2): 1})
     assert hessian_one_positive_equivalence(sum_sq, point)
     with pytest.raises(NonpositiveValue):
         hessian_one_positive_equivalence(xy, {"x": Fraction(1), "y": Fraction(-1)})

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,6 +8,7 @@ from itertools import combinations
 import pytest
 
 import oracles
+from oracles import dense_terms, from_dense
 from conepol import (
     IntervalCoords,
     IntervalPolynomials,
@@ -30,6 +34,7 @@ from conepol.errors import (
     UnknownVariable,
     WrongDegree,
 )
+from conepol.cli import main
 from conepol.intervalpoly import cache_for
 from conepol.multipoly import to_text
 
@@ -37,7 +42,7 @@ from conftest import K4_EDGES
 
 
 def xy_poly(terms, degree=None):
-    return MultiPoly(("x", "y"), terms, degree=degree)
+    return from_dense(("x", "y"), terms, degree=degree)
 
 
 def random_homogeneous(rng, variables, degree, n_terms=6):
@@ -47,7 +52,7 @@ def random_homogeneous(rng, variables, degree, n_terms=6):
         for _ in range(degree):
             exps[rng.randrange(len(variables))] += 1
         terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-    return MultiPoly(variables, terms, degree=degree)
+    return from_dense(variables, terms, degree=degree)
 
 
 def test_homogeneity_enforced():
@@ -58,7 +63,12 @@ def test_homogeneity_enforced():
 def test_partial_examples():
     f = xy_poly({(2, 1): 1})  # x^2 y
     assert partial(f, "x") == xy_poly({(1, 1): 2})
-    const = MultiPoly(("x",), {(0,): 5})
+    assert partial(f, "y") == xy_poly({(2, 0): 1})
+    cube = xy_poly({(3, 0): 2, (1, 2): -1})  # 2 x^3 - x y^2
+    assert partial(cube, "x") == xy_poly({(2, 0): 6, (0, 2): -1})
+    assert partial(cube, "y") == xy_poly({(1, 1): -2})
+    assert partial(partial(partial(cube, "x"), "x"), "x").constant_value() == 12
+    const = from_dense(("x",), {(0,): 5})
     assert partial(const, "x").is_zero()
     with pytest.raises(UnknownVariable):
         partial(f, "z")
@@ -106,7 +116,7 @@ def test_dir_derivative_missing_coordinate():
 
 
 def test_hessian_examples():
-    H = hessian_of_quadratic(MultiPoly(("x",), {(2,): 1}))
+    H = hessian_of_quadratic(from_dense(("x",), {(2,): 1}))
     assert H == [[2]] and type(H[0][0]) is Fraction
     assert hessian_of_quadratic(xy_poly({(1, 1): 1})) == [
         [0, 1],
@@ -149,7 +159,7 @@ def test_substitute_affine_preserves_homogeneity():
     f = random_homogeneous(rng, ("x", "y", "z"), 3)
     mat = [[1, 2], [0, -1], [Fraction(1, 2), 3]]
     g = substitute_affine(f, mat, ("u", "v"))
-    assert g.is_zero() or all(sum(e) == 3 for e in g.terms)
+    assert g.is_zero() or all(sum(e) == 3 for e in dense_terms(g))
 
 
 def test_restriction_single_direction_matches_homogeneity():
@@ -157,7 +167,7 @@ def test_restriction_single_direction_matches_homogeneity():
     f = random_homogeneous(rng, ("x", "y", "z"), 3)
     v = {"x": Fraction(2), "y": Fraction(-1), "z": Fraction(3, 2)}
     g = restrict_to_directions(f, [v], ("y0",))
-    assert g.terms.get((3,), Fraction(0)) == f.evaluate(v)
+    assert dense_terms(g).get((3,), Fraction(0)) == f.evaluate(v)
 
 
 def test_restriction_u23_alpha_beta():
@@ -167,7 +177,7 @@ def test_restriction_u23_alpha_beta():
     g = restrict_to_directions(
         f, [alpha_vector(coords), beta_vector(coords)], ("s", "t")
     )
-    assert g == MultiPoly(("s", "t"), {(1, 0): 1, (0, 1): 2})
+    assert g == from_dense(("s", "t"), {(1, 0): 1, (0, 1): 2})
     assert to_text(g) == "s + 2 * t"
 
 
@@ -181,13 +191,17 @@ def test_to_text_canonical_order():
 
 
 def assert_contract(p):
-    """What `MultiPoly._trusted` relies on and never checks."""
+    """What `MultiPoly._trusted` relies on and never checks: each key a
+    nondecreasing tuple of variable indices, one per power, so its length
+    is the degree, and each coefficient a nonzero Fraction."""
     assert isinstance(p.vars, tuple)
     assert p._pos == {v: i for i, v in enumerate(p.vars)}
+    indices = range(len(p.vars))
     for key, c in p.terms.items():
         assert type(c) is Fraction and c != 0
-        assert len(key) == len(p.vars)
-        assert sum(key) == p.degree
+        assert type(key) is tuple and len(key) == p.degree
+        assert all(type(i) is int and i in indices for i in key)
+        assert list(key) == sorted(key)
 
 
 def assert_same(fast, slow):
@@ -210,7 +224,7 @@ def random_poly(rng, variables, degree, n_terms):
         for _ in range(degree):
             exps[rng.randrange(len(variables))] += 1
         terms[tuple(exps)] = random_coeff(rng)
-    return MultiPoly(variables, terms, degree=degree)
+    return from_dense(variables, terms, degree=degree)
 
 
 def random_row(rng, n):
@@ -235,6 +249,12 @@ def test_products_match_validated_oracle():
     assert_same(zero * (x + y), oracles.poly_mul_validated(zero, x + y))
     assert_same(0 * (x + y), MultiPoly.zero(("x", "y"), degree=1))
     assert_same((x + y) - (x + y), MultiPoly.zero(("x", "y"), degree=1))
+    # powers: x^3, x^2 y and their products meet keys with repeated indices
+    cube, x2y = x * x * x, x * x * y
+    assert_same(cube, xy_poly({(3, 0): 1}))
+    assert_same(x2y, xy_poly({(2, 1): 1}))
+    for f, g in ((cube, x2y), (x2y, x2y), (cube + x2y, x2y - cube), (x2y, x + y)):
+        assert_same(f * g, oracles.poly_mul_validated(f, g))
 
 
 def test_substitution_matches_validated_oracle():
@@ -251,7 +271,7 @@ def test_substitution_matches_validated_oracle():
         assert_same(substitute_affine(f, sparse, new_vars), slow)
         seen_zero += slow.is_zero() and not f.is_zero()
     # a - b with a, b -> u cancels to zero, and so does anything times a zero row
-    f = MultiPoly(("a", "b"), {(2, 0): 1, (0, 2): -1})
+    f = from_dense(("a", "b"), {(2, 0): 1, (0, 2): -1})
     for rows in ([[1], [1]], [[0], [3]]):
         g = substitute_affine(f, rows, ("u",))
         assert_same(g, oracles.substitute_affine_validated(f, rows, ("u",)))
@@ -343,12 +363,62 @@ def test_taylor_lift_matches_substitution_oracle(monkeypatch, name):
         assert_same(out, slow)
 
 
+# Term keys are nondecreasing tuples of variable indices: on ("x", "y"),
+# (0, 0, 1) is x^2 y.
+
+
 def test_constructor_rejects_negative_exponent():
+    """A negative entry names no variable and is no power."""
     with pytest.raises(InvalidParams):
-        xy_poly({(3, -1): 1}, degree=2)
+        MultiPoly(("x", "y"), {(-1, 0): 1}, degree=2)
 
 
 def test_constructor_rejects_non_integer_exponent():
     with pytest.raises(InvalidParams):
         MultiPoly(("x",), {(1.5,): 1})
-    assert MultiPoly(("x",), {(Fraction(2),): 1}).terms == {(2,): 1}
+    assert MultiPoly(("x",), {(Fraction(0), Fraction(0)): 1}).terms == {(0, 0): 1}
+
+
+def test_constructor_rejects_a_key_out_of_order_or_past_the_variables():
+    assert MultiPoly(("x", "y"), {(0, 0, 1): 2}).terms == {(0, 0, 1): 2}
+    with pytest.raises(InvalidParams):
+        MultiPoly(("x", "y"), {(1, 0, 0): 1})
+    with pytest.raises(InvalidParams):
+        MultiPoly(("x", "y"), {"01": 1})
+    with pytest.raises(DimensionMismatch):
+        MultiPoly(("x", "y"), {(0, 2): 1})
+    with pytest.raises(Inhomogeneous):
+        MultiPoly(("x", "y"), {(0, 1): 1}, degree=3)
+    # a zero coefficient drops its key unread, as before
+    assert MultiPoly(("x",), {(5, 2): 0}, degree=2).is_zero()
+
+
+def json_of(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", "json"])
+    assert code == 0
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("name", ["fano", "u45", "k5"])
+def test_every_trusted_polynomial_of_the_cli_meets_the_contract(monkeypatch, tmp_path, name):
+    """Wrap `MultiPoly._trusted` and check its contract on every polynomial
+    it builds while `pol`, `certify` and `chow-verify` run."""
+    checked = []
+    trusted = MultiPoly._trusted
+
+    def spy(*args):
+        p = trusted(*args)
+        assert_contract(p)
+        checked.append(p.degree)
+        return p
+
+    monkeypatch.setattr(MultiPoly, "_trusted", staticmethod(spy))
+    k5 = tmp_path / "k5.json"
+    k5.write_text(json.dumps({"edges": [list(e) for e in combinations(range(5), 2)]}))
+    source = {"fano": ["--fano"], "u45": ["--uniform", "4", "5"], "k5": ["--graphic", str(k5)]}[name]
+    json_of(["pol", *source, "--eval", "alpha"])
+    json_of(["certify", *source, "--samples", "2"])
+    json_of(["chow-verify", *source, "--all-intervals", "--max-degree", "2"])
+    assert len(checked) > 100 and max(checked) >= 2

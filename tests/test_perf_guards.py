@@ -186,8 +186,9 @@ def test_all_intervals_refusal_builds_no_ring(monkeypatch, capsys):
 # sha256 of `--format json` stdout, recorded before the proofs replaced the
 # scans (U(7,14): before intersection closure was proved from the matroid;
 # `pol --eval beta`: before the Taylor-series lift; `charpoly` on U(8,16):
-# before chi was read off the flats search by Weisner's theorem); certify
-# runs `--samples 2` with the default seed 0
+# before chi was read off the flats search by Weisner's theorem; U(5,5),
+# `chow-verify` and `pol --eval alpha`: before terms were keyed by sorted
+# variable indices); certify runs `--samples 2` with the default seed 0
 PINNED = {
     ("certify", "fano"): "45a4c040ea032fb0d8a86cf9cd097ff44234330c8e3c032ee6af8224b600905a",
     ("certify", "u45"): "1b9fb984a3d2dafeab87f2bed1df7397ba705b7d173eda414e0a78586eb49ea9",
@@ -204,6 +205,17 @@ PINNED = {
     ("pol", "fano"): "70f57da9eef510e310927e29b2b3986c1dd33eda68f8f495bddb42b474010b60",
     ("pol", "u45"): "f1b9e30b876c36b2bbe328eb3e82f0236bf141ce382be1340292dea300d97c68",
     ("pol", "k5"): "e568f6a280f5884a77062a7507f2a6aa246ead2054b84886af16b40bba97b553",
+    ("certify", "u55"): "94a5fcfe87ab6c95fdc4bdae18fddcbde2836cb1e2bd2f077769d2a606e11b6a",
+    ("pol", "u55"): "b710530ce294ad009687bde85635cfea048445210f704fa709a9e43d0e4675df",
+    ("chow-verify", "fano"): "ffc614ec6d23e45276c0e64ddb992280acb541fb856bb8432cdc658d8a43dda8",
+    ("chow-verify", "k5"): "5038f912c0830b666bf4c494569cfbb903fbf899b8c9f8c6faef85666d296aa3",
+}
+# U(5,5) is the first rung with cubes and 30 variables; `pol` on it
+# evaluates at alpha rather than beta
+EXTRA = {
+    ("pol", "u55"): ["--eval", "alpha"],
+    ("chow-verify", "fano"): ["--all-intervals"],
+    ("chow-verify", "k5"): ["--all-intervals", "--max-degree", "2"],
 }
 
 
@@ -211,9 +223,11 @@ PINNED = {
 def test_json_output_is_pinned(tmp_path, command, matroid):
     k5 = tmp_path / "k5.json"
     k5.write_text(json.dumps({"edges": [list(e) for e in itertools.combinations(range(5), 2)]}))
-    source = {"fano": ["--fano"], "u45": ["--uniform", "4", "5"],
+    source = {"fano": ["--fano"], "u45": ["--uniform", "4", "5"], "u55": ["--uniform", "5", "5"],
               "u7_14": ["--uniform", "7", "14"], "u8_16": ["--uniform", "8", "16"], "k5": ["--graphic", str(k5)]}[matroid]
-    extra = {"certify": ["--samples", "2"], "pol": ["--eval", "beta"]}.get(command, [])
+    extra = EXTRA.get((command, matroid)) or {
+        "certify": ["--samples", "2"], "pol": ["--eval", "beta"],
+    }.get(command, [])
     code, out = run_json([command, *source, *extra])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[command, matroid]
