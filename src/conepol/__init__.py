@@ -10,23 +10,19 @@ from .cone import (
     canonical_interior_point,
     is_modular,
     is_strictly_submodular,
-    modular_basis,
 )
 from .chow import ChowRing
 from .intervalpoly import (
     IntervalPolynomials,
     alpha_beta_restriction,
     interval_polynomial,
-    modular_shift_invariance,
     reduced_charpoly_via_interval_poly,
 )
 from .lorentz import (
     InertiaTriple,
     LorentzianCertificate,
     certify_cone_lorentzian,
-    hypotheses_report,
     inertia,
-    is_irreducible_nonneg_offdiag,
     sample_direction_tuples,
 )
 from .matroid import (
@@ -44,7 +40,6 @@ from .multipoly import (
     MultiPoly,
     dir_derivative,
     hessian_of_quadratic,
-    partial,
     restrict_to_directions,
     substitute_affine,
 )

@@ -22,14 +22,10 @@ from math import factorial, gcd, prod
 
 from . import subsets
 from .errors import (
-    DimensionMismatch,
     FlagInconsistency,
-    InvalidParams,
     NotAnInterval,
     SizeLimitExceeded,
     TopDegreeNotOneDimensional,
-    UnknownVariable,
-    WrongDegree,
 )
 from .intervalpoly import interval_polynomial
 from .multipoly import MultiPoly
@@ -94,7 +90,7 @@ def check_caps(P, K, L):
     indices, once the interval is within the open-flat and degree caps."""
     d = P.interval_degree(K, L)
     if d < 0:
-        raise NotAnInterval("need K <= L in the poset")
+        raise NotAnInterval("interval needs K strictly below L")
     mask = P._open_mask(K, L)
     count = mask.bit_count()
     if count > MAX_OPEN_FLATS:
@@ -205,29 +201,6 @@ class ChowRing:
         return {m: v / scale for m, v in phi.items()}
 
     # -- public surface ----------------------------------------------------------------
-
-    def degree_map(self, monomial):
-        """Normalized top-degree functional on {flat: exponent} or on a key
-        of `monomials` (nondecreasing positions in `flats`); monomials off
-        the chains give 0."""
-        if isinstance(monomial, dict):
-            unknown = [F for F in monomial if F not in self._position]
-            if unknown:
-                raise UnknownVariable(f"{unknown[0]!r} not among the ring's flats")
-            if any(e < 0 for e in monomial.values()):
-                raise InvalidParams("monomial has a negative exponent")
-            key = tuple(sorted(
-                self._position[F] for F, e in monomial.items() for _ in range(e)
-            ))
-        else:
-            key = tuple(monomial)
-            if not all(p in range(len(self.flats)) for p in key):
-                raise DimensionMismatch(f"a position outside the ring's {len(self.flats)} flats")
-            if list(key) != sorted(key):
-                raise InvalidParams("monomial positions are not nondecreasing")
-        if len(key) != self.degree:
-            raise WrongDegree(f"monomial degree {len(key)} != ring top degree {self.degree}")
-        return self._top_functional.get(key, Fraction(0))
 
     def volume_polynomial(self):
         """(1/d!) deg((sum_F x_F t_F)^d) expanded termwise by multinomials."""

@@ -123,12 +123,15 @@ def matroid_from_json(payload):
 
 
 def resolve_interval(args, lattice):
+    """[K, L] from --interval, or the whole lattice; on a rank-0 matroid the
+    whole lattice is the one flat E, and [E, E] is refused like any other."""
     if args.interval is None:
-        return lattice.bottom, lattice.top
-    K = subsets.parse_elements(args.interval[0])
-    L = subsets.parse_elements(args.interval[1])
-    if K not in lattice or L not in lattice:
-        raise InvalidParams("interval endpoints must be flats of the matroid")
+        K, L = lattice.bottom, lattice.top
+    else:
+        K = subsets.parse_elements(args.interval[0])
+        L = subsets.parse_elements(args.interval[1])
+        if K not in lattice or L not in lattice:
+            raise InvalidParams("interval endpoints must be flats of the matroid")
     if not subsets.is_proper_subset(K, L):
         raise InvalidParams("interval needs K strictly below L")
     return K, L

@@ -7,16 +7,15 @@ cone of strictly submodular vectors; `projection_weights` gives the
 linear projection onto a nested interval.
 """
 
+import re
 from fractions import Fraction
 
 from . import subsets
 from .errors import (
-    ElementOutsideInterval,
     InvalidParams,
     MalformedInput,
     MissingCoordinate,
     SizeLimitExceeded,
-    TrivialInterval,
 )
 
 MAX_INTERVAL_SPAN = 16
@@ -114,10 +113,6 @@ class IntervalVector:
             self.coords, [a - b for a, b in zip(self.values, other.values)]
         )
 
-    def scale(self, c):
-        c = Fraction(c)
-        return IntervalVector(self.coords, [c * v for v in self.values])
-
     def _check_same(self, other):
         if self.coords != other.coords:
             raise InvalidParams("vectors live on different intervals")
@@ -163,45 +158,21 @@ class IntervalVector:
         return f"IntervalVector({self.coords!r}, {list(self.values)})"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _json_rational(val):
-    """A rational written as a "p/q" string or an integer."""
-    if isinstance(val, str) or subsets.is_json_int(val):
+    """A rational written as an integer or a "p/q" string: an optional minus
+    sign, decimal digits and an optional slash and digits, nothing else.
+    Exponents are refused before `Fraction` could expand them."""
+    if subsets.is_json_int(val):
+        return Fraction(val)
+    if isinstance(val, str) and _RATIONAL.fullmatch(val):
         try:
             return Fraction(val)
         except (ValueError, ZeroDivisionError):
             pass
     raise MalformedInput(f"vector value {val!r} is not a rational")
-
-
-def modular_vector(coords, weights):
-    """Expand per-element weights (summing to zero) to a modular vector."""
-    total = sum(weights.values(), Fraction(0))
-    if total != 0:
-        raise InvalidParams("modular weights must sum to zero")
-    diff_elements = subsets.elements(coords.L & ~coords.K)
-    if set(weights) - set(diff_elements):
-        raise ElementOutsideInterval("weight on an element outside L \\ K")
-    vals = []
-    for S in coords.subsets:
-        vals.append(
-            sum((weights.get(e, Fraction(0)) for e in subsets.elements(S & ~coords.K)),
-                Fraction(0))
-        )
-    return IntervalVector(coords, vals)
-
-
-def modular_basis(coords):
-    """Basis of the modular subspace, as a tuple with one vector per element
-    of L \\ K beyond the first: weight +1 on the first element and -1 on
-    that one."""
-    diff_elements = subsets.elements(coords.L & ~coords.K)
-    if len(diff_elements) < 2:
-        raise TrivialInterval("modular subspace is zero-dimensional")
-    first = diff_elements[0]
-    return tuple(
-        modular_vector(coords, {first: Fraction(1), other: Fraction(-1)})
-        for other in diff_elements[1:]
-    )
 
 
 def diamonds(coords):

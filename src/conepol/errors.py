@@ -64,10 +64,6 @@ class NotAnInterval(ConepolError):
 
 # --- interval coordinates and cones ---------------------------------------
 
-class TrivialInterval(ConepolError):
-    pass
-
-
 class ElementOutsideInterval(ConepolError):
     pass
 
@@ -91,10 +87,6 @@ class DimensionMismatch(ConepolError):
 
 
 class Inhomogeneous(ConepolError):
-    pass
-
-
-class PrerequisiteNotBalanced(ConepolError):
     pass
 
 

@@ -15,7 +15,6 @@ p(t - t_F w) = sum_k (-1)^k / k! * t_F^k * (D_w^k p)(t), with D_w the
 directional derivative along w on p's own variables.
 """
 
-import random
 import weakref
 from fractions import Fraction
 from math import comb, factorial
@@ -25,18 +24,11 @@ from .errors import (
     ElementOutsideInterval,
     HasLoops,
     InternalCheckError,
-    InvalidParams,
     MismatchWithDirectComputation,
     NotAnInterval,
-    PrerequisiteNotBalanced,
     WrongDegree,
 )
-from .multipoly import (
-    MultiPoly,
-    dir_derivative,
-    partial,
-    restrict_to_directions,
-)
+from .multipoly import MultiPoly, dir_derivative, restrict_to_directions
 from .unipoly import UniPoly
 
 
@@ -106,12 +98,6 @@ class IntervalPolynomials:
                 out[tuple(sorted([cols[i] for i in key] + xs))] = c
         return MultiPoly._trusted(big_vars, out, inner.degree, pos)
 
-    def derivative_factor(self, K, F, L):
-        """Product of the lifted sub-interval polynomials at a middle F;
-        by the splitting identity this equals d/d t_F of the polynomial."""
-        flats = tuple(self.poset.open_interval(K, L))
-        return self._lift(K, F, flats) * self._lift(F, L, flats)
-
 
 def cache_for(P):
     """The per-poset polynomial cache, created on first use."""
@@ -124,43 +110,6 @@ def cache_for(P):
 
 def interval_polynomial(P, K, L):
     return cache_for(P).polynomial(K, L)
-
-
-def derivative_factorization_witness(P, K, L):
-    """First middle element where d pol / d t_F differs from the product of
-    the lifted sub-interval polynomials, or None."""
-    cache = cache_for(P)
-    f = cache.polynomial(K, L)
-    for F in P.open_interval(K, L):
-        if partial(f, F) != cache.derivative_factor(K, F, L):
-            return F
-    return None
-
-
-def _random_fraction(rng, spread=60, max_den=6):
-    return Fraction(rng.randint(-spread, spread), rng.randint(1, max_den))
-
-
-def modular_shift_invariance(P, K, L, trials=50, seed=0, require_balanced=True):
-    """pol(x + w) == pol(x) for random rational x and random modular w."""
-    if trials < 1:
-        raise InvalidParams("need at least one trial")
-    if require_balanced and not poset.is_balanced(P):
-        raise PrerequisiteNotBalanced("poset is not balanced")
-    f = interval_polynomial(P, K, L)
-    coords = cone.IntervalCoords(K, L)
-    span = (L & ~K).bit_count()
-    basis = cone.modular_basis(coords) if span >= 2 else ()
-    rng = random.Random(seed)
-    for _ in range(trials):
-        x = {F: _random_fraction(rng) for F in f.vars}
-        w = cone.IntervalVector.zero(coords)
-        for vec in basis:
-            w = w + vec.scale(Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
-        shifted = {F: x[F] + w[F] for F in f.vars}
-        if f.evaluate(shifted) != f.evaluate(x):
-            return False
-    return True
 
 
 def alpha_beta_restriction(P, K, L, i):

@@ -9,6 +9,10 @@ positive integer multiple of the contracted Hessian, drops the kernel
 vectors that the atoms of the interval name (degree-one Hodge-Riemann) by
 a unimodular congruence, and counts eigenvalue signs by congruence
 elimination (Sylvester's law of inertia).
+
+`certify_cone_lorentzian` is the one place these conditions are checked:
+for each tuple, the contraction and the Hessian are both read off one
+contracted quadratic form (`_contracted`).
 """
 
 import math
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import cone, poset, subsets
+from . import cone, subsets
 from .errors import (
     DirectionNotInCone,
     DimensionMismatch,
@@ -25,13 +29,8 @@ from .errors import (
     InvalidParams,
     NotSymmetric,
 )
-from .intervalpoly import (
-    cache_for,
-    full_contraction,
-    interval_polynomial,
-    modular_shift_invariance,
-)
-from .multipoly import _coordinate, _hessian_rows, partial
+from .intervalpoly import full_contraction, interval_polynomial
+from .multipoly import _coordinate, _hessian_rows
 
 
 class InertiaTriple(NamedTuple):
@@ -105,28 +104,6 @@ def inertia(A):
         if content > 1:
             M = [[c // content for c in row] for row in M]
     return InertiaTriple(n_plus, len(M), n_minus)
-
-
-def is_irreducible_nonneg_offdiag(A):
-    """Off-diagonal entries nonnegative and the graph of strictly positive
-    off-diagonal entries connected, for a symmetric matrix A given as a
-    list of rows."""
-    _check_symmetric(A)
-    n = len(A)
-    for i, row in enumerate(A):
-        if any(v < 0 for v in row[i + 1:]):
-            return False
-    if n <= 1:
-        return True
-    seen = {0}
-    queue = [0]
-    while queue:
-        cur = queue.pop()
-        for j in range(n):
-            if j != cur and j not in seen and A[cur][j] > 0:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == n
 
 
 # -- sampling ---------------------------------------------------------------
@@ -368,125 +345,3 @@ def certify_cone_lorentzian(P, K, L, samples=20, seed=0, directions=None):
     verdict = all(r.passed for r in results)
     return LorentzianCertificate(K, L, d, recorded_seed, results, verdict)
 
-
-# -- hypothesis ladder ----------------------------------------------------------
-
-
-@dataclass
-class HypothesisResult:
-    status: str  # "pass" | "fail" | "skipped"
-    witness: Optional[str] = None
-
-    def to_json_obj(self):
-        return {"status": self.status, "witness": self.witness}
-
-
-@dataclass
-class HypothesesReport:
-    K: int
-    L: int
-    degree: int
-    results: dict
-
-    def all_evaluated_pass(self):
-        return all(r.status != "fail" for r in self.results.values())
-
-    def to_json_obj(self):
-        return {
-            "interval": {
-                "K": subsets.elements(self.K),
-                "L": subsets.elements(self.L),
-            },
-            "degree": self.degree,
-            "hypotheses": {k: r.to_json_obj() for k, r in self.results.items()},
-        }
-
-
-def _hypothesis(witness):
-    return HypothesisResult("pass" if witness is None else "fail", witness)
-
-
-def hypotheses_report(P, K, L, samples=10, seed=0):
-    """Per-hypothesis report for the sufficiency ladder behind certification:
-    modular shift invariance, positive contractions, irreducible Hessians
-    with nonnegative off-diagonal, and certified derivative polynomials.
-
-    One pass over the sampled tuples reads each contraction and Hessian off
-    `_contracted`, with the first d - 2 directions of a tuple put last; each
-    hypothesis names the first tuple that fails it.
-    """
-    if samples < 1:
-        raise InvalidParams("need at least one sample")
-    d = P.interval_degree(K, L)
-    coords = cone.IntervalCoords(K, L)
-    cache = cache_for(P)
-    f = cache.polynomial(K, L)
-    results = {}
-
-    invariant = modular_shift_invariance(
-        P, K, L, trials=samples, seed=seed, require_balanced=False
-    )
-    results["modular_shift_invariance"] = _hypothesis(
-        None if invariant else "found x, w with pol(x + w) != pol(x)"
-    )
-
-    tuples = sample_direction_tuples(coords, d, samples, seed) if d >= 1 else []
-    nonpositive = reducible = None  # first tuple failing each check
-    for idx, tup in enumerate(tuples):
-        if d >= 2:
-            H, value = _contracted(f, tup[d - 2:] + tup[: d - 2])
-            if reducible is None and not is_irreducible_nonneg_offdiag(H):
-                reducible = idx
-        else:
-            value = full_contraction(f, tup)
-        if nonpositive is None and value <= 0:
-            nonpositive = idx
-
-    if d >= 1:
-        results["contraction_positivity"] = _hypothesis(
-            None if nonpositive is None
-            else f"tuple {nonpositive} has nonpositive contraction"
-        )
-    else:
-        results["contraction_positivity"] = HypothesisResult("skipped")
-
-    if d >= 2:
-        witness = None
-        if reducible is not None:
-            parts = poset.disconnection_witness(P, K, L)
-            if parts is None:
-                witness = "Hessian fails the sign or connectivity test"
-            else:
-                comp = "; ".join(
-                    "{" + subsets.format_elements(s) + "}" for s in parts[0]
-                )
-                witness = (
-                    f"Hessian reducible, comparability component {{{comp}}} "
-                    "is isolated"
-                )
-            witness = f"tuple {reducible}: {witness}"
-        results["hessian_irreducible_nonneg"] = _hypothesis(witness)
-    else:
-        results["hessian_irreducible_nonneg"] = HypothesisResult("skipped")
-
-    if d >= 2:
-        witness = None
-        truncated = [tup[: d - 1] for tup in tuples]
-        for F in f.vars:
-            g = partial(f, F)
-            for idx, tup in enumerate(truncated):
-                _, _, ok = _tuple_result(g, tup)
-                if not ok:
-                    witness = (
-                        "derivative at {{{}}} fails on tuple {}".format(
-                            subsets.format_elements(F), idx
-                        )
-                    )
-                    break
-            if witness:
-                break
-        results["derivatives_certified"] = _hypothesis(witness)
-    else:
-        results["derivatives_certified"] = HypothesisResult("skipped")
-
-    return HypothesesReport(K, L, d, results)

@@ -15,10 +15,11 @@ wraps data that already meets the contract without looking at it: `vars`
 a tuple, `terms` a dict from nondecreasing tuples of indices in
 range(len(vars)), each of length `degree`, to nonzero Fractions, and
 `_pos` the index of each variable, shared with the operands rather than
-rebuilt.  Sums, negations, scalar and polynomial products, `partial`,
+rebuilt.  Sums, negations, scalar and polynomial products,
 `dir_derivative` and `substitute_affine` build their results with it, and
 so does the interval polynomials' Taylor-series lift; everything read
-from outside goes through the public one.
+from outside goes through the public one.  A partial derivative is the
+directional derivative along a unit vector, so no separate one is kept.
 """
 
 from fractions import Fraction
@@ -188,19 +189,6 @@ def _coordinate(point, key):
         return Fraction(point[key])
     except KeyError:
         raise MissingCoordinate(f"no value supplied for variable {key!r}") from None
-
-
-def partial(f, var):
-    """Exact partial derivative; degree drops by one."""
-    if var not in f._pos:
-        raise UnknownVariable(f"{var!r} not among the variables")
-    i = f._pos[var]
-    out = {}
-    for key, coeff in f.terms.items():
-        if i in key:
-            p = key.index(i)
-            out[key[:p] + key[p + 1:]] = coeff * key.count(i)
-    return f._like(out, max(f.degree - 1, 0))
 
 
 def dir_derivative(f, v):

@@ -385,15 +385,6 @@ def is_interval_connected(P):
     return True
 
 
-def disconnection_witness(P, K, L):
-    """Two comparability components of (K, L), or None if connected."""
-    mids = P._open_mask(K, L)
-    component, rest = _comparability_split(P, P.index(K), mids)
-    if not rest:
-        return None
-    return P._members(component), P._members(rest)
-
-
 def _comparability_split(P, k, mids):
     """Comparability component of the first element of the open interval
     `mids` above element k, and the rest of it, as index bitsets; (0, 0)

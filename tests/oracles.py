@@ -12,19 +12,16 @@ from itertools import chain, combinations, combinations_with_replacement
 
 from conepol import subsets
 from conepol.cone import IntervalCoords, IntervalVector, projection_weights
-from conepol.errors import ConepolError
+from conepol.errors import ConepolError, UnknownVariable
 from conepol.intervalpoly import full_contraction
-from conepol.lorentz import is_irreducible_nonneg_offdiag
+from conepol.lorentz import _check_symmetric
 from conepol.multipoly import (
     MultiPoly,
     _coordinate,
     dir_derivative,
     hessian_of_quadratic,
-    partial,
     substitute_affine,
 )
-
-from side_checks import NonpositiveValue, UnsupportedSupport
 
 
 def powerset(universe):
@@ -784,6 +781,49 @@ def contracted_hessian(f, directions):
         Fraction(0),
     )
     return H, value
+
+
+class NonpositiveValue(ConepolError):
+    pass
+
+
+class UnsupportedSupport(ConepolError):
+    pass
+
+
+def partial(f, var):
+    """Exact partial derivative of a MultiPoly; degree drops by one."""
+    if var not in f.vars:
+        raise UnknownVariable(f"{var!r} not among the variables")
+    i = f.vars.index(var)
+    out = {}
+    for key, coeff in f.terms.items():
+        if i in key:
+            p = key.index(i)
+            out[key[:p] + key[p + 1:]] = coeff * key.count(i)
+    return MultiPoly(f.vars, out, degree=max(f.degree - 1, 0))
+
+
+def is_irreducible_nonneg_offdiag(A):
+    """Off-diagonal entries nonnegative and the graph of strictly positive
+    off-diagonal entries connected, for a symmetric matrix A given as a
+    list of rows."""
+    _check_symmetric(A)
+    n = len(A)
+    for i, row in enumerate(A):
+        if any(v < 0 for v in row[i + 1:]):
+            return False
+    if n <= 1:
+        return True
+    seen = {0}
+    queue = [0]
+    while queue:
+        cur = queue.pop()
+        for j in range(n):
+            if j != cur and j not in seen and A[cur][j] > 0:
+                seen.add(j)
+                queue.append(j)
+    return len(seen) == n
 
 
 def first_nonpositive_contraction(f, tuples):

@@ -1,8 +1,9 @@
 """Checks that only the tests run: side identities and neighbouring notions
-(the Shapley-value effective decomposition, the alpha/beta indicator
-vectors, Weisner's recursion, two
-identities of interval polynomials, the Chow tensor split, the Branden-Huh
-orthant notion), each error class next to the code that raises it."""
+(modular vectors and the shift invariance they give, the Shapley-value
+effective decomposition, the alpha/beta indicator vectors, Weisner's
+recursion, three identities of interval polynomials, the Chow tensor
+split, the Branden-Huh orthant notion), each error class next to the code
+that raises it."""
 
 import math
 import random
@@ -13,15 +14,88 @@ from math import factorial
 from conepol import subsets
 from conepol.chow import ChowRing
 from conepol.cone import (
-    IntervalVector, _diamond_margins, is_strictly_submodular, modular_vector
+    IntervalCoords, IntervalVector, _diamond_margins, is_strictly_submodular
 )
 from conepol.errors import (
-    ConepolError, ElementOutsideInterval, InternalCheckError, NotAnInterval
+    ConepolError, ElementOutsideInterval, InternalCheckError, InvalidParams, NotAnInterval
 )
-from conepol.intervalpoly import interval_polynomial
+from conepol.intervalpoly import cache_for, interval_polynomial
 from conepol.lorentz import _contracted, _tuple_result, inertia
-from conepol.multipoly import MultiPoly, _coordinate, partial
-from conepol.poset import mobius
+from conepol.multipoly import MultiPoly, _coordinate
+from conepol.poset import is_balanced, mobius
+
+from oracles import NonpositiveValue, UnsupportedSupport, partial
+
+
+class TrivialInterval(ConepolError):
+    pass
+
+
+def scaled(v, c):
+    """The interval vector c * v."""
+    c = Fraction(c)
+    return IntervalVector(v.coords, [c * x for x in v.values])
+
+
+def modular_vector(coords, weights):
+    """Expand per-element weights (summing to zero) to a modular vector."""
+    total = sum(weights.values(), Fraction(0))
+    if total != 0:
+        raise InvalidParams("modular weights must sum to zero")
+    diff_elements = subsets.elements(coords.L & ~coords.K)
+    if set(weights) - set(diff_elements):
+        raise ElementOutsideInterval("weight on an element outside L \\ K")
+    vals = []
+    for S in coords.subsets:
+        vals.append(
+            sum((weights.get(e, Fraction(0)) for e in subsets.elements(S & ~coords.K)),
+                Fraction(0))
+        )
+    return IntervalVector(coords, vals)
+
+
+def modular_basis(coords):
+    """Basis of the modular subspace, as a tuple with one vector per element
+    of L \\ K beyond the first: weight +1 on the first element and -1 on
+    that one."""
+    diff_elements = subsets.elements(coords.L & ~coords.K)
+    if len(diff_elements) < 2:
+        raise TrivialInterval("modular subspace is zero-dimensional")
+    first = diff_elements[0]
+    return tuple(
+        modular_vector(coords, {first: Fraction(1), other: Fraction(-1)})
+        for other in diff_elements[1:]
+    )
+
+
+class PrerequisiteNotBalanced(ConepolError):
+    pass
+
+
+def _random_fraction(rng, spread=60, max_den=6):
+    return Fraction(rng.randint(-spread, spread), rng.randint(1, max_den))
+
+
+def modular_shift_invariance(P, K, L, trials=50, seed=0):
+    """pol(x + w) == pol(x) for random rational x and random modular w, on
+    a balanced poset."""
+    if trials < 1:
+        raise InvalidParams("need at least one trial")
+    if not is_balanced(P):
+        raise PrerequisiteNotBalanced("poset is not balanced")
+    f = interval_polynomial(P, K, L)
+    coords = IntervalCoords(K, L)
+    basis = modular_basis(coords) if coords.span >= 2 else ()
+    rng = random.Random(seed)
+    for _ in range(trials):
+        x = {F: _random_fraction(rng) for F in f.vars}
+        w = IntervalVector.zero(coords)
+        for vec in basis:
+            w = w + scaled(vec, Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
+        shifted = {F: x[F] + w[F] for F in f.vars}
+        if f.evaluate(shifted) != f.evaluate(x):
+            return False
+    return True
 
 
 class NotInCone(ConepolError):
@@ -151,12 +225,32 @@ def sum_of_squares_identity_holds(P, K, L):
     return 2 * f == rhs
 
 
+def derivative_factorization_witness(P, K, L):
+    """First middle element F where d pol / d t_F differs from the product
+    of the lifted sub-interval polynomials at F, or None."""
+    cache = cache_for(P)
+    f = cache.polynomial(K, L)
+    for F in f.vars:
+        if partial(f, F) != cache._lift(K, F, f.vars) * cache._lift(F, L, f.vars):
+            return F
+    return None
+
+
 def euler_identity_holds(f):
     """Sum of t_F times the F-partial equals deg(f) times f, exactly."""
     acc = MultiPoly.zero(f.vars, degree=f.degree)
     for var in f.vars:
         acc = acc + MultiPoly.variable(f.vars, var) * partial(f, var)
     return acc == f.degree * f
+
+
+def top_degree(ring, monomial):
+    """The ring's normalized top-degree functional on a monomial
+    {flat: exponent} of its top degree; monomials off the chains give 0."""
+    key = tuple(sorted(
+        ring.flats.index(F) for F, e in monomial.items() for _ in range(e)
+    ))
+    return ring._top_functional.get(key, Fraction(0))
 
 
 def tensor_degree_check(P, K, F, L, samples=20, seed=0):
@@ -185,19 +279,11 @@ def tensor_degree_check(P, K, F, L, samples=20, seed=0):
         eta = random_key(high, high.degree)
         # the open intervals below and above F are disjoint and miss F
         combined = {F: 1, **exponents(low, xi), **exponents(high, eta)}
-        lhs = big.degree_map(combined)
-        rhs = low.degree_map(xi) * high.degree_map(eta)
+        lhs = top_degree(big, combined)
+        rhs = top_degree(low, exponents(low, xi)) * top_degree(high, exponents(high, eta))
         if lhs != rhs:
             return False
     return True
-
-
-class NonpositiveValue(ConepolError):
-    pass
-
-
-class UnsupportedSupport(ConepolError):
-    pass
 
 
 def is_lorentzian_orthant(f):
@@ -229,6 +315,18 @@ def is_lorentzian_orthant(f):
             "support is not the full degree simplex; cannot decide"
         )
     return True
+
+
+def first_uncertified_derivative(f, tuples):
+    """First (F, index) for which the partial derivative of f along t_F
+    fails the sampled certificate on the first deg - 1 directions of that
+    tuple, or None."""
+    for F in f.vars:
+        g = partial(f, F)
+        for idx, tup in enumerate(tuples):
+            if not _tuple_result(g, tup[: f.degree - 1])[2]:
+                return F, idx
+    return None
 
 
 def product_check(f, g, sample_tuples):

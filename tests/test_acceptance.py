@@ -26,18 +26,19 @@ from conepol import (
     is_one_balanced,
     is_semimodular_lattice,
     mobius,
-    modular_shift_invariance,
     reduced_characteristic_polynomial,
     restrict_to_directions,
     sample_direction_tuples,
 )
-from conepol.intervalpoly import derivative_factorization_witness, normalized_profile
+from conepol.intervalpoly import normalized_profile
 from conepol.poset import flats_axioms_hold
 from conepol.subsets import elements, is_proper_subset
 
 import oracles
 from side_checks import (
+    derivative_factorization_witness,
     is_lorentzian_orthant,
+    modular_shift_invariance,
     sum_of_squares_identity_holds,
     weisner_check,
 )

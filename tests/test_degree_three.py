@@ -1,7 +1,7 @@
 """Degree-3 intervals: the catalog matroids stop at degree 2, so these
 free and uniform rank-4 cases are what exercise the nontrivial contraction
-paths (Hessian after one directional derivative, the full hypothesis
-ladder, degree-3 quotient rings)."""
+paths (Hessian after one directional derivative, certified partial
+derivatives, degree-3 quotient rings)."""
 
 from fractions import Fraction
 
@@ -13,17 +13,22 @@ from conepol import (
     beta_vector,
     certify_cone_lorentzian,
     flats_lattice,
-    hypotheses_report,
     interval_polynomial,
     mobius,
-    modular_shift_invariance,
     reduced_charpoly_via_interval_poly,
+    sample_direction_tuples,
     uniform_matroid,
 )
 from conepol.chow import vol_pol_mismatch_witness
-from conepol.intervalpoly import derivative_factorization_witness, normalized_profile
+from conepol.intervalpoly import normalized_profile
 
-from side_checks import euler_identity_holds
+import oracles
+from side_checks import (
+    derivative_factorization_witness,
+    euler_identity_holds,
+    first_uncertified_derivative,
+    modular_shift_invariance,
+)
 
 
 def test_free_matroid_rank_four():
@@ -46,9 +51,10 @@ def test_free_matroid_rank_four_certification():
     cert = certify_cone_lorentzian(L, L.bottom, L.top, samples=5, seed=3)
     assert cert.verdict
     assert cert.samples[0].hessian_inertia == (1, 3, 10)
-    report = hypotheses_report(L, L.bottom, L.top, samples=3, seed=1)
-    assert report.all_evaluated_pass()
-    assert report.results["derivatives_certified"].status == "pass"
+    f = interval_polynomial(L, L.bottom, L.top)
+    tuples = sample_direction_tuples(IntervalCoords(L.bottom, L.top), 3, 3, seed=1)
+    assert oracles.first_reducible_hessian(f, tuples) is None
+    assert first_uncertified_derivative(f, tuples) is None
 
 
 def test_free_matroid_rank_four_chow():

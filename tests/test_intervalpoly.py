@@ -18,8 +18,6 @@ from conepol import (
     graphic_matroid,
     interval_polynomial,
     mobius,
-    modular_basis,
-    modular_shift_invariance,
     reduced_charpoly_via_interval_poly,
     restrict_to_directions,
     uniform_matroid,
@@ -29,16 +27,22 @@ from conepol.errors import (
     InternalCheckError,
     InvalidParams,
     NotAnInterval,
-    PrerequisiteNotBalanced,
     WrongDegree,
 )
-from conepol.intervalpoly import cache_for, derivative_factorization_witness, full_contraction
-from conepol.multipoly import partial
+from conepol.intervalpoly import cache_for, full_contraction
 from conepol.subsets import from_elements, is_proper_subset
 
 from conftest import K4_EDGES
-from oracles import dense_terms, from_dense
-from side_checks import alpha_indicator, euler_identity_holds, sum_of_squares_identity_holds
+from oracles import dense_terms, from_dense, partial
+from side_checks import (
+    PrerequisiteNotBalanced,
+    alpha_indicator,
+    derivative_factorization_witness,
+    euler_identity_holds,
+    modular_basis,
+    modular_shift_invariance,
+    sum_of_squares_identity_holds,
+)
 
 
 def test_rank_one_interval_gives_constant_one(lattices):

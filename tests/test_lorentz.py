@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from conepol import (
-    GradedSubposet,
     IntervalCoords,
     IntervalVector,
     MultiPoly,
@@ -16,10 +15,8 @@ from conepol import (
     dir_derivative,
     flats_lattice,
     hessian_of_quadratic,
-    hypotheses_report,
     inertia,
     interval_polynomial,
-    is_irreducible_nonneg_offdiag,
     is_strictly_submodular,
     restrict_to_directions,
     sample_direction_tuples,
@@ -35,16 +32,20 @@ from conepol.errors import (
 )
 from conepol.intervalpoly import cache_for, full_contraction
 from conepol.lorentz import _perturbed_direction, _tuple_result
-from conepol.subsets import from_elements
 
 import oracles
-from oracles import from_dense
-from side_checks import (
+from oracles import (
     NonpositiveValue,
     UnsupportedSupport,
+    from_dense,
+    is_irreducible_nonneg_offdiag,
+)
+from side_checks import (
+    first_uncertified_derivative,
     hessian_one_positive_equivalence,
     is_lorentzian_orthant,
     product_check,
+    scaled,
 )
 
 
@@ -265,7 +266,7 @@ def test_certify_rank_two_has_p_only_certificate(lattices):
 def test_certify_rejects_directions_outside_cone(lattices):
     L = lattices["u33"]
     coords = IntervalCoords(L.bottom, L.top)
-    bad = canonical_interior_point(coords).scale(-1)  # strictly supermodular
+    bad = scaled(canonical_interior_point(coords), -1)  # strictly supermodular
     with pytest.raises(DirectionNotInCone) as info:
         certify_cone_lorentzian(
             L, L.bottom, L.top, directions=[(bad, bad)]
@@ -374,32 +375,22 @@ def test_alpha_beta_profile_log_concave(lattices):
         assert all(a > 0 for a in profile)
 
 
-def test_hypotheses_report_passes_on_catalog(lattices):
+def test_partial_derivatives_certify_on_catalog(lattices):
+    """On M(K4) and Fano every sampled contraction is positive, every
+    contracted Hessian irreducible with nonnegative off-diagonal, and each
+    partial derivative certifies on the first d - 1 directions of every
+    tuple; a supermodular first direction makes the first one fail."""
     for name in ("k4", "fano"):
         L = lattices[name]
-        report = hypotheses_report(L, L.bottom, L.top, samples=4, seed=1)
-        assert report.all_evaluated_pass()
-        assert report.results["hessian_irreducible_nonneg"].status == "pass"
-        assert report.results["derivatives_certified"].status == "pass"
-
-
-def test_hypotheses_report_degenerate_degrees(lattices):
-    L = lattices["u23"]
-    report = hypotheses_report(L, L.bottom, L.top, samples=3, seed=1)
-    assert report.results["hessian_irreducible_nonneg"].status == "skipped"
-    assert report.results["contraction_positivity"].status == "pass"
-
-
-def test_hypotheses_report_disconnection_witness():
-    towers = GradedSubposet(
-        4,
-        [0, from_elements([0]), from_elements([0, 1]), from_elements([2]),
-         from_elements([2, 3]), from_elements([0, 1, 2, 3])],
-    )
-    report = hypotheses_report(towers, 0, from_elements([0, 1, 2, 3]), samples=3, seed=2)
-    res = report.results["hessian_irreducible_nonneg"]
-    assert res.status == "fail"
-    assert "component" in res.witness
+        f = interval_polynomial(L, L.bottom, L.top)
+        coords = IntervalCoords(L.bottom, L.top)
+        tuples = sample_direction_tuples(coords, f.degree, 4, seed=1)
+        assert oracles.first_nonpositive_contraction(f, tuples) is None, name
+        assert oracles.first_reducible_hessian(f, tuples) is None, name
+        assert first_uncertified_derivative(f, tuples) is None, name
+        c = canonical_interior_point(coords)
+        flipped = tuples + [(scaled(c, -1), c)]
+        assert first_uncertified_derivative(f, flipped) == (f.vars[0], len(tuples)), name
 
 
 def test_rank_two_inertia_matches_sum_of_squares(lattices):
@@ -415,13 +406,6 @@ def test_certify_rejects_zero_tuples(lattices, kwargs):
     L = lattices["u33"]
     with pytest.raises(InvalidParams):
         certify_cone_lorentzian(L, L.bottom, L.top, **kwargs)
-
-
-@pytest.mark.parametrize("samples", [0, -3])
-def test_hypotheses_report_rejects_zero_samples(lattices, samples):
-    L = lattices["fano"]
-    with pytest.raises(InvalidParams):
-        hypotheses_report(L, L.bottom, L.top, samples=samples)
 
 
 def _min_diamond_margin(v):

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 import oracles
-from oracles import dense_terms, from_dense
+from oracles import dense_terms, from_dense, partial
 from conepol import (
     IntervalCoords,
     IntervalPolynomials,
@@ -21,7 +21,6 @@ from conepol import (
     graphic_matroid,
     hessian_of_quadratic,
     interval_polynomial,
-    partial,
     restrict_to_directions,
     substitute_affine,
     uniform_matroid,
@@ -329,13 +328,13 @@ def test_memoised_interval_polynomials_match_validated_oracle(name):
         expected = MultiPoly(flats, {e: c / d for e, c in acc.terms.items()}, degree=d)
         assert_same(f, expected)
         for F in flats[:3]:
-            assert_contract(cache.derivative_factor(K, F, L))
+            assert_contract(cache._lift(K, F, flats) * cache._lift(F, L, flats))
 
 
 @pytest.mark.parametrize("name", sorted(MATROIDS))
 def test_taylor_lift_matches_substitution_oracle(monkeypatch, name):
-    """Every lift met while building the full interval, and the two behind
-    `derivative_factor` at each middle flat, equals the substitution it
+    """Every lift met while building the full interval, and the two whose
+    product is d f / d t_F at each middle flat F, equals the substitution it
     replaced term for term: variables, keys, Fraction coefficients and
     degree."""
     P = flats_lattice(MATROIDS[name]())
@@ -352,7 +351,7 @@ def test_taylor_lift_matches_substitution_oracle(monkeypatch, name):
     f = cache.polynomial(P.bottom, P.top)
     built = len(lifts)
     for F in f.vars:
-        product = cache.derivative_factor(P.bottom, F, P.top)
+        product = cache._lift(P.bottom, F, f.vars) * cache._lift(F, P.top, f.vars)
         low, high = (oracles.lift_by_substitution(cache, *lifts[i][:3]) for i in (-2, -1))
         assert lifts[-2][:2] == (P.bottom, F) and lifts[-1][:2] == (F, P.top)
         assert_same(product, oracles.poly_mul_validated(low, high))

@@ -22,13 +22,12 @@ from conepol import (
     is_one_balanced,
     is_semimodular_lattice,
     mobius,
-    modular_shift_invariance,
 )
 from conepol.chow import vol_pol_mismatch_witness
-from conepol.intervalpoly import derivative_factorization_witness
 from conepol.poset import flats_axioms_hold
 
 from conftest import matroid_from_bases
+from side_checks import derivative_factorization_witness, modular_shift_invariance
 
 
 def gf2_rank(vectors):

@@ -141,12 +141,11 @@ PUBLIC_API = [
     "canonical_interior_point",
     "certify_cone_lorentzian", "characteristic_polynomial", "chow", "cone",
     "dir_derivative", "errors", "fano", "flats_lattice", "graphic_matroid",
-    "hessian_of_quadratic", "hypotheses_report", "inertia", "interval_polynomial",
+    "hessian_of_quadratic", "inertia", "interval_polynomial",
     "intervalpoly", "is_balanced", "is_interval_connected",
-    "is_irreducible_nonneg_offdiag", "is_log_concave", "is_modular",
+    "is_log_concave", "is_modular",
     "is_one_balanced", "is_semimodular_lattice", "is_strictly_submodular",
-    "lorentz", "matroid", "mobius", "modular_basis",
-    "modular_shift_invariance", "multipoly", "partial", "poset",
+    "lorentz", "matroid", "mobius", "multipoly", "poset",
     "reduced_characteristic_polynomial", "reduced_charpoly_via_interval_poly",
     "restrict_to_directions", "sample_direction_tuples", "subsets",
     "substitute_affine", "uniform_matroid", "unipoly",
@@ -161,11 +160,7 @@ def test_public_api_is_pinned():
 # public names and methods that nothing outside the tests calls, each with
 # its reason
 UNCALLED = {
-    "hypotheses_report": "the planned `certify --explain` report",
     "reduced_charpoly_via_interval_poly": "the planned exact log-concavity verdict of `charpoly`",
-    "HypothesesReport.all_evaluated_pass": "the verdict of the planned `certify --explain` report",
-    "ChowRing.degree_map": "the ring's degree functional on one monomial, which the "
-    "tests read to check the volume polynomial monomial by monomial",
 }
 
 
@@ -190,21 +185,24 @@ def _public_methods():
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     """A public function, class or method that only tests call belongs
-    beside them."""
-    referenced = set()
+    beside them.  A public name counts as called where it is read by name
+    or as an attribute; a method only where it is read as an attribute, so
+    a local variable that shares its name does not keep it alive."""
+    names, attributes = set(), set()
     paths = [p for p in MODULES if p.name != "__init__.py"]
     for path in paths + sorted((ROOT / "perfbench").glob("*.py")):
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
     uncalled = {
         name
         for name in conepol.__all__
-        if not isinstance(getattr(conepol, name), types.ModuleType) and name not in referenced
+        if not isinstance(getattr(conepol, name), types.ModuleType)
+        and name not in names | attributes
     }
     uncalled.update(
-        f"{cls_name}.{name}" for cls_name, name in _public_methods() if name not in referenced
+        f"{cls_name}.{name}" for cls_name, name in _public_methods() if name not in attributes
     )
     assert uncalled == set(UNCALLED)
