@@ -54,8 +54,13 @@ class UsageError(Exception):
 
 
 def _load_json(path):
+    """The JSON value in the file at `path`; a file that does not decode or
+    parse, or holds too long an integer or too deep a nesting, is refused."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedInput(f"{path} is not readable JSON: {exc}") from None
 
 
 def load_matroid(args):

@@ -96,7 +96,7 @@ class IntervalPolynomials:
             xs = [pos[X]] * k
             for key, c in g.terms.items():
                 out[tuple(sorted([cols[i] for i in key] + xs))] = c
-        return MultiPoly._trusted(big_vars, out, inner.degree, pos)
+        return MultiPoly._trusted(big_vars, out, inner.degree)
 
 
 def cache_for(P):

@@ -30,7 +30,7 @@ from .errors import (
     NotSymmetric,
 )
 from .intervalpoly import full_contraction, interval_polynomial
-from .multipoly import _coordinate, _hessian_rows
+from .multipoly import _coordinate, _derivative_terms, _hessian_rows
 
 
 class InertiaTriple(NamedTuple):
@@ -213,11 +213,12 @@ def _contracted(f, directions):
     f's coefficients are scaled to integers by their one common denominator
     and each direction by its own.  The terms, under f's own keys (sorted
     variable indices, one entry per power), are contracted in int
-    arithmetic one direction at a time, and the quadratic left is read into
-    H.  H is the true Hessian times the product of the scales of f and
-    directions[2:], so it has the same inertia and the same sign pattern;
-    with v1, v2 the scaled first two directions, the full contraction is
-    v1^T H v2 over the product of all the scales.
+    arithmetic one direction at a time (`_derivative_terms`), and the
+    quadratic left is read into H.  H is the true Hessian times the
+    product of the scales of f and directions[2:], so it has the same
+    inertia and the same sign pattern; with v1, v2 the scaled first two
+    directions, the full contraction is v1^T H v2 over the product of all
+    the scales.
 
     Every Lorentzian check reads this one quadratic form.  The full
     contraction is symmetric in the directions, so any d - 2 of them may be
@@ -231,13 +232,7 @@ def _contracted(f, directions):
         weights.append(w)
         scale *= s
     for w in weights[2:]:
-        out = {}
-        for key, c in terms.items():
-            for p, i in enumerate(key):
-                if w[i]:
-                    k = key[:p] + key[p + 1:]
-                    out[k] = out.get(k, 0) + c * w[i]
-        terms = out
+        terms = _derivative_terms(terms, w)
     H = _hessian_rows(terms.items(), len(f.vars), 0)
     v1, v2 = weights[:2]
     value = sum(

@@ -39,11 +39,11 @@ are equal, so G = cl(F + e) lies inside H, and G = H.  So every cover of a
 recorded flat is recorded, and as every flat lies on a chain of covers up
 from cl(empty set), every flat is recorded.  The recorded sets are then
 all of M's flats and nothing else, closed under intersection as the
-closed sets of any closure are, with no pass over pairs.  `FlatLattice`
-builds its order table from the recorded covers, and the characteristic
-polynomials read mu(0, F) off them by Weisner's theorem (see
-`_mobius_from_bottom`).  A family that a caller passes to `FlatLattice`
-comes with no record and gets the pass over pairs.
+closed sets of any closure are, with no pass over pairs.  Every
+`FlatLattice` builds its order table from the recorded covers, and the
+characteristic polynomials read mu(0, F) off them by Weisner's theorem
+(see `_mobius_from_bottom`).  A family that a caller passes to
+`FlatLattice` is only compared with the recorded sets.
 """
 
 from dataclasses import dataclass
@@ -297,60 +297,37 @@ def fano():
 
 
 class FlatLattice(poset.GradedSubposet):
-    """Lattice of flats of a matroid, validated against the flats axioms.
-
-    `flats` is any iterable of sets.  `flats_lattice` also passes
-    `_record`, the flats search's checked `_FlatsRecord` of those sets: its
-    covers give the order table, and it proves intersection closure (see
-    the module docstring).  Without a record, a family that passes every
-    check is last compared with M's own closure, so that only M's lattice
-    of flats is accepted.
+    """Lattice of flats of a matroid, built from the flats search's checked
+    record (`_flats_record`): its covers give the order table, and it
+    proves intersection closure (see the module docstring).  `flats`, when
+    given, is any iterable of sets, ranks ignored, and must hold each of
+    M's flats once; the first stray set in canonical order is named.
     """
 
-    def __init__(self, matroid, flats, _record=None):
-        try:
-            super().__init__(
-                matroid.ground.n, flats, _covers=None if _record is None else _record.covers
-            )
-        except Exception as exc:
-            raise InternalAxiomFailure(f"flats failed gradedness: {exc}") from exc
+    def __init__(self, matroid, flats=None):
+        record = _flats_record(matroid)
+        if flats is not None:
+            _check_family(record.ranks, list(flats))
+        super().__init__(matroid.ground.n, record.ranks, _covers=record.covers)
         self.bottom = self.elements[0]
         self.top = matroid.ground.full_mask
-        if _record is not None:
-            self._proved[("_intersection_closed",)] = True
+        self._proved[("_intersection_closed",)] = True
         if not poset.flats_axioms_hold(self, self.top):
             raise InternalAxiomFailure("flats violate the closure axioms")
         if not poset.is_semimodular_lattice(self):
             raise InternalAxiomFailure("lattice of flats is not semimodular")
-        if not poset.is_one_balanced(self):
-            raise InternalAxiomFailure("lattice of flats is not 1-balanced")
-        if not poset.is_interval_connected(self):
-            raise InternalAxiomFailure("lattice of flats is not interval connected")
-        if _record is None:
-            self._check_flats_of(matroid)
 
-    def _check_flats_of(self, M):
-        """Refuse a family that is not M's lattice of flats: it must hold
-        cl(empty set), every set in it closed, and cl(F + e) for each F and
-        e outside F.  For F closed and e' in cl(F + e) - F, cl(F + e') =
-        cl(F + e) by the exchange property, so one e per cover is tried."""
-        bottom = M.closure(0)
-        if bottom not in self:
-            raise InternalAxiomFailure(
-                f"flats lack {_named(bottom)}, the closure of the empty set"
-            )
-        for S in self.elements:
-            if M.closure(S) != S:
-                raise InternalAxiomFailure(f"flats hold {_named(S)}, which is not closed")
-        for F in self.elements:
-            untried = self.top & ~F
-            while untried:
-                G = M.closure(F | untried & -untried)
-                if G not in self:
-                    raise InternalAxiomFailure(
-                        f"flats lack {_named(G)}, a cover of {_named(F)}"
-                    )
-                untried &= ~G
+
+def _check_family(ranks, family):
+    """Refuse a family that is not each flat of the record `ranks` once."""
+    stray = set(family) ^ ranks.keys()
+    if stray:
+        S = min(stray, key=subsets.sort_key)
+        if S in ranks:
+            raise InternalAxiomFailure(f"flats lack {_named(S)}, a flat of rank {ranks[S]}")
+        raise InternalAxiomFailure(f"flats hold {_named(S)}, which is not closed")
+    if len(family) != len(ranks):
+        raise InternalAxiomFailure("flats hold a set twice")
 
 
 def _named(S):
@@ -455,8 +432,8 @@ def flats_lattice(M):
     """M's lattice of flats, as a validated FlatLattice built from the
     search's record, once per matroid."""
     if M._lattice is None:
-        record = _flats_record(M)
-        M._lattice = FlatLattice(M, record.ranks, _record=record)
+        _flats_record(M)  # a refused search builds no lattice
+        M._lattice = FlatLattice(M)
     return M._lattice
 
 

@@ -13,9 +13,8 @@ nondecreasing tuple of nonnegative integers, names an index past the
 variables, or has the wrong length for the degree.  `MultiPoly._trusted`
 wraps data that already meets the contract without looking at it: `vars`
 a tuple, `terms` a dict from nondecreasing tuples of indices in
-range(len(vars)), each of length `degree`, to nonzero Fractions, and
-`_pos` the index of each variable, shared with the operands rather than
-rebuilt.  Sums, negations, scalar and polynomial products,
+range(len(vars)), each of length `degree`, to nonzero Fractions.  Sums,
+negations, scalar and polynomial products,
 `dir_derivative` and `substitute_affine` build their results with it, and
 so does the interval polynomials' Taylor-series lift; everything read
 from outside goes through the public one.  A partial derivative is the
@@ -37,7 +36,7 @@ from .errors import (
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms", "degree", "_pos")
+    __slots__ = ("vars", "terms", "degree")
 
     def __init__(self, variables, terms, degree=None):
         vs = tuple(variables)
@@ -65,20 +64,18 @@ class MultiPoly:
         self.vars = vs
         self.terms = cleaned
         self.degree = deg if deg is not None else (degree if degree is not None else 0)
-        self._pos = {v: i for i, v in enumerate(vs)}
 
     @classmethod
-    def _trusted(cls, variables, terms, degree, pos):
+    def _trusted(cls, variables, terms, degree):
         """Wrap terms that already meet the module's contract, unchecked."""
         self = object.__new__(cls)
         self.vars = variables
         self.terms = terms
         self.degree = degree
-        self._pos = pos
         return self
 
     def _like(self, terms, degree):
-        return MultiPoly._trusted(self.vars, terms, degree, self._pos)
+        return MultiPoly._trusted(self.vars, terms, degree)
 
     # -- constructors ---------------------------------------------------------
 
@@ -197,17 +194,24 @@ def dir_derivative(f, v):
     v may be an interval vector or any mapping that covers f's variables.
     """
     weights = [_coordinate(v, var) for var in f.vars]
+    return f._like(_derivative_terms(f.terms, weights), max(f.degree - 1, 0))
+
+
+def _derivative_terms(terms, weights):
+    """sum_i weights[i] * d/dx_i of `terms`, over any exact coefficient
+    type: a key drops its first copy of each index i with a nonzero
+    weight, and i's multiplicity multiplies in only when i repeats."""
     out = {}
-    for key, coeff in f.terms.items():
-        _accumulate(
-            out,
-            (
-                (key[:p] + key[p + 1:], coeff * key.count(i) * weights[i])
-                for p, i in enumerate(key)
-                if weights[i] and (not p or key[p - 1] != i)  # first copy of i
-            ),
-        )
-    return f._like(out, max(f.degree - 1, 0))
+    for key, coeff in terms.items():
+        items = []
+        for p, i in enumerate(key):
+            if weights[i] and (not p or key[p - 1] != i):  # first copy of i
+                c = coeff * weights[i]
+                if key[p + 1:p + 2] == (i,):  # i repeats
+                    c *= key.count(i)
+                items.append((key[:p] + key[p + 1:], c))
+        _accumulate(out, items)
+    return out
 
 
 def hessian_of_quadratic(f):
@@ -238,15 +242,14 @@ def substitute_affine(f, matrix, new_variables):
     n = len(new_vars)
     if len(matrix) != len(f.vars):
         raise DimensionMismatch("matrix rows != old variable count")
-    pos = {v: i for i, v in enumerate(new_vars)}
-    forms = [MultiPoly._trusted(new_vars, _form_terms(row, n), 1, pos) for row in matrix]
+    forms = [MultiPoly._trusted(new_vars, _form_terms(row, n), 1) for row in matrix]
     out = {}
     for key, coeff in f.terms.items():
-        term = MultiPoly._trusted(new_vars, {(): coeff}, 0, pos)
+        term = MultiPoly._trusted(new_vars, {(): coeff}, 0)
         for i in key:
             term = term * forms[i]
         _accumulate(out, term.terms.items())
-    return MultiPoly._trusted(new_vars, out, f.degree, pos)
+    return MultiPoly._trusted(new_vars, out, f.degree)
 
 
 def _form_terms(row, n):

@@ -274,13 +274,23 @@ MALFORMED = [
     ("pol", "--eval", {"K": [], "L": [0, 1, 2], "values": {"0": 0.5}}),
     ("pol", "--eval", {"K": [], "L": [0, 1, 2], "values": {"0": "1e5"}}),
     ("pol", "--eval", {"K": [], "L": [0, 1, 2], "values": {"0": "1.5"}}),
+    # file text that json.load refuses, written as bytes: json.dumps itself
+    # refuses a 5,001-digit int
+    pytest.param("charpoly", "--matroid", b"not json", id="not-json"),
+    pytest.param("charpoly", "--graphic", b"\xff\xfe[]", id="not-utf8"),
+    pytest.param("pol", "--eval", b'{"K": [], "L": [0, 1, 2], "values": {"0": '
+                 + b"7" * 5001 + b"}}", id="long-int"),
+    pytest.param("charpoly", "--matroid", b"[" * 100_000, id="deep"),
 ]
 
 
 @pytest.mark.parametrize("command,flag,payload", MALFORMED)
 def test_malformed_json_input_exit_2(capsys, tmp_path, command, flag, payload):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
     if flag in ("--matroid", "--graphic"):
         argv = [command, flag, str(path)]
     else:
@@ -291,6 +301,14 @@ def test_malformed_json_input_exit_2(capsys, tmp_path, command, flag, payload):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("MalformedInput: ")
+    if isinstance(payload, bytes):
+        assert lines[0].startswith(f"MalformedInput: {path} is not readable JSON: ")
+
+
+def test_missing_json_file_stays_an_os_error(capsys, tmp_path):
+    code, out, err = run(capsys, ["charpoly", "--matroid", str(tmp_path / "none.json")])
+    assert (code, out) == (2, "")
+    assert err.startswith("FileNotFoundError: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

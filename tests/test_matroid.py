@@ -299,26 +299,46 @@ def counting_pairwise_passes(monkeypatch):
     return passes
 
 
+def counting_poset_builds(monkeypatch):
+    """Sets of every `GradedSubposet` built, in order."""
+    builds = []
+    original = GradedSubposet.__init__
+
+    def counted(self, n, element_sets, *args, **kwargs):
+        builds.append(element_sets)
+        original(self, n, element_sets, *args, **kwargs)
+
+    monkeypatch.setattr(GradedSubposet, "__init__", counted)
+    return builds
+
+
+def assert_same_lattice(L, reference):
+    for name in ("elements", "bottom", "top", "_up", "_down", "_upper_covers", "_rank"):
+        assert getattr(L, name) == getattr(reference, name), name
+
+
 def test_flat_lattice_takes_any_iterable_and_trusts_no_given_ranks(monkeypatch):
     """A family given by a caller, as a set, a list or a dict of ranks,
-    gets the pass over pairs, even with every set mapped to its rank; one
-    set not closed is refused."""
+    true or not, gives the same lattice as `flats_lattice`, with no pass
+    over pairs; one set not closed is refused by name before any poset is
+    built."""
     pairwise = counting_pairwise_passes(monkeypatch)
-    M = uniform_matroid(2, 3)
-    flats = flats_lattice(M).elements
-    for family in (set(flats), list(flats), {S: M.rank(S) for S in flats}):
-        pairwise.clear()
-        L = FlatLattice(M, family)
-        assert L.elements == flats and pairwise == [L]
+    for M in (uniform_matroid(2, 3), graphic_matroid(K4_EDGES), fano()):
+        reference = flats_lattice(M)
+        flats = reference.elements
+        for family in (set(flats), list(flats), {S: M.rank(S) for S in flats},
+                       dict.fromkeys(flats, 7)):
+            assert_same_lattice(FlatLattice(M, family), reference)
+    assert pairwise == []
     # 0 and 1 parallel, 2 a coloop: {0} is not closed, yet every cover of
     # the family lies one rank up
     M = matroid_from_bases(3, [{0, 2}, {1, 2}])
     family = {S: M.rank(S) for S in (0, 0b001, 0b100, 0b111)}
     assert list(family.values()) == [0, 1, 1, 2] and M.closure(0b001) != 0b001
-    pairwise.clear()
-    with pytest.raises(InternalAxiomFailure):
+    builds = counting_poset_builds(monkeypatch)
+    with pytest.raises(InternalAxiomFailure, match=r"^flats hold \{0\}, which is not closed$"):
         FlatLattice(M, family)
-    assert len(pairwise) == 1
+    assert builds == [] and pairwise == []
 
 
 def record_of(M, family):
@@ -332,13 +352,20 @@ def record_of(M, family):
     return matroid._FlatsRecord(M, {S: M.rank(S) for S in family}, covers)
 
 
-def test_tampered_flat_families_fall_back_to_the_pairwise_pass(monkeypatch):
-    """A family with a flat (or the bottom) removed, a non-closed set
-    added or a cover two ranks up gets the pairwise pass and is refused.
-    Recorded as the search's closed sets with their covers, a family that
-    lacks a flat or E, starts above rank 0 (as it does without its least
-    element) or has a cover two ranks up is refused while the record is
-    built, before any lattice or pass over pairs."""
+def oracle_flats(M):
+    """M's flats, as the sets equal to their closure by a scan of the bases."""
+    full, bases = M.ground.full_mask, list(M.bases)
+    return {S for S in range(full + 1) if oracles.closure_by_scan(full, bases, S) == S}
+
+
+def test_tampered_flat_families_are_refused_by_name(monkeypatch):
+    """A family with a flat (or the bottom or the top) removed, a non-closed
+    set added or a rank of flats left out is refused, naming the first set
+    in canonical order that it lacks or holds in excess of M's flats, before
+    any poset is built or any pair of sets is intersected.  Recorded as the
+    search's closed sets with their covers, a family that lacks a flat or
+    E, starts above rank 0 (as it does without its least element) or has
+    a cover two ranks up is refused while the record is built."""
     pairwise = counting_pairwise_passes(monkeypatch)
     u34 = uniform_matroid(3, 4)
     flats = flats_lattice(u34).elements
@@ -356,30 +383,31 @@ def test_tampered_flat_families_fall_back_to_the_pairwise_pass(monkeypatch):
         for S in range(1, M.ground.full_mask):
             if S not in found:
                 cases.append((M, [*found, S], False))
-    graded, refusals = 0, set()
-    for i, (M, family, closed) in enumerate(cases):
+    assert len(cases) == 174, len(cases)
+    builds = counting_poset_builds(monkeypatch)
+    refusals = set()
+    for M, family, closed in cases:
         assert closed == all(M.closure(S) == S for S in family), family
-        pairwise.clear()
+        stray = min(set(family) ^ oracle_flats(M), key=sort_key)
+        named = "{" + format_elements(stray) + "}"
+        message = (f"flats lack {named}, a flat of rank {M.rank(stray)}" if closed
+                   else f"flats hold {named}, which is not closed")
         with pytest.raises(InternalAxiomFailure) as exc:
             FlatLattice(M, family)
-        if i >= 6 and "gradedness" in str(exc.value):
-            continue
-        graded += 1
-        assert len(pairwise) == (M.ground.full_mask in family), family  # else refused first
+        assert str(exc.value) == message, family
         if closed:
-            pairwise.clear()
             with pytest.raises(InternalAxiomFailure, match="^flats search ") as exc:
                 record_of(M, family)
             refusals.add(str(exc.value).split("}")[-1])
-            assert pairwise == [], family
-    assert graded >= 40, graded
+    assert builds == [] and pairwise == []
     assert refusals == {", of rank 1", " do not partition the elements outside it",
                         ", not a found set one rank up"}, refusals
-    # the search's own flats make a record that builds the same lattice
+    # the search's own flats make a record with the lattice's covers
     for M in (u34, fano()):
         L = flats_lattice(M)
         record = record_of(M, L.elements)
-        assert FlatLattice(M, record.ranks, _record=record).elements == L.elements
+        assert [sorted(L.index(G) for G in record.covers[F]) for F in L.elements] == (
+            L._upper_covers)
 
 
 def test_closed_flats_with_a_short_height_are_refused(monkeypatch):
@@ -402,26 +430,27 @@ def test_closed_flats_with_a_short_height_are_refused(monkeypatch):
 
 
 def test_a_caller_family_must_be_the_matroids_own_flats(monkeypatch):
-    """Without the search's flag, a family that passes every lattice check
-    is refused unless it is M's lattice of flats: {empty set, E} of a
-    loopless matroid of rank 2 or more lacks the atoms, the Boolean lattice
-    of U(1, 2) holds a set that is not closed, and {empty set, E} with a
-    loop lacks the closure of the empty set.  The pass over pairs has run
-    once before each refusal."""
+    """A family that is a lattice satisfying the flats axioms is still
+    refused unless it is M's lattice of flats: {empty set, E} of a loopless
+    matroid of rank 2 or more lacks the atoms, the Boolean lattice of
+    U(1, 2) holds a set that is not closed, {empty set, E} with a loop
+    holds the empty set, which is not closed there, and a list holding a
+    flat twice is refused too.  No pass over pairs runs."""
     pairwise = counting_pairwise_passes(monkeypatch)
     cases = [
-        (M, [0, M.ground.full_mask], r"lack \{0\}, a cover of \{\}")
+        (M, [0, M.ground.full_mask], r"lack \{0\}, a flat of rank 1")
         for M in (uniform_matroid(2, 2), uniform_matroid(2, 4), graphic_matroid(K4_EDGES))
     ]
+    u22_flats = list(flats_lattice(uniform_matroid(2, 2)).elements)
     cases += [
         (uniform_matroid(1, 2), [0, 0b01, 0b10, 0b11], r"hold \{0\}, which is not closed"),
-        (matroid_from_bases(2, [{0}]), [0, 0b11], r"lack \{1\}, the closure of the empty set"),
+        (matroid_from_bases(2, [{0}]), [0, 0b11], r"hold \{\}, which is not closed"),
+        (uniform_matroid(2, 2), u22_flats + u22_flats[:1], "hold a set twice"),
     ]
     for M, family, message in cases:
-        pairwise.clear()
         with pytest.raises(InternalAxiomFailure, match=f"^flats {message}$"):
             FlatLattice(M, family)
-        assert len(pairwise) == 1
+    assert pairwise == []
     # the search's own flats, given by a caller, pass the comparison
     for M in (uniform_matroid(2, 4), graphic_matroid(K4_EDGES), fano()):
         flats = flats_lattice(M).elements

@@ -194,7 +194,6 @@ def assert_contract(p):
     nondecreasing tuple of variable indices, one per power, so its length
     is the degree, and each coefficient a nonzero Fraction."""
     assert isinstance(p.vars, tuple)
-    assert p._pos == {v: i for i, v in enumerate(p.vars)}
     indices = range(len(p.vars))
     for key, c in p.terms.items():
         assert type(c) is Fraction and c != 0
