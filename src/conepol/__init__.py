@@ -14,7 +14,6 @@ from .cone import (
 from .chow import ChowRing
 from .intervalpoly import (
     IntervalPolynomials,
-    alpha_beta_restriction,
     interval_polynomial,
     reduced_charpoly_via_interval_poly,
 )
@@ -40,7 +39,6 @@ from .multipoly import (
     MultiPoly,
     dir_derivative,
     hessian_of_quadratic,
-    restrict_to_directions,
     substitute_affine,
 )
 from .poset import (

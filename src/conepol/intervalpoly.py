@@ -13,11 +13,16 @@ sub-interval therefore sends each inner t_S to t_S - w_S t_F, and its
 composition with the sub-interval polynomial p is the finite Taylor series
 p(t - t_F w) = sum_k (-1)^k / k! * t_F^k * (D_w^k p)(t), with D_w the
 directional derivative along w on p's own variables.
+
+The alpha/beta profile of an interval of degree d is read off the same
+derivatives, with no substitution: writing d! * pol(s alpha + t beta) =
+sum_k C(d, k) a_k s^(d-k) t^k, the mixed contraction D_alpha^(d-k)
+D_beta^k pol is d-k derivatives in s and k in t of the left side, which
+is a_k.
 """
 
 import weakref
 from fractions import Fraction
-from math import comb, factorial
 
 from . import cone, matroid as matroid_mod, poset, subsets
 from .errors import (
@@ -28,7 +33,7 @@ from .errors import (
     NotAnInterval,
     WrongDegree,
 )
-from .multipoly import MultiPoly, dir_derivative, restrict_to_directions
+from .multipoly import MultiPoly, dir_derivative
 from .unipoly import UniPoly
 
 
@@ -112,57 +117,40 @@ def interval_polynomial(P, K, L):
     return cache_for(P).polynomial(K, L)
 
 
-def alpha_beta_restriction(P, K, L, i):
-    """d! times the polynomial restricted to the span of the alpha and beta
-    boundary points, as an exact bivariate polynomial in s and t.
+def normalized_profile(P, K, L, i):
+    """Coefficients a_k with d! * pol(s a + t b) = sum C(d,k) a_k s^(d-k) t^k,
+    for a and b the alpha and beta vectors: a_k is the mixed contraction
+    D_a^(d-k) D_b^k pol.
 
-    Cross-checked against the binomial-Mobius expansion over the elements
-    below L that avoid i; a mismatch is a bug signal.
+    Cross-checked against the binomial-Mobius expansion: a_k is the sum of
+    |mu(K, F)| over the F in [K, L) of rank k above K that avoid i; a
+    mismatch is a bug signal.
     """
     coords = cone.IntervalCoords(K, L)
     if not ((L >> i) & 1) or ((K >> i) & 1):
         raise ElementOutsideInterval(f"element {i} is not in L \\ K")
     d = P.interval_degree(K, L)
     f = interval_polynomial(P, K, L)
-    restricted = restrict_to_directions(
-        f, [cone.alpha_vector(coords), cone.beta_vector(coords)], ("s", "t")
-    )
-    lhs = restricted * factorial(d)
+    a, b = cone.alpha_vector(coords), cone.beta_vector(coords)
+    profile = [full_contraction(f, (a,) * (d - k) + (b,) * k) for k in range(d + 1)]
 
     table = poset.mobius(P)
-    terms = {}
+    expected = [0] * (d + 1)
     for F in P.interval(K, L):
-        if F == L or ((F >> i) & 1):
-            continue
-        r_low = P.interval_rank(K, F)
-        d_high = P.interval_degree(F, L)
-        key = (0,) * d_high + (1,) * r_low  # s^d_high t^r_low
-        terms[key] = terms.get(key, Fraction(0)) + comb(d, r_low) * abs(
-            table.mu(K, F)
-        )
-    rhs = MultiPoly(("s", "t"), terms, degree=d)
-    if lhs != rhs:
-        raise MismatchWithDirectComputation(
-            "bivariate restriction disagrees with the Mobius expansion"
-        )
-    return lhs
-
-
-def normalized_profile(P, K, L, i):
-    """Coefficients a_k with d! * pol(s a + t b) = sum C(d,k) a_k s^(d-k) t^k."""
-    d = P.interval_degree(K, L)
-    f = alpha_beta_restriction(P, K, L, i)
-    out = []
-    for k in range(d + 1):
-        coeff = f.terms.get((0,) * (d - k) + (1,) * k, Fraction(0))
-        out.append(coeff / comb(d, k))
-    return out
+        if F != L and not ((F >> i) & 1):
+            expected[P.interval_rank(K, F)] += abs(table.mu(K, F))
+    for k, (got, want) in enumerate(zip(profile, expected)):
+        if got != want:
+            raise MismatchWithDirectComputation(
+                f"a_{k} = {got} disagrees with the Mobius expansion {want}"
+            )
+    return profile
 
 
 def reduced_charpoly_via_interval_poly(M):
-    """Reduced characteristic polynomial recovered from the bivariate
-    restriction of the full-interval polynomial, reconciled exactly against
-    the direct flat-by-flat computation."""
+    """Reduced characteristic polynomial recovered from the alpha/beta
+    profile of the full-interval polynomial, reconciled exactly against the
+    direct flat-by-flat computation."""
     if not M.is_loopless():
         raise HasLoops("matroid has loops")
     lattice = matroid_mod.flats_lattice(M)

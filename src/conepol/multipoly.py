@@ -19,6 +19,9 @@ negations, scalar and polynomial products,
 so does the interval polynomials' Taylor-series lift; everything read
 from outside goes through the public one.  A partial derivative is the
 directional derivative along a unit vector, so no separate one is kept.
+`substitute_affine` takes dense rows, one coefficient per new variable;
+no path of the package substitutes, since the interval recursion lifts by
+a Taylor series and the alpha/beta profile is read off contractions.
 """
 
 from fractions import Fraction
@@ -233,11 +236,7 @@ def _hessian_rows(quadratic, n, zero):
 
 def substitute_affine(f, matrix, new_variables):
     """Compose f with a linear map: old variable i becomes the linear form
-    with coefficients matrix[i] over the new variables.
-
-    A row is either a sequence with one coefficient per new variable or a
-    sparse mapping from column index to coefficient.
-    """
+    with coefficients matrix[i], one per new variable."""
     new_vars = tuple(new_variables)
     n = len(new_vars)
     if len(matrix) != len(f.vars):
@@ -253,27 +252,11 @@ def substitute_affine(f, matrix, new_variables):
 
 
 def _form_terms(row, n):
-    """Terms of the linear form given by a dense or {column: value} row."""
-    if isinstance(row, dict):
-        if any(not (isinstance(j, int) and 0 <= j < n) for j in row):
-            raise DimensionMismatch("matrix column index outside the new variables")
-        items = row.items()
-    else:
-        if len(row) != n:
-            raise DimensionMismatch("matrix columns != new variable count")
-        items = enumerate(row)
-    coeffs = ((j, Fraction(c)) for j, c in items)
+    """Terms of the linear form given by a dense row."""
+    if len(row) != n:
+        raise DimensionMismatch("matrix columns != new variable count")
+    coeffs = ((j, Fraction(row[j])) for j in range(n))
     return {(j,): c for j, c in coeffs if c}
-
-
-def restrict_to_directions(f, directions, new_variables=None):
-    """f(y_1 v_1 + ... + y_m v_m) as an exact polynomial in y_1..y_m."""
-    m = len(directions)
-    new_vars = tuple(new_variables) if new_variables is not None else tuple(range(m))
-    if len(new_vars) != m:
-        raise DimensionMismatch("one new variable per direction")
-    matrix = [[_coordinate(v, var) for v in directions] for var in f.vars]
-    return substitute_affine(f, matrix, new_vars)
 
 
 def default_var_label(key):

@@ -8,12 +8,21 @@ oracles at the end; see there.
 """
 
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, permutations
+from math import comb, factorial
 
 from conepol import subsets
-from conepol.cone import IntervalCoords, IntervalVector, projection_weights
-from conepol.errors import ConepolError, UnknownVariable
-from conepol.intervalpoly import full_contraction
+from conepol.cone import (
+    IntervalCoords, IntervalVector, alpha_vector, beta_vector, projection_weights,
+)
+from conepol.errors import (
+    ConepolError,
+    DimensionMismatch,
+    ElementOutsideInterval,
+    MismatchWithDirectComputation,
+    UnknownVariable,
+)
+from conepol.intervalpoly import full_contraction, interval_polynomial
 from conepol.lorentz import _check_symmetric
 from conepol.multipoly import (
     MultiPoly,
@@ -22,6 +31,7 @@ from conepol.multipoly import (
     hessian_of_quadratic,
     substitute_affine,
 )
+from conepol.poset import mobius
 
 
 def powerset(universe):
@@ -642,6 +652,33 @@ def pairwise_relation_rows(flats, ground, below, above):
     return rows
 
 
+def brion_volume(n, z, c):
+    """The (n-1)-volume of the base polytope {x : sum_{i in S} x_i <= z(S),
+    sum_i x_i = 0}, measured in x_0..x_{n-2}, of a strictly submodular z on
+    the subsets of range(n) (a mapping from frozensets, z(empty) = z(all) =
+    0), by Brion's formula (Lawrence's form) for a generic integer vector c
+    of n distinct entries.  The vertices are the greedy points x_sigma,
+    x_sigma(k) = z(sigma_1..sigma_k) - z(sigma_1..sigma_(k-1)), one per
+    ordering sigma; each tangent cone is unimodular and spanned by the
+    adjacent swaps, so
+    Vol = 1/d! * sum_sigma <c, x_sigma>^d / prod_k (c_sigma(k) - c_sigma(k+1)),
+    with d = n - 1.  It reads no lattice and no conepol code."""
+    d = n - 1
+    total = Fraction(0)
+    for sigma in permutations(range(n)):
+        x = [0] * n
+        prefix = frozenset()
+        for e in sigma:
+            grown = prefix | {e}
+            x[e] = Fraction(z[grown]) - Fraction(z[prefix])
+            prefix = grown
+        denominator = 1
+        for a, b in zip(sigma, sigma[1:]):
+            denominator *= c[a] - c[b]
+        total += sum(ci * xi for ci, xi in zip(c, x)) ** d / denominator
+    return total / factorial(d)
+
+
 class BadNesting(ConepolError):
     pass
 
@@ -754,12 +791,57 @@ def lift_by_substitution(cache, G, H, big_vars):
     rows = []
     for S in inner.vars:
         wG, wH = projection_weights(S, G, H)
-        row = {col[S]: 1}
+        row = [0] * len(big_vars)
+        row[col[S]] = 1
         for end, w in ((G, wG), (H, wH)):
             if end in col:
                 row[col[end]] = -w
         rows.append(row)
     return substitute_affine(inner, rows, big_vars)
+
+
+def restrict_to_directions(f, directions, new_variables=None):
+    """f(y_1 v_1 + ... + y_m v_m) as an exact polynomial in y_1..y_m, by
+    substituting one linear form per old variable."""
+    m = len(directions)
+    new_vars = tuple(new_variables) if new_variables is not None else tuple(range(m))
+    if len(new_vars) != m:
+        raise DimensionMismatch("one new variable per direction")
+    matrix = [[_coordinate(v, var) for v in directions] for var in f.vars]
+    return substitute_affine(f, matrix, new_vars)
+
+
+def alpha_beta_restriction(P, K, L, i):
+    """d! times the interval polynomial restricted to the span of the alpha
+    and beta boundary points, as a bivariate polynomial in s and t, by
+    substitution: the package's alpha/beta profile before it was read off
+    contractions.  Cross-checked against the binomial-Mobius expansion over
+    the elements below L that avoid i."""
+    coords = IntervalCoords(K, L)
+    if not ((L >> i) & 1) or ((K >> i) & 1):
+        raise ElementOutsideInterval(f"element {i} is not in L \\ K")
+    d = P.interval_degree(K, L)
+    f = interval_polynomial(P, K, L)
+    restricted = restrict_to_directions(
+        f, [alpha_vector(coords), beta_vector(coords)], ("s", "t")
+    )
+    lhs = restricted * factorial(d)
+    table = mobius(P)
+    terms = {}
+    for F in P.interval(K, L):
+        if F == L or ((F >> i) & 1):
+            continue
+        r_low = P.interval_rank(K, F)
+        d_high = P.interval_degree(F, L)
+        key = (0,) * d_high + (1,) * r_low  # s^d_high t^r_low
+        terms[key] = terms.get(key, Fraction(0)) + comb(d, r_low) * abs(
+            table.mu(K, F)
+        )
+    if lhs != MultiPoly(("s", "t"), terms, degree=d):
+        raise MismatchWithDirectComputation(
+            "bivariate restriction disagrees with the Mobius expansion"
+        )
+    return lhs
 
 
 # The Lorentzian oracles below are the package's earlier per-check

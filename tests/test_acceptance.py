@@ -27,7 +27,6 @@ from conepol import (
     is_semimodular_lattice,
     mobius,
     reduced_characteristic_polynomial,
-    restrict_to_directions,
     sample_direction_tuples,
 )
 from conepol.intervalpoly import normalized_profile
@@ -35,6 +34,7 @@ from conepol.poset import flats_axioms_hold
 from conepol.subsets import elements, is_proper_subset
 
 import oracles
+from oracles import restrict_to_directions
 from side_checks import (
     derivative_factorization_witness,
     is_lorentzian_orthant,

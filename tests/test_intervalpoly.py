@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -10,30 +10,34 @@ from conepol import (
     IntervalVector,
     MultiPoly,
     UniPoly,
-    alpha_beta_restriction,
     alpha_vector,
     beta_vector,
     canonical_interior_point,
+    fano,
     flats_lattice,
     graphic_matroid,
     interval_polynomial,
+    matroid,
     mobius,
+    poset,
     reduced_charpoly_via_interval_poly,
-    restrict_to_directions,
+    sample_direction_tuples,
     uniform_matroid,
 )
 from conepol.errors import (
     ElementOutsideInterval,
     InternalCheckError,
     InvalidParams,
+    MismatchWithDirectComputation,
     NotAnInterval,
     WrongDegree,
 )
-from conepol.intervalpoly import cache_for, full_contraction
-from conepol.subsets import from_elements, is_proper_subset
+from conepol.intervalpoly import cache_for, full_contraction, normalized_profile
+from conepol.subsets import elements, from_elements, is_proper_subset
 
-from conftest import K4_EDGES
-from oracles import dense_terms, from_dense, partial
+import oracles
+from conftest import K4_EDGES, PROFILE_RUNGS
+from oracles import alpha_beta_restriction, dense_terms, from_dense, partial, restrict_to_directions
 from side_checks import (
     PrerequisiteNotBalanced,
     alpha_indicator,
@@ -173,10 +177,12 @@ def test_alpha_beta_restriction_frozen_examples(lattices):
     L = lattices["u23"]
     f = alpha_beta_restriction(L, L.bottom, L.top, 0)
     assert f == from_dense(("s", "t"), {(1, 0): 1, (0, 1): 2})
+    assert normalized_profile(L, L.bottom, L.top, 0) == [1, 2]
 
     B3 = lattices["u33"]
     g = alpha_beta_restriction(B3, B3.bottom, B3.top, 0)
     assert g == from_dense(("s", "t"), {(2, 0): 1, (1, 1): 4, (0, 2): 1})
+    assert normalized_profile(B3, B3.bottom, B3.top, 0) == [1, 2, 1]
 
 
 def test_alpha_beta_restriction_at_t_zero_is_s_power(lattices):
@@ -187,9 +193,85 @@ def test_alpha_beta_restriction_at_t_zero_is_s_power(lattices):
 
 
 def test_alpha_beta_restriction_element_check(lattices):
+    """The profile is of an element i of L \\ K: one past the ground set,
+    and one in K, are refused."""
     L = lattices["u23"]
-    with pytest.raises(ElementOutsideInterval):
-        alpha_beta_restriction(L, L.bottom, L.top, 9)
+    atom = L.elements[1]
+    for K, i in ((L.bottom, 9), (atom, elements(atom)[0])):
+        with pytest.raises(ElementOutsideInterval, match=f"^element {i} is not in L"):
+            normalized_profile(L, K, L.top, i)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_RUNGS))
+def test_profile_matches_the_substitution_oracle(name):
+    """a_k read off the mixed contraction D_alpha^(d-k) D_beta^k pol is the
+    coefficient of s^(d-k) t^k in d! * pol(s alpha + t beta), multiplied
+    out by substitution, over C(d, k): on every interval and element i of
+    L \\ K of the small lattices, and on the full intervals of M(K5) and
+    U(5,6)."""
+    P = flats_lattice(PROFILE_RUNGS[name]())
+    if name in ("k5", "u56"):
+        pairs = [(P.bottom, P.top)]
+    else:
+        pairs = P.comparable_pairs()
+    checked = 0
+    for K, L in pairs:
+        d = P.interval_degree(K, L)
+        for i in elements(L & ~K):
+            g = alpha_beta_restriction(P, K, L, i)
+            expected = [
+                g.terms.get((0,) * (d - k) + (1,) * k, 0) / comb(d, k)
+                for k in range(d + 1)
+            ]
+            assert normalized_profile(P, K, L, i) == expected, (K, L, i)
+            checked += 1
+    assert checked == {"fano": 147, "k4": 114, "u45": 240, "k5": 10, "u56": 6}[name]
+
+
+def test_a_tampered_mobius_table_fails_the_profile(monkeypatch):
+    """The profile is reconciled with |mu(K, F)| summed by rank; doubling
+    every mu(K, F) with F above K is caught at the first differing a_k."""
+    L = flats_lattice(fano())
+    assert normalized_profile(L, L.bottom, L.top, 0) == [1, 6, 8]
+    mu = poset.MobiusTable.mu
+    monkeypatch.setattr(
+        poset.MobiusTable, "mu", lambda self, a, b: mu(self, a, b) * (1 + (a != b))
+    )
+    with pytest.raises(
+        MismatchWithDirectComputation, match="^a_1 = 6 disagrees with the Mobius expansion 12$"
+    ):
+        normalized_profile(L, L.bottom, L.top, 0)
+
+
+def test_a_tampered_reduced_charpoly_fails_the_recovery(monkeypatch):
+    """The polynomial recovered from the profile is reconciled with the
+    direct reduced characteristic polynomial."""
+    M = fano()
+    assert reduced_charpoly_via_interval_poly(M) == UniPoly([8, -6, 1])
+    monkeypatch.setattr(
+        matroid, "reduced_characteristic_polynomial", lambda M, i: UniPoly([7, -6, 1])
+    )
+    with pytest.raises(
+        MismatchWithDirectComputation, match="^reduced characteristic polynomial mismatch: "
+    ):
+        reduced_charpoly_via_interval_poly(M)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_boolean_interval_polynomial_is_the_base_polytope_volume(n):
+    """On U(n,n), pol at a strictly submodular z is the volume of the base
+    polytope of z, which Brion's formula sums over its n! greedy vertices
+    with no lattice: at the canonical point and at two seeded
+    perturbations."""
+    L = flats_lattice(uniform_matroid(n, n))
+    f = interval_polynomial(L, L.bottom, L.top)
+    coords = IntervalCoords(L.bottom, L.top)
+    tuples = sample_direction_tuples(coords, 1, 3, seed=n)
+    assert tuples[0] == (canonical_interior_point(coords),)
+    for (z,) in tuples:
+        table = {frozenset(elements(S)): z[S] for S in coords.subsets}
+        table[frozenset()] = table[frozenset(range(n))] = 0
+        assert f.evaluate(z) == oracles.brion_volume(n, table, (1, 3, 7, 15, 31)[:n])
 
 
 def test_reduced_charpoly_via_interval_poly(catalog):

@@ -18,7 +18,6 @@ from conepol import (
     inertia,
     interval_polynomial,
     is_strictly_submodular,
-    restrict_to_directions,
     sample_direction_tuples,
     uniform_matroid,
 )
@@ -30,15 +29,17 @@ from conepol.errors import (
     InvalidParams,
     NotSymmetric,
 )
-from conepol.intervalpoly import cache_for, full_contraction
+from conepol.intervalpoly import cache_for, full_contraction, normalized_profile
 from conepol.lorentz import _perturbed_direction, _tuple_result
 
 import oracles
+from conftest import PROFILE_RUNGS
 from oracles import (
     NonpositiveValue,
     UnsupportedSupport,
     from_dense,
     is_irreducible_nonneg_offdiag,
+    restrict_to_directions,
 )
 from side_checks import (
     first_uncertified_derivative,
@@ -365,7 +366,6 @@ def test_equivalence_check_on_interval_polynomials(lattices):
 
 
 def test_alpha_beta_profile_log_concave(lattices):
-    from conepol.intervalpoly import normalized_profile
     from conepol.unipoly import is_log_concave
 
     for L in lattices.values():
@@ -373,6 +373,44 @@ def test_alpha_beta_profile_log_concave(lattices):
         profile = normalized_profile(L, L.bottom, L.top, i)
         assert is_log_concave(profile)
         assert all(a > 0 for a in profile)
+
+
+# inertia of the Hessian contracted along alpha^(d-k-1) beta^(k-1), for
+# k = 1..d-1
+BOUNDARY_INERTIA = {
+    "fano": [(1, 6, 7)],
+    "k4": [(1, 5, 7)],
+    "u45": [(1, 14, 10), (1, 9, 15)],
+    "k5": [(1, 24, 25), (1, 19, 30)],
+    "u56": [(1, 40, 15), (1, 26, 29), (1, 26, 29)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_RUNGS))
+def test_boundary_hessians_force_log_concavity(name):
+    """The paper's mechanism on the cone's boundary: with a, b the alpha
+    and beta vectors and H the Hessian contracted along
+    a^(d-k-1) b^(k-1), the form of H on span(a, b) is
+    [[a_(k-1), a_k], [a_k, a_(k+1)]] in the profile's a_k, so H having
+    one positive eigenvalue forces a_k^2 >= a_(k-1) a_(k+1)."""
+    L = flats_lattice(PROFILE_RUNGS[name]())
+    f = interval_polynomial(L, L.bottom, L.top)
+    coords = IntervalCoords(L.bottom, L.top)
+    a, b = alpha_vector(coords), beta_vector(coords)
+    profile = normalized_profile(L, L.bottom, L.top, 0)
+    d = f.degree
+    triples = []
+    for k in range(1, d):
+        rest = (a,) * (d - k - 1) + (b,) * (k - 1)
+        values = []
+        for x, y in ((a, a), (a, b), (b, b)):
+            H, value = lorentz._contracted(f, (x, y) + rest)
+            values.append(value)
+        assert values == profile[k - 1:k + 2], k
+        triples.append(inertia(H))
+        assert triples[-1].n_plus == 1
+        assert profile[k] ** 2 >= profile[k - 1] * profile[k + 1] > 0
+    assert triples == BOUNDARY_INERTIA[name]
 
 
 def test_partial_derivatives_certify_on_catalog(lattices):

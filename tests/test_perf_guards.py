@@ -1,5 +1,6 @@
 """Guards against re-introducing scans that a proof already replaces, the
-substitution that the Taylor-series lift replaces, or the `Fraction`
+substitution that the Taylor-series lift and the mixed contractions of
+the alpha/beta profile replace, or the `Fraction`
 Hessian and full-order inertia that the integer certificate replaces (and
 a `Fraction` copy of its int rows), and pinned CLI output for the commands
 those changes sit under.
@@ -10,8 +11,10 @@ lattice of flats is built with semimodularity and the flats axioms
 proved, so its connectivity and 1-balancedness walks never run, and from
 the flats search's checked record, so no pair of flats is intersected,
 also when a caller gives the flats.
-`charpoly` reads the record by Weisner's theorem and builds no poset.  A
-size guard refuses before any quotient ring is built.
+`charpoly` reads the record by Weisner's theorem and builds no poset.  The
+alpha/beta profile is read off mixed contractions, so no path of the
+package substitutes.  A size guard refuses before any quotient ring is
+built.
 """
 
 import contextlib
@@ -25,8 +28,8 @@ from fractions import Fraction
 import pytest
 
 from conepol import (
-    FlatLattice, chow, cone, flats_lattice, graphic_matroid, interval_polynomial,
-    lorentz, multipoly, poset, uniform_matroid,
+    FlatLattice, UniPoly, chow, cone, flats_lattice, graphic_matroid, interval_polynomial,
+    intervalpoly, lorentz, multipoly, poset, uniform_matroid,
 )
 from conepol.cli import main
 
@@ -118,6 +121,18 @@ def test_interval_polynomial_substitutes_nothing(monkeypatch):
     L = flats_lattice(uniform_matroid(5, 5))
     f = interval_polynomial(L, L.bottom, L.top)
     assert (len(f.vars), f.degree, len(f.terms)) == (30, 4, 760)
+    assert substitutions == []
+
+
+def test_alpha_beta_profile_substitutes_nothing(monkeypatch):
+    """The alpha/beta profile is read off mixed contractions of the
+    interval polynomial, and so is the reduced characteristic polynomial
+    recovered from it: neither multiplies out a bivariate restriction."""
+    substitutions = counting(monkeypatch, multipoly, "substitute_affine")
+    M = uniform_matroid(4, 5)
+    L = flats_lattice(M)
+    assert intervalpoly.normalized_profile(L, L.bottom, L.top, 0) == [1, 4, 6, 4]
+    assert intervalpoly.reduced_charpoly_via_interval_poly(M) == UniPoly([-4, 6, -4, 1])
     assert substitutions == []
 
 

@@ -137,7 +137,7 @@ PUBLIC_API = [
     "ChowRing", "FlatLattice", "GradedSubposet", "GroundSet", "InertiaTriple",
     "IntervalCoords", "IntervalPolynomials", "IntervalVector",
     "LorentzianCertificate", "Matroid", "MobiusTable", "MultiPoly",
-    "UniPoly", "alpha_beta_restriction", "alpha_vector", "beta_vector",
+    "UniPoly", "alpha_vector", "beta_vector",
     "canonical_interior_point",
     "certify_cone_lorentzian", "characteristic_polynomial", "chow", "cone",
     "dir_derivative", "errors", "fano", "flats_lattice", "graphic_matroid",
@@ -147,7 +147,7 @@ PUBLIC_API = [
     "is_one_balanced", "is_semimodular_lattice", "is_strictly_submodular",
     "lorentz", "matroid", "mobius", "multipoly", "poset",
     "reduced_characteristic_polynomial", "reduced_charpoly_via_interval_poly",
-    "restrict_to_directions", "sample_direction_tuples", "subsets",
+    "sample_direction_tuples", "subsets",
     "substitute_affine", "uniform_matroid", "unipoly",
 ]
 
