@@ -55,10 +55,20 @@ class UsageError(Exception):
 
 def _load_json(path):
     """The JSON value in the file at `path`; a file that does not decode or
-    parse, or holds too long an integer or too deep a nesting, is refused."""
+    parse, holds too long an integer or too deep a nesting, or repeats a
+    key within one object, is refused."""
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise MalformedInput(f"{path} repeats the key {key!r} in one object")
+            obj[key] = value
+        return obj
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
         except (ValueError, RecursionError) as exc:
             raise MalformedInput(f"{path} is not readable JSON: {exc}") from None
 

@@ -148,10 +148,14 @@ class IntervalVector:
             coords = IntervalCoords(K, L)
         elif coords.K != K or coords.L != L:
             raise InvalidParams("vector interval does not match the requested one")
-        mapping = {
-            subsets.parse_elements(key): _json_rational(val)
-            for key, val in values.items()
-        }
+        mapping = {}
+        for key, val in values.items():
+            S = subsets.parse_elements(key)
+            if S in mapping:
+                raise MalformedInput(
+                    f"vector values name {{{subsets.format_elements(S)}}} twice"
+                )
+            mapping[S] = _json_rational(val)
         return cls.from_mapping(coords, mapping)
 
     def __repr__(self):

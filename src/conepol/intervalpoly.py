@@ -120,7 +120,8 @@ def interval_polynomial(P, K, L):
 def normalized_profile(P, K, L, i):
     """Coefficients a_k with d! * pol(s a + t b) = sum C(d,k) a_k s^(d-k) t^k,
     for a and b the alpha and beta vectors: a_k is the mixed contraction
-    D_a^(d-k) D_b^k pol.
+    D_a^(d-k) D_b^k pol, taken as D_b^k of D_a^(d-k) pol, so that each
+    D_a^j pol is derived once, from the one before it.
 
     Cross-checked against the binomial-Mobius expansion: a_k is the sum of
     |mu(K, F)| over the F in [K, L) of rank k above K that avoid i; a
@@ -132,7 +133,12 @@ def normalized_profile(P, K, L, i):
     d = P.interval_degree(K, L)
     f = interval_polynomial(P, K, L)
     a, b = cone.alpha_vector(coords), cone.beta_vector(coords)
-    profile = [full_contraction(f, (a,) * (d - k) + (b,) * k) for k in range(d + 1)]
+    profile = []
+    for k in range(d, -1, -1):  # f is D_a^(d-k) pol
+        profile.append(full_contraction(f, (b,) * k))
+        if k:
+            f = dir_derivative(f, a)
+    profile.reverse()
 
     table = poset.mobius(P)
     expected = [0] * (d + 1)

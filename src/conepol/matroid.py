@@ -1,24 +1,28 @@
 """Matroids given by their bases, and the lattice of flats.
 
 One basis-incidence table answers every basis query: `_holding[y]` is an
-int bitset, over basis indices in the iteration order of `bases`, of the
-bases that contain y.  Adding `_holding[y]` up over the y in S as
-bit-sliced per-basis counters (a ripple-carry add over O(log r) bit
-planes) gives every |B & S| at once; reading the planes from the top down
-gives rank(S) and the mask of the bases meeting S in rank(S) elements, and
-cl(S) is S plus every y whose `_holding[y]` misses that mask.  The lattice
-of flats is searched cover by cover from one such mask per flat (see
-`flats_lattice`).  The exchange axiom is validated exhaustively over the
-same table, once per cocircuit: each B - z is mapped to the mask of the
-elements that complete it to a basis (for B1 - x, the fundamental
-cocircuit of x in B1), and the bases holding one of them are ORed once
-per distinct mask, giving the bases B2 that hold x or admit an exchange
-for it; only a mask that misses some basis is kept.  When one does, one
-lookup per basis B1 and x in B1 finds the first violation as a
-pair-by-pair walk would.  Graphic bases are the maximal spanning forests,
-found by backtracking over the edges.  A family of more than `MAX_BASES`
-bases is refused: a uniform one before it is listed, a graphic one as
-soon as the walk passes the cap.
+int bitset, over basis indices, of the bases that contain y; `_order`
+lists the bases in index order, the iteration order of `bases`.  Adding
+`_holding[y]` up over the y in S as bit-sliced per-basis counters (a
+ripple-carry add over O(log r) bit planes) gives every |B & S| at once;
+reading the planes from the top down gives rank(S) and the mask of the
+bases meeting S in rank(S) elements, and cl(S) is S plus every y whose
+`_holding[y]` misses that mask.  The lattice of flats is searched cover
+by cover from one such mask, taken at cl(empty set) and carried down:
+if I is a basis of a flat F, then y is outside cl(F) iff some basis
+contains I + y, so any mask of bases that meet F in r(F) elements and
+include every basis containing I answers for F, and its bases holding e
+answer for cl(F + e) (see `_search_flats`).  The exchange axiom is
+validated exhaustively over the same table, once per cocircuit: each
+B - z is mapped to the mask of the elements that complete it to a basis
+(for B1 - x, the fundamental cocircuit of x in B1), and the bases holding
+one of them are ORed once per distinct mask, giving the bases B2 that
+hold x or admit an exchange for it; only a mask that misses some basis is
+kept.  When one does, one lookup per basis B1 and x in B1 finds the first
+violation as a pair-by-pair walk would.  Graphic bases are the maximal
+spanning forests, found by backtracking over the edges.  A family of more
+than `MAX_BASES` bases is refused: a uniform one before it is listed, a
+graphic one as soon as the walk passes the cap.
 
 The lattice of flats is one search, kept on the matroid
 (`_flats_record`).  From cl(empty set) it visits each flat F once,
@@ -90,21 +94,23 @@ class GroundSet:
 
 
 class Matroid:
-    """Immutable matroid on {0,...,n-1} stored as a family of basis bitsets
-    and its basis-incidence table."""
+    """Immutable matroid on {0,...,n-1} stored as a family of basis bitsets,
+    the same bases in the order the basis-incidence table indexes them,
+    and the table."""
 
     def __init__(self, ground, bases):
         self.ground = ground
         self.bases = frozenset(bases)
         _check_basis_count(len(self.bases))
-        self._holding = self._validate()
+        self._order, self._holding = self._validate()
         self._everyone = (1 << len(self.bases)) - 1
         self.rank_total = next(iter(self.bases)).bit_count()
         self._flats = None
         self._lattice = None
 
     def _validate(self):
-        """Check the basis family and return its incidence table."""
+        """Check the basis family and return the bases in the order the
+        incidence table indexes them, and the table."""
         if not self.bases:
             raise EmptyBases("a matroid needs at least one basis")
         full = self.ground.full_mask
@@ -120,22 +126,23 @@ class Matroid:
         holding = [0] * self.ground.n
         completing = {}  # B - z: the elements y with B - z + y a basis
         for i, B in enumerate(order):
-            for y in subsets.elements(B):
-                holding[y] |= 1 << i
-                stripped = B & ~(1 << y)
-                completing[stripped] = completing.get(stripped, 0) | 1 << y
-        seen = set()
+            rest = B
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                holding[low.bit_length() - 1] |= 1 << i
+                completing[B ^ low] = completing.get(B ^ low, 0) | low
         short = {}  # completing mask missed by some basis: the bases it reaches
-        for mask in completing.values():
-            if mask not in seen:
-                seen.add(mask)
-                ok = 0
-                for y in subsets.elements(mask):
-                    ok |= holding[y]
-                if ok != everyone:
-                    short[mask] = ok
+        for mask in set(completing.values()):
+            ok, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                ok |= holding[low.bit_length() - 1]
+            if ok != everyone:
+                short[mask] = ok
         if not short:
-            return holding
+            return order, holding
         for B1 in order:
             failing = {}
             for x in subsets.elements(B1):
@@ -154,7 +161,7 @@ class Matroid:
                         subsets.format_elements(order[low.bit_length() - 1]),
                     )
                 )
-        return holding
+        return order, holding
 
     def _spanning(self, S):
         """rank(S), and the bases meeting S in rank(S) elements as a bitset
@@ -298,8 +305,9 @@ def fano():
 
 class FlatLattice(poset.GradedSubposet):
     """Lattice of flats of a matroid, built from the flats search's checked
-    record (`_flats_record`): its covers give the order table, and it
-    proves intersection closure (see the module docstring).  `flats`, when
+    record (`_flats_record`): its covers give the order table and its
+    ranks the heights, and it proves intersection closure and the
+    cover-gain partition (see the module docstring).  `flats`, when
     given, is any iterable of sets, ranks ignored, and must hold each of
     M's flats once; the first stray set in canonical order is named.
     """
@@ -308,10 +316,11 @@ class FlatLattice(poset.GradedSubposet):
         record = _flats_record(matroid)
         if flats is not None:
             _check_family(record.ranks, list(flats))
-        super().__init__(matroid.ground.n, record.ranks, _covers=record.covers)
+        super().__init__(matroid.ground.n, record.ranks, _record=record)
         self.bottom = self.elements[0]
         self.top = matroid.ground.full_mask
         self._proved[("_intersection_closed",)] = True
+        self._proved[("_gains_partition", self.top)] = True
         if not poset.flats_axioms_hold(self, self.top):
             raise InternalAxiomFailure("flats violate the closure axioms")
         if not poset.is_semimodular_lattice(self):
@@ -381,22 +390,30 @@ def _search_flats(M):
     The upper covers of a flat F are the cl(F + e), e outside F, and
     cl(F + e) = cl(F + e') for every e' in cl(F + e) - F, so each cover is
     closed once, and the covers' gains partition the elements outside F.
-    Of the bases spanning F, found once per flat with r(F), those that also
-    hold e are the bases meeting F + e in its rank r(F) + 1, so cl(F + e)
-    is F + e plus every untried y that none of them holds.  The same bases
-    show that F is closed: each y outside F lies in one of them.  A y in
-    none of them is the first e tried or joins the first cover, so only
-    that cover's gain is checked, and a set that is not closed is refused.
+    Each flat F carries a mask of bases, each meeting F in r(F) elements,
+    that includes every basis containing some basis I of F: at
+    cl(empty set), from its one `_spanning` call, all the bases meeting
+    it in its rank, and at a cover G = cl(F + e), the bases of F's mask
+    that hold e, which include every basis containing I + e, a basis of
+    G.  If I is a basis of F, then y is outside cl(F) iff some basis
+    contains I + y, and that basis lies in F's mask; conversely a basis of
+    the mask holding y meets F + y in r(F) + 1 elements.  So cl(F + e) is
+    F + e plus every untried y that none of the bases carried to it holds,
+    and r(G) is |B & G| for any one of them, read off the lowest.  The
+    same mask shows that F is closed: each y outside F lies in one of its
+    bases.  A y in none of them is the first e tried or joins the first
+    cover, so only that cover's gain is checked, and a set that is not
+    closed is refused.
     """
-    holding = M._holding
+    holding, order = M._holding, M._order
     bottom = M.closure(0)
     found = {bottom: bottom}  # one int per flat, shared by the cover lists
     ranks, covers = {}, {}
-    frontier = [bottom]
+    frontier = [(bottom, M._spanning(bottom)[1])]
     full = M.ground.full_mask
     while frontier:
-        F = frontier.pop()
-        ranks[F], kept = M._spanning(F)
+        F, kept = frontier.pop()
+        ranks[F] = (order[(kept & -kept).bit_length() - 1] & F).bit_count()
         ups = covers[F] = []
         untried = subsets.elements(full & ~F)
         first, closed = True, True
@@ -419,7 +436,7 @@ def _search_flats(M):
                 G = found[G]
             else:
                 found[G] = G
-                frontier.append(G)
+                frontier.append((G, spanning))
             ups.append(G)
         if not closed:
             raise InternalAxiomFailure(

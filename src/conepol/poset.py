@@ -22,7 +22,9 @@ once per poset and kept on it.  Each check takes a shortcut that is exact:
   rank h_m(k) - h_m(i) for the heights h_m above m.  The lowest index
   below i is such an m, and any failing [i, k] makes [m, k] fail with m
   of lower index, so the first `NotGraded` is the one a walk from every
-  bottom would raise.
+  bottom would raise.  A poset built from the flats search's record
+  walks nothing: every recorded cover is one rank up, so each maximal
+  chain of [i, k] has r(k) - r(i) steps, and its heights are the ranks.
 - Rank-2 intervals come from 2-chains.  L is an upper cover of an upper
   cover of K exactly when [K, L] has rank 2, and then its middles are the
   upper covers of K that L covers; grouping 2-chains by their top lists
@@ -53,7 +55,9 @@ once per poset and kept on it.  Each check takes a shortcut that is exact:
   `is_semimodular_lattice` read one answer, `_intersection_closed`, which
   passes over all pairs of elements unless it is already kept on P;
   `FlatLattice` keeps it for a lattice of flats, where the matroid proves
-  it (see `matroid`).  An interval [K, L] is convex, so its covers are
+  it (see `matroid`), and keeps the cover-gain partition that
+  `flats_axioms_hold` also reads, which the record proved on the same
+  covers.  An interval [K, L] is convex, so its covers are
   P's covers inside it, and `interval_flats_axioms_hold` checks it as a
   poset of its own.
 - Mobius rows come on demand: `mobius(P)` computes the row of a when
@@ -71,10 +75,11 @@ from .errors import InvalidParams, NotAnInterval, NotGraded
 class GradedSubposet:
     """Finite sub-poset of a Boolean lattice with graded closed intervals."""
 
-    def __init__(self, n, element_sets, _covers=None):
-        """`_covers`, when given, maps each element set to the list of its
-        upper covers, and is trusted to be the cover relation of the sets:
-        only the flats search's checked record is passed (see `matroid`)."""
+    def __init__(self, n, element_sets, _record=None):
+        """`_record`, when given, is the flats search's checked record (see
+        `matroid`): its `covers` map each element set to the list of its
+        upper covers, trusted to be the cover relation of the sets, and its
+        `ranks`, one up along every cover, are their heights."""
         if n < 1 or n > subsets.MAX_GROUND:
             raise InvalidParams(f"ground size {n} outside 1..{subsets.MAX_GROUND}")
         elems = list(element_sets)
@@ -88,22 +93,25 @@ class GradedSubposet:
         self.n = n
         self.elements = tuple(elems)
         self._index = index = {s: i for i, s in enumerate(elems)}
-        if _covers is None:
+        if _record is None:
             self._up, self._down = self._order_by_points()
             self._upper_covers = [
                 self._minimal(up & ~(1 << i)) for i, up in enumerate(self._up)
             ]
         else:
-            self._upper_covers = [sorted(index[G] for G in _covers[s]) for s in elems]
+            self._upper_covers = [sorted(index[G] for G in _record.covers[s]) for s in elems]
         self._lower_covers = [[] for _ in elems]
         for i, ups in enumerate(self._upper_covers):
             for j in ups:
                 self._lower_covers[j].append(i)
-        if _covers is not None:
+        # _rank[i][k] - _rank[i][i] is the rank of [i, k]
+        if _record is None:
+            self._rank = self._grade_all_intervals()  # raises NotGraded
+        else:
             self._up = _reach(self._upper_covers, reversed(range(len(elems))))
             self._down = _reach(self._lower_covers, range(len(elems)))
-        # _rank[i][k] - _rank[i][i] is the rank of [i, k]; raises NotGraded
-        self._rank = self._grade_all_intervals()
+            heights = [_record.ranks[s] for s in elems]
+            self._rank = [heights] * len(elems)
         self._proved = {}  # predicate results, keyed by (name, *args)
 
     # -- basic order queries ------------------------------------------------

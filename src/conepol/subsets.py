@@ -21,10 +21,21 @@ def from_elements(elements):
 
 
 def from_json_elements(obj, what):
-    """Bitset of a JSON list of integer elements; `what` names it in errors."""
+    """Bitset of a JSON list of distinct integer elements; `what` names it
+    in errors."""
     if not isinstance(obj, list) or not all(is_json_int(e) for e in obj):
         raise MalformedInput(f"{what} must be a list of integers")
-    return from_elements(obj)
+    return _from_distinct(obj, what)
+
+
+def _from_distinct(elements, what):
+    """Bitset of a list of elements that names each at most once: a
+    repeat would name the same set as a shorter list, silently."""
+    s = from_elements(elements)
+    if s.bit_count() != len(elements):
+        e = next(e for i, e in enumerate(elements) if e in elements[:i])
+        raise MalformedInput(f"{what} names element {e} twice")
+    return s
 
 
 def is_json_int(x):
@@ -88,7 +99,8 @@ def format_elements(s):
 
 
 def parse_elements(text):
-    """Bitset of a comma-separated element list; "" or "empty" is 0."""
+    """Bitset of a comma-separated list of distinct elements; "" or
+    "empty" is 0."""
     text = text.strip()
     if text in ("", "empty"):
         return 0
@@ -96,4 +108,4 @@ def parse_elements(text):
         elements = [int(part) for part in text.split(",")]
     except ValueError:
         raise MalformedInput(f"malformed element list {text!r}") from None
-    return from_elements(elements)
+    return _from_distinct(elements, f"element list {text!r}")

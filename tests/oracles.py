@@ -2,9 +2,9 @@
 
 Everything here works on frozensets and dense coefficient lists,
 deliberately sharing no code or data layout with the package under test.
-The exceptions are the basis scans the package replaced, which work on
-int bitsets as it did, and the projection, polynomial and Lorentzian
-oracles at the end; see there.
+The exceptions are the basis scans and the per-flat flats search that the
+package replaced, which work on int bitsets as it did, and the
+projection, polynomial and Lorentzian oracles at the end; see there.
 """
 
 from fractions import Fraction
@@ -554,6 +554,39 @@ def closure_by_scan(full, bases, S):
     for B in spanning_bases_scan(bases, S):
         escape |= B
     return S | (full & ~escape)
+
+
+def flats_search_per_flat(M):
+    """The flats search's record, ({F: r(F)} in the order found, {F: upper
+    covers}), with one `M._spanning` call per flat: each flat's mask holds
+    every basis meeting it in its rank, and cl(F + e) is F + e plus every
+    untried y that none of them holding e holds.  It walks the flats in
+    the package's order, so the two records compare with ==.  Unlike the
+    package's search it does not check each flat closed."""
+    holding, full = M._holding, M.ground.full_mask
+    bottom = M.closure(0)
+    found, frontier = {bottom}, [bottom]
+    ranks, covers = {}, {}
+    while frontier:
+        F = frontier.pop()
+        ranks[F], kept = M._spanning(F)
+        ups = covers[F] = []
+        untried = subsets.elements(full & ~F)
+        while untried:
+            e, *others = untried
+            spanning = kept & holding[e]
+            G = F | 1 << e
+            untried = []
+            for y in others:
+                if holding[y] & spanning:
+                    untried.append(y)
+                else:
+                    G |= 1 << y
+            if G not in found:
+                found.add(G)
+                frontier.append(G)
+            ups.append(G)
+    return ranks, covers
 
 
 def graphic_bases_by_combinations(edges):

@@ -412,3 +412,43 @@ def test_graphic_basis_cap_stops_the_forest_walk(capsys, tmp_path):
     assert err.splitlines() == [
         "SizeLimitExceeded: 20001 bases found so far exceed the cap of 20000"
     ]
+
+
+@pytest.mark.parametrize("values, message", [
+    pytest.param({"0": "1", "0,0": "5"}, "element list '0,0' names element 0 twice",
+                 id="repeated-element"),
+    pytest.param({"0,1": "1", "1,0": "5"}, "vector values name {0,1} twice", id="reordered"),
+    pytest.param({"": "1", "empty": "5"}, "vector values name {} twice", id="empty-twice"),
+])
+def test_vector_keys_naming_one_set_twice_exit_2(capsys, tmp_path, values, message):
+    """Two keys that name the same subset would keep one value and drop
+    the other; a key that repeats an element is refused alike."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"K": [], "L": [0, 1, 2], "values": values}))
+    code, out, err = run(capsys, ["pol", "--uniform", "2", "3", "--eval", str(path)])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"MalformedInput: {message}"]
+
+
+def test_json_object_repeating_a_key_exit_2(capsys, tmp_path):
+    path = tmp_path / "point.json"
+    path.write_text('{"K": [], "L": [0, 1, 2], "values": {"0": "1", "0": "5"}}')
+    code, out, err = run(capsys, ["pol", "--uniform", "2", "3", "--eval", str(path)])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"MalformedInput: {path} repeats the key '0' in one object"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--matroid", "bases.json"], "a basis names element 0 twice", id="basis"),
+    pytest.param(["--fano", "--interval", "0,0", "0,1,2"],
+                 "element list '0,0' names element 0 twice", id="interval"),
+])
+def test_repeated_elements_exit_2(capsys, tmp_path, argv, message):
+    """A basis [0, 0, 1] or an interval end "0,0" names an element twice,
+    and is refused rather than read as {0, 1} or {0}."""
+    path = tmp_path / "bases.json"
+    path.write_text(json.dumps({"n": 3, "bases": [[0, 0, 1], [0, 2]]}))
+    argv = [str(path) if arg == "bases.json" else arg for arg in argv]
+    code, out, err = run(capsys, ["pol", *argv])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"MalformedInput: {message}"]

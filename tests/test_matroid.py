@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 
@@ -267,7 +269,8 @@ def test_flats_lattice_matches_frozenset_oracles():
 
 def test_flats_search_closes_each_cover_once(monkeypatch):
     """Building a lattice of flats closes only the bottom flat and asks for
-    no rank: every cover comes from one basis scan of the flat below it."""
+    no rank: every cover comes from the bases carried to the flat below
+    it."""
     calls = {"rank": 0, "closure": 0}
     for name in calls:
         original = getattr(Matroid, name)
@@ -755,9 +758,10 @@ def test_flats_record_and_weisner_mobius_match_oracles(catalog):
     """On the catalog and seeded random binary matroids (parallel elements
     included): the search's record holds each flat with r(F) and the
     covers of the per-point order table; the order table propagated over
-    those covers equals the per-point one; and chi and chibar read off the
-    record by Weisner's theorem equal the frozenset oracles and the sums
-    over the `MobiusTable` bottom row."""
+    those covers equals the per-point one, and the interval ranks read off
+    the record's ranks equal the walked ones on every comparable pair; and
+    chi and chibar read off the record by Weisner's theorem equal the
+    frozenset oracles and the sums over the `MobiusTable` bottom row."""
     rng = random.Random(20261020)
     matroids = list(catalog.values()) + [
         random_binary_matroid(rng, rng.choice([2, 3, 4]), rng.randint(3, 7)) for _ in range(25)
@@ -771,8 +775,11 @@ def test_flats_record_and_weisner_mobius_match_oracles(catalog):
         assert all(record.ranks[F] == M.rank(F) for F in P.elements)
         assert [sorted(P.index(G) for G in record.covers[F]) for F in P.elements] == (
             P._upper_covers)
-        for name in ("_up", "_down", "_upper_covers", "_lower_covers", "_rank"):
+        for name in ("_up", "_down", "_upper_covers", "_lower_covers"):
             assert getattr(L, name) == getattr(P, name), name
+        pairs = P.comparable_pairs()
+        assert [L.interval_rank(K, F) for K, F in pairs] == [
+            P.interval_rank(K, F) for K, F in pairs]
         universe = frozenset(range(M.ground.n))
         bases = [frozenset(elements(B)) for B in M.bases]
         table = mobius(P)
@@ -839,3 +846,64 @@ def test_tampered_search_record_is_refused(monkeypatch, capsys, tamper):
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("InternalAxiomFailure: flats search ")
+
+
+def test_carried_search_matches_the_per_flat_oracle(catalog):
+    """Carrying spanning bases down the search gives the record that one
+    `_spanning` call per flat gives, ranks in the order found and covers,
+    on the catalog, seeded random binary matroids (parallel elements
+    included), U(6,7), M(K6) and M(K4.K4)."""
+    rng = random.Random(20261022)
+    randoms = [
+        random_binary_matroid(rng, rng.choice([2, 3, 4]), rng.randint(3, 7)) for _ in range(25)
+    ]
+    # an atom of more than one element is a class of parallel elements
+    assert any(
+        any(G.bit_count() > 1 for G in matroid._flats_record(M).covers[0]) for M in randoms
+    )
+    k4_k4 = K4_EDGES + [(a + 3, b + 3) for a, b in K4_EDGES]
+    matroids = [*catalog.values(), *randoms, uniform_matroid(6, 7),
+                graphic_matroid(combinations(range(6), 2)), graphic_matroid(k4_k4)]
+    for M in matroids:
+        ranks, covers = matroid._search_flats(M)
+        want_ranks, want_covers = oracles.flats_search_per_flat(M)
+        assert list(ranks.items()) == list(want_ranks.items()), M
+        assert covers == want_covers, M
+
+
+def search_carrying(mask):
+    """`matroid._search_flats`, compiled from its own source with the mask
+    it carries to each newly found cover replaced by the expression
+    `mask`."""
+    source = textwrap.dedent(inspect.getsource(matroid._search_flats))
+    carried = "frontier.append((G, spanning))"
+    assert source.count(carried) == 1
+    namespace = dict(vars(matroid))
+    exec(source.replace(carried, f"frontier.append((G, {mask}))"), namespace)
+    return namespace["_search_flats"]
+
+
+CARRIED_TAMPERS = {
+    "parent-mask": ("kept", r"^flats search recorded \{\d+(,\d+)*\} as a cover of "
+                            r"\{[\d,]*\}, not a found set one rank up$"),
+    "lowest-basis-dropped": ("spanning & (spanning - 1)",
+                             r"^flats search found \{\d+(,\d+)*\}, which is not closed$"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(CARRIED_TAMPERS))
+def test_tampered_carried_masks_are_refused(monkeypatch, tamper):
+    """Carrying the parent's mask, whose bases need not hold the cover's
+    new element, misreads a cover's rank, and the record refuses it;
+    dropping the lowest basis of each carried mask can lose every basis
+    through a basis of the cover plus an element outside its closure, so
+    the cover, or a flat found from it, looks unclosed, and the search
+    refuses it.  Carried untampered, the compiled copy gives the search's
+    record."""
+    assert search_carrying("spanning")(fano()) == matroid._search_flats(fano())
+    mask, message = CARRIED_TAMPERS[tamper]
+    monkeypatch.setattr(matroid, "_search_flats", search_carrying(mask))
+    for M in (fano(), graphic_matroid(K4_EDGES), uniform_matroid(3, 5)):
+        with pytest.raises(InternalAxiomFailure, match=message):
+            flats_lattice(M)
+        assert M._flats is None and M._lattice is None

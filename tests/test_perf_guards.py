@@ -10,7 +10,9 @@ Sampled directions are certified by their margin bound, so a sampled
 lattice of flats is built with semimodularity and the flats axioms
 proved, so its connectivity and 1-balancedness walks never run, and from
 the flats search's checked record, so no pair of flats is intersected,
-also when a caller gives the flats.
+also when a caller gives the flats, and its heights and cover-gain
+partition are read off the record, not walked or scanned.  The search
+carries spanning bases down from cl(empty set), its one `_spanning` call.
 `charpoly` reads the record by Weisner's theorem and builds no poset.  The
 alpha/beta profile is read off mixed contractions, so no path of the
 package substitutes.  A size guard refuses before any quotient ring is
@@ -18,6 +20,7 @@ built.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -28,7 +31,7 @@ from fractions import Fraction
 import pytest
 
 from conepol import (
-    FlatLattice, UniPoly, chow, cone, flats_lattice, graphic_matroid, interval_polynomial,
+    FlatLattice, Matroid, UniPoly, chow, cone, flats_lattice, graphic_matroid, interval_polynomial,
     intervalpoly, lorentz, multipoly, poset, uniform_matroid,
 )
 from conepol.cli import main
@@ -110,6 +113,48 @@ def test_flats_lattice_intersects_no_pair_of_flats(monkeypatch):
     for M, L in zip(matroids, lattices):
         assert FlatLattice(M, L.elements).elements == L.elements
     assert pairwise == []
+
+
+def test_flats_lattice_spans_once_and_walks_no_grading(monkeypatch):
+    """The flats search asks `_spanning` once, at cl(empty set) (the other
+    call is `closure(0)` finding that set), and carries bases down from
+    there; a lattice of flats reads its heights off the record's ranks and
+    keeps the cover-gain partition the record proved, so neither the
+    grading walk nor the partition scan runs.  A poset built from the same
+    sets without the record runs both."""
+    spans, grades, scans = [], [], []
+    spanning = Matroid._spanning
+    grade = poset.GradedSubposet._grade_all_intervals
+    partition = poset._gains_partition.__wrapped__
+
+    def spy_spanning(self, S):
+        spans.append(S)
+        return spanning(self, S)
+
+    def spy_grade(self):
+        grades.append(self)
+        return grade(self)
+
+    @functools.wraps(partition)
+    def spy_partition(P, top):
+        scans.append(P)
+        return partition(P, top)
+
+    monkeypatch.setattr(Matroid, "_spanning", spy_spanning)
+    monkeypatch.setattr(poset.GradedSubposet, "_grade_all_intervals", spy_grade)
+    monkeypatch.setattr(poset, "_gains_partition", poset._once_per_poset(spy_partition))
+    with_loop = graphic_matroid(K4 + [(1, 1)])
+    for M, size in ((uniform_matroid(6, 12), 1587), (graphic_matroid(K4_K4), 225),
+                    (with_loop, 15)):
+        spans.clear()
+        L = flats_lattice(M)
+        assert len(L) == size and spans == [0, L.bottom]
+        assert poset.flats_axioms_hold(L, L.top)
+    assert with_loop.loops() == 1 << 6
+    assert grades == [] and scans == []
+    P = poset.GradedSubposet(L.n, L.elements)
+    assert poset.flats_axioms_hold(P, L.top)
+    assert grades == [P] and scans == [P]
 
 
 def test_interval_polynomial_substitutes_nothing(monkeypatch):
@@ -204,7 +249,9 @@ def test_all_intervals_refusal_builds_no_ring(monkeypatch, capsys):
 # `pol --eval beta`: before the Taylor-series lift; `charpoly` on U(8,16):
 # before chi was read off the flats search by Weisner's theorem; U(5,5),
 # `chow-verify` and `pol --eval alpha`: before terms were keyed by sorted
-# variable indices); certify runs `--samples 2` with the default seed 0
+# variable indices; `poset-check` on M(K4.K4): before spanning bases were
+# carried down the flats search and heights read off its record); certify
+# runs `--samples 2` with the default seed 0
 PINNED = {
     ("certify", "fano"): "45a4c040ea032fb0d8a86cf9cd097ff44234330c8e3c032ee6af8224b600905a",
     ("certify", "u45"): "1b9fb984a3d2dafeab87f2bed1df7397ba705b7d173eda414e0a78586eb49ea9",
@@ -218,6 +265,7 @@ PINNED = {
     ("charpoly", "u7_14"): "6081f2d6d656c8c34394329f3adc092fa1e848217fe698331dce6d4b07498a13",
     ("charpoly", "u8_16"): "7060a7d39332bf0f32c2a02bf2b1713977f590115def8e5871d4092e26a3350f",
     ("poset-check", "u7_14"): "27c537460dc6ad782e596dfb1000e90520b2a26977ac82c6f031172ac145bb4c",
+    ("poset-check", "k4k4"): "c5de48747db7a409f63294b09acc3540c74da7ba89f06c51b372550fa7e9fa01",
     ("pol", "fano"): "70f57da9eef510e310927e29b2b3986c1dd33eda68f8f495bddb42b474010b60",
     ("pol", "u45"): "f1b9e30b876c36b2bbe328eb3e82f0236bf141ce382be1340292dea300d97c68",
     ("pol", "k5"): "e568f6a280f5884a77062a7507f2a6aa246ead2054b84886af16b40bba97b553",
@@ -237,10 +285,12 @@ EXTRA = {
 
 @pytest.mark.parametrize("command, matroid", sorted(PINNED))
 def test_json_output_is_pinned(tmp_path, command, matroid):
-    k5 = tmp_path / "k5.json"
+    k5, k4k4 = tmp_path / "k5.json", tmp_path / "k4k4.json"
     k5.write_text(json.dumps({"edges": [list(e) for e in itertools.combinations(range(5), 2)]}))
+    k4k4.write_text(json.dumps({"edges": [list(e) for e in K4_K4]}))
     source = {"fano": ["--fano"], "u45": ["--uniform", "4", "5"], "u55": ["--uniform", "5", "5"],
-              "u7_14": ["--uniform", "7", "14"], "u8_16": ["--uniform", "8", "16"], "k5": ["--graphic", str(k5)]}[matroid]
+              "u7_14": ["--uniform", "7", "14"], "u8_16": ["--uniform", "8", "16"],
+              "k5": ["--graphic", str(k5)], "k4k4": ["--graphic", str(k4k4)]}[matroid]
     extra = EXTRA.get((command, matroid)) or {
         "certify": ["--samples", "2"], "pol": ["--eval", "beta"],
     }.get(command, [])
